@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import BiasNetwork, SmallSignalParams
+from .device import BiasNetwork, ConvergenceError, SmallSignalParams
 
 __all__ = [
     "StageResponse",
@@ -55,7 +55,7 @@ class CouplingNetwork:
     r_input: float = 50.0        # ohm
 
     def __post_init__(self):
-        if self.c_cell <= 0 or self.c_parasitic <= 0 or self.r_input <= 0:
+        if not (self.c_cell > 0 and self.c_parasitic > 0 and self.r_input > 0):
             raise ValueError("coupling network values must be positive")
 
 
@@ -70,7 +70,7 @@ class StageResponse:
 
     def __post_init__(self):
         for f in (*self.poles, *self.zeros, *self.hp_corners):
-            if f <= 0:
+            if not f > 0:
                 raise ValueError("corner frequencies must be positive")
 
     def evaluate(self, f):
@@ -183,7 +183,8 @@ def unity_gain_load(ss: SmallSignalParams, net: BiasNetwork,
     """Load resistance for which the stage reaches unity gain at ``f_ref``.
 
     Fixed-point iteration: the output coupling corner depends weakly on the
-    load, so a few passes suffice.
+    load, so a few passes suffice.  Raises ``ConvergenceError`` if 40
+    passes do not settle.
     """
     r_load = 1.0 / ss.g_m
     for _ in range(40):
@@ -196,11 +197,12 @@ def unity_gain_load(ss: SmallSignalParams, net: BiasNetwork,
         if inv <= 0:
             raise ValueError("unity gain unreachable: stage too weak at f_ref")
         r_new = 1.0 / inv
-        if abs(r_new - r_load) <= 1e-12 * r_load:
-            r_load = r_new
-            break
+        step = abs(r_new - r_load) / r_load
         r_load = r_new
-    return r_load
+        if step <= 1e-12:
+            return r_load
+    raise ConvergenceError("unity-gain load did not settle in 40 passes",
+                           residual=step)
 
 
 def fixed_gain_stage(gain_db: float, f_low: float, f_high: float,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 
@@ -61,6 +62,8 @@ def _parse_grid(spec, default_start, default_stop, default_points,
         spacing = parts[3] if len(parts) == 4 else default_spacing
         if spacing not in ("log", "lin"):
             raise ConfigError(f"grid spacing must be log or lin, got {spacing!r}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"grid bounds must be finite, got {start:g}:{stop:g}")
     if points < 1 or stop < start:
         raise ConfigError("grid needs stop >= start and points >= 1")
     if points == 1:

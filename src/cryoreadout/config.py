@@ -9,6 +9,7 @@ manifest; re-running from the manifest reproduces the run bit-for-bit.
 from __future__ import annotations
 
 import configparser
+import math
 
 from . import device, chain as chain_mod, source
 from .lockin import SynthesisConfig
@@ -222,9 +223,13 @@ def _parse_value(section, key, raw):
     if kind == "auto_num" and raw == "auto":
         return "auto"
     try:
-        return float(raw) * scale
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"[{section}] {key}: expected number, got {raw!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: expected a finite number, "
+                          f"got {raw!r}")
+    return value * scale
 
 
 def load_config(path=None, overrides=None, extra_ok=()):

@@ -61,9 +61,9 @@ class TransistorParams:
     def __post_init__(self):
         if not (self.i_sat > 0 and self.v_teff > 0):
             raise ValueError("i_sat and v_teff must be positive")
-        if self.v_early < 1.0:
+        if not self.v_early >= 1.0:
             raise ValueError("v_early below 1 V is unphysical for these devices")
-        if self.beta_f < 1.0:
+        if not self.beta_f >= 1.0:
             raise ValueError("beta_f must be >= 1")
 
 

@@ -61,9 +61,9 @@ class EnsembleParams:
     def __post_init__(self):
         if not 0.0 <= self.rho22_target <= 0.5:
             raise ValueError("rho22_target must lie in [0, 0.5]")
-        if self.tau_relax <= 0:
+        if not self.tau_relax > 0:
             raise ValueError("tau_relax must be positive")
-        if self.linewidth_v <= 0:
+        if not self.linewidth_v > 0:
             raise ValueError("linewidth_v must be positive")
 
 
@@ -76,7 +76,7 @@ class DriveWaveform:
     excitation_rate: float | None = None   # MW-on pumping rate, 1/s
 
     def __post_init__(self):
-        if self.f_m <= 0:
+        if not self.f_m > 0:
             raise ValueError("f_m must be positive")
         if not 0.0 < self.duty < 1.0:
             raise ValueError("duty must lie in (0, 1)")

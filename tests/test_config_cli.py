@@ -1,11 +1,13 @@
 import csv
+import math
 
 import numpy as np
 import pytest
 
-from cryoreadout import device, ivfit
+from cryoreadout import chain as chain_mod, device, ivfit, source
 from cryoreadout.cli import main
 from cryoreadout.config import ConfigError, load_config
+from cryoreadout.lockin import SynthesisConfig
 
 
 def _read_csv(path):
@@ -53,6 +55,24 @@ def test_config_rejects_bad_input(tmp_path, text):
     p.write_text(text)
     with pytest.raises(ConfigError):
         load_config(p)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: source.EnsembleParams(tau_relax=math.nan),
+    lambda: source.EnsembleParams(linewidth_v=math.nan),
+    lambda: source.DriveWaveform(f_m=math.nan),
+    lambda: chain_mod.CouplingNetwork(r_input=math.nan),
+    lambda: chain_mod.StageResponse(gain_factor=1.0, poles=(math.nan,)),
+    lambda: SynthesisConfig(time_constant=math.nan),
+    lambda: SynthesisConfig(input_noise_density=math.nan),
+    lambda: device.TransistorParams(i_sat=1e-12, v_teff=0.025,
+                                    v_early=math.nan, beta_f=160.0),
+    lambda: device.TransistorParams(i_sat=1e-12, v_teff=0.025,
+                                    v_early=124.0, beta_f=math.nan),
+])
+def test_module_objects_reject_nan(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_config_missing_file():
@@ -159,12 +179,64 @@ def test_cli_bad_grid_spec(tmp_path):
                  "--grid", "2:1:5"]) == 2
     assert main(["--out", str(tmp_path), "sweep", "--axis", "fm",
                  "--grid", "0:1e6:5:log"]) == 2
+    assert main(["--out", str(tmp_path), "sweep", "--axis", "vbc",
+                 "--grid", "nan:12:5"]) == 2
+    assert main(["--out", str(tmp_path), "sweep", "--axis", "vbc",
+                 "--grid", "11:inf:5"]) == 2
 
 
 def test_cli_bad_config_exit_code(tmp_path):
     p = tmp_path / "bad.ini"
     p.write_text("[mystery]\nx = 1\n")
     assert main(["--config", str(p), "opp"]) == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_sweep_non_finite_config(tmp_path, value):
+    p = tmp_path / "bad.ini"
+    p.write_text(f"[ensemble]\ntau_relax_us = {value}\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(p), "--out", str(out), "sweep", "--axis",
+                 "vbc", "--grid", "11.5:11.7:3:lin"]) == 2
+    assert not (out / "sweep_vbc.csv").exists()
+
+
+def test_cli_sweep_overflow_exit_code(tmp_path):
+    # finite inputs whose image charge overflows: exit 3, no CSV
+    p = tmp_path / "huge.ini"
+    p.write_text("[ensemble]\nn_s_per_cm2 = 1e304\n"
+                 "[geometry]\ndelta_z_nm = 1e29\n")
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert main(["--config", str(p), "--out", str(out), "sweep",
+                     "--axis", "vbc", "--grid", "11.5:11.7:3:lin"]) == 3
+    assert not (out / "sweep_vbc.csv").exists()
+
+
+def test_cli_unity_gain_load_not_converging(tmp_path, monkeypatch):
+    # a stage whose |H| goes as (R_c || r_o || R_load)^2 / q0^2 makes the
+    # fixed-point update q -> q0^2 / q, which alternates forever
+    real = chain_mod.hbt_stage_response
+    q0 = []
+
+    def oscillating(ss, net, load_resistance, source_resistance=50.0,
+                    noise_temperature=2.0):
+        q = 1.0 / (1.0 / net.r_collector + 1.0 / ss.r_o
+                   + 1.0 / load_resistance)
+        if not q0:
+            q0.append(0.5 * q)
+        stage = real(ss, net, load_resistance, source_resistance,
+                     noise_temperature)
+        h = abs(stage.evaluate(chain_mod.DEFAULT_REFERENCE_FREQUENCY))
+        return chain_mod.StageResponse(
+            gain_factor=stage.gain_factor * (q / q0[0]) ** 2 / h,
+            zeros=stage.zeros, poles=stage.poles,
+            hp_corners=stage.hp_corners)
+
+    monkeypatch.setattr(chain_mod, "hbt_stage_response", oscillating)
+    with pytest.raises(device.ConvergenceError):
+        load_config(None).amplifier_chain()
+    assert main(["--out", str(tmp_path), "s21"]) == 3
 
 
 def test_cli_sweep_and_manifest_rerun(tmp_path):

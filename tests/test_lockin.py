@@ -1,14 +1,20 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cryoreadout import lockin
 from cryoreadout.chain import (CouplingNetwork, StageResponse, cascade,
                                default_chain)
 from cryoreadout.lockin import (SynthesisConfig, demodulate, sweep_fm,
                                 sweep_vbc, synthesize)
-from cryoreadout.source import CellGeometry, DriveWaveform, EnsembleParams
-from conftest import dft_fundamental_rms
+from cryoreadout.source import (CellGeometry, DriveWaveform, EnsembleParams,
+                                image_charge_waveform, rydberg_population)
+from conftest import (dft_fundamental_rms, lockin_noise_covariance,
+                      time_domain_point)
 
 FS = 4e6
 F_REF = 1e5
@@ -194,3 +200,131 @@ def test_sweep_duration_too_short():
     drive = DriveWaveform(f_m=250e3)
     with pytest.raises(ValueError, match="time constants"):
         sweep_vbc([11.6], drive, ens, geom, coupling, None, cfg)
+
+
+# -- closed form against the time-domain oracle ------------------------------
+
+@functools.cache
+def _default_chain():
+    return default_chain()
+
+
+def _xy(res):
+    return (res.amplitude_r * math.cos(res.phase),
+            res.amplitude_r * math.sin(res.phase))
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+def test_cascade_energy_matches_impulse_response(order):
+    a = math.exp(-1.0 / 50.0)
+    g = np.zeros(5000)
+    g[0] = 1.0
+    for _ in range(order):
+        g = np.convolve(g, (1.0 - a) * a ** np.arange(5000))[:5000]
+    assert lockin._cascade_energy(a, order) == pytest.approx(g @ g, rel=1e-12)
+
+
+@pytest.mark.parametrize("tau", [2e-4, 1e-3])
+@pytest.mark.parametrize("f_m", [100e3, 250e3, 1e6])
+def test_noise_std_matches_exact_covariance(tau, f_m):
+    resp = _default_chain()
+    cfg = SynthesisConfig(time_constant=tau)
+    var_x, var_y, cov = lockin_noise_covariance(resp, cfg, f_m)
+    spp, _ = lockin._resolve_sampling(cfg, f_m)
+    s2 = lockin._noise_std(cfg, spp * f_m, abs(resp.evaluate(f_m))) ** 2
+    assert s2 == pytest.approx(var_x, rel=1e-5)
+    assert s2 == pytest.approx(var_y, rel=1e-5)
+    assert abs(cov) / math.sqrt(var_x * var_y) <= 1e-9
+
+
+def test_sweep_point_noise_is_one_draw():
+    # a point adds s * z to (X, Y), z = the first two standard normals of
+    # the (seed, index) stream, X first
+    resp = _default_chain()
+    f_m, seed, index = 1e6, 5, 7
+    point = (index, f_m, 0.5, None, 1.0, EnsembleParams(), CellGeometry(),
+             CouplingNetwork(), resp)
+    cfg = SynthesisConfig(noise_seed=seed)
+    x0, y0 = _xy(lockin._run_point(
+        *point, SynthesisConfig(noise_seed=seed, input_noise_density=0.0)))
+    x, y = _xy(lockin._run_point(*point, cfg))
+    z = np.random.default_rng((seed, index)).standard_normal(2)
+    s = lockin._noise_std(cfg, 16 * f_m, abs(resp.evaluate(f_m)))
+    assert x - x0 == pytest.approx(s * z[0], rel=1e-9)
+    assert y - y0 == pytest.approx(s * z[1], rel=1e-9)
+
+
+def test_noise_statistics_match_time_domain():
+    # 1000 seeds of the full-record path at f_m = 250 kHz, tau = 0.2 ms
+    ens, geom, coupling = EnsembleParams(), CellGeometry(), CouplingNetwork()
+    resp = _default_chain()
+    f_m, n = 250e3, 1000
+    point = (0, f_m, 0.5, None, 1.0, ens, geom, coupling, resp)
+    cfg0 = SynthesisConfig(time_constant=2e-4, input_noise_density=0.0)
+    x0, y0 = _xy(lockin._run_point(*point, cfg0))
+    xy = np.array([
+        _xy(time_domain_point(*point, SynthesisConfig(time_constant=2e-4,
+                                                      noise_seed=seed)))
+        for seed in range(n)])
+    cfg = SynthesisConfig(time_constant=2e-4)
+    s2 = lockin._noise_std(cfg, 16 * f_m, abs(resp.evaluate(f_m))) ** 2
+    se = math.sqrt(s2 / n)
+    assert abs(xy[:, 0].mean() - x0) <= 4.0 * se
+    assert abs(xy[:, 1].mean() - y0) <= 4.0 * se
+    var = xy.var(axis=0, ddof=1)
+    assert np.all(np.abs(var / s2 - 1.0) <= 4.0 * math.sqrt(2.0 / (n - 1)))
+    assert abs(np.corrcoef(xy.T)[0, 1]) <= 4.0 / math.sqrt(n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(f_m=st.floats(1e4, 1e7),
+       tau_periods=st.floats(0.5, 10.0),
+       spp=st.none() | st.integers(16, 64),
+       extra_periods=st.none() | st.integers(1, 800),
+       order=st.integers(1, 6),
+       duty=st.floats(0.05, 0.95),
+       scale=st.floats(0.01, 1.0),
+       with_chain=st.booleans())
+def test_closed_form_matches_time_domain(f_m, tau_periods, spp, extra_periods,
+                                         order, duty, scale, with_chain):
+    # records of at most 64 * 1001 samples
+    tau = tau_periods / f_m
+    duration = None if extra_periods is None else \
+        (math.ceil(20.0 * tau_periods) + extra_periods) / f_m
+    cfg = SynthesisConfig(
+        sample_rate=None if spp is None else spp * f_m, duration=duration,
+        input_noise_density=0.0, time_constant=tau, filter_order=order)
+    resp = _default_chain() if with_chain else None
+    point = (3, f_m, duty, None, scale, EnsembleParams(), CellGeometry(),
+             CouplingNetwork(), resp, cfg)
+    fast = lockin._run_point(*point)
+    slow = time_domain_point(*point)
+    assert fast.amplitude_r == pytest.approx(slow.amplitude_r, rel=1e-9)
+    # X and Y rather than the phase, which wraps at +-pi
+    err = np.subtract(_xy(fast), _xy(slow))
+    assert np.all(np.abs(err) <= 1e-9 * slow.amplitude_r)
+
+
+def test_closed_form_extreme_record():
+    # tau = 1 s at f_m = 10 MHz: the time-domain record would be 3.2e9
+    # samples (25.6 GB per float64 array)
+    ens, geom, coupling = EnsembleParams(), CellGeometry(), CouplingNetwork()
+    resp = _default_chain()
+    f_m = 10e6
+    cfg = SynthesisConfig(time_constant=1.0, input_noise_density=0.0)
+    spp, n_per = lockin._resolve_sampling(cfg, f_m)
+    assert spp * n_per == 3_200_000_000
+    tracemalloc.start()
+    try:
+        res = lockin._run_point(0, f_m, 0.5, None, 1.0, ens, geom, coupling,
+                                resp, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+    _, rho = rydberg_population(DriveWaveform(f_m=f_m), ens,
+                                samples_per_period=spp)
+    _, v_ac = image_charge_waveform(rho, geom, ens.n_s, coupling.c_parasitic)
+    want = abs(resp.evaluate(f_m)) * dft_fundamental_rms(v_ac, spp)
+    assert math.isfinite(res.amplitude_r)
+    assert res.amplitude_r == pytest.approx(want, rel=1e-5)
