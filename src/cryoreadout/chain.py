@@ -25,38 +25,15 @@ from .device import BiasNetwork, ConvergenceError, SmallSignalParams
 __all__ = [
     "StageResponse",
     "ChainResponse",
-    "CouplingNetwork",
-    "corner_frequency",
-    "capacitive_division",
     "hbt_stage_response",
     "unity_gain_load",
     "fixed_gain_stage",
     "cascade",
-    "default_chain",
     "s21_db",
     "snr_db",
 ]
 
 DEFAULT_REFERENCE_FREQUENCY = 10e6   # Hz, mid-band for gain/noise bookkeeping
-
-# second-stage (band-limited 40 dB block) defaults; the low corner sits at
-# 40 kHz so the two-stage response stays within 1 dB of flat at 100 kHz
-SECOND_STAGE_F_LOW = 40e3
-FIRST_STAGE_NOISE_K = 2.0
-SECOND_STAGE_NOISE_K = 6.0
-
-
-@dataclass(frozen=True)
-class CouplingNetwork:
-    """Signal-source coupling: cell capacitance, cable parasitics, load."""
-
-    c_cell: float = 1e-12        # F
-    c_parasitic: float = 10e-12  # F
-    r_input: float = 50.0        # ohm
-
-    def __post_init__(self):
-        if not (self.c_cell > 0 and self.c_parasitic > 0 and self.r_input > 0):
-            raise ValueError("coupling network values must be positive")
 
 
 @dataclass(frozen=True)
@@ -66,7 +43,6 @@ class StageResponse:
     zeros: tuple[float, ...] = ()
     hp_corners: tuple[float, ...] = ()
     noise_temperature: float = 0.0        # K, input-referred
-    input_noise_density: float | None = None   # V/sqrt(Hz), optional alternative
 
     def __post_init__(self):
         for f in (*self.poles, *self.zeros, *self.hp_corners):
@@ -116,18 +92,6 @@ class ChainResponse:
         return t_total
 
 
-def corner_frequency(net: CouplingNetwork) -> float:
-    """RC corner 1/(2*pi*R*C_p) of the cable/load network."""
-    return 1.0 / (2.0 * math.pi * net.r_input * net.c_parasitic)
-
-
-def capacitive_division(delta_q: float, net: CouplingNetwork) -> float:
-    """Source voltage V_ac = delta_q / (C_0 + C_p)."""
-    if delta_q < 0:
-        raise ValueError("delta_q must be non-negative")
-    return delta_q / (net.c_cell + net.c_parasitic)
-
-
 def _hbt_corners(ss: SmallSignalParams, net: BiasNetwork, load_resistance,
                  source_resistance):
     """Corner frequencies of the common-emitter stage, Hz."""
@@ -142,8 +106,7 @@ def _hbt_corners(ss: SmallSignalParams, net: BiasNetwork, load_resistance,
     # emitter bypass shelf: zero where C_bypass shorts R_emitter, pole set by
     # the resistance seen from the emitter node
     f_z3 = 1.0 / (2.0 * math.pi * net.c_bypass * net.r_emitter)
-    r_src_base = 1.0 / (1.0 / r_bias + 1.0 / source_resistance) \
-        if source_resistance > 0 else 0.0
+    r_src_base = 1.0 / (1.0 / r_bias + 1.0 / source_resistance)
     r_emitter_side = (ss.r_pi + r_src_base) / (beta + 1.0)
     r_seen = 1.0 / (1.0 / net.r_emitter + 1.0 / r_emitter_side)
     f_p3 = 1.0 / (2.0 * math.pi * net.c_bypass * r_seen)
@@ -162,6 +125,8 @@ def hbt_stage_response(ss: SmallSignalParams, net: BiasNetwork,
     """
     if load_resistance <= 0:
         raise ValueError("load resistance must be positive")
+    if not source_resistance > 0:
+        raise ValueError("source resistance must be positive")
     r_par = 1.0 / (1.0 / net.r_collector + 1.0 / ss.r_o + 1.0 / load_resistance)
     a_mid = ss.g_m * r_par
     f_c1, f_c2, f_z3, f_p3 = _hbt_corners(ss, net, load_resistance,
@@ -231,37 +196,6 @@ def s21_db(chain: ChainResponse, frequencies):
     mag = np.abs(chain.evaluate(frequencies))
     db = 20.0 * np.log10(mag)
     return list(zip(frequencies.tolist(), db.tolist()))
-
-
-def default_chain(stage: str = "both",
-                  second_stage_gain_db: float = 40.0,
-                  second_stage_f_low: float = SECOND_STAGE_F_LOW,
-                  second_stage_f_high: float = 1.5e9,
-                  source_resistance: float = 50.0) -> ChainResponse:
-    """Default amplifier chain: unity-gain HBT first stage plus a 40 dB
-    band-limited second stage.
-
-    ``stage`` selects "first" (HBT only) or "both".  The second-stage low
-    corner defaults to 40 kHz so the cascade stays within 1 dB of flat down
-    to 100 kHz.
-    """
-    from . import device
-
-    net = device.default_network()
-    params = device.default_transistor(net)
-    op = device.solve_operating_point(net, params)
-    ss = device.small_signal(op, params)
-    r_load = unity_gain_load(ss, net, source_resistance)
-    first = hbt_stage_response(ss, net, r_load, source_resistance,
-                               noise_temperature=FIRST_STAGE_NOISE_K)
-    if stage == "first":
-        return cascade([first])
-    if stage != "both":
-        raise ValueError("stage must be 'first' or 'both'")
-    second = fixed_gain_stage(second_stage_gain_db, second_stage_f_low,
-                              second_stage_f_high,
-                              noise_temperature=SECOND_STAGE_NOISE_K)
-    return cascade([first, second])
 
 
 def snr_db(signal_rms: float, input_noise_density: float, bandwidth: float) -> float:

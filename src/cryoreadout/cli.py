@@ -126,7 +126,6 @@ def cmd_sweep(args):
 
     ens = cfg.ensemble()
     geom = cfg.geometry()
-    coupling = cfg.coupling()
     resp = cfg.amplifier_chain()
     syn = cfg.synthesis()
     f_m = cfg[("synthesis", "f_m_kHz")]
@@ -135,10 +134,10 @@ def cmd_sweep(args):
     if axis == "vbc":
         grid, grid_parts = _parse_grid(grid_spec, 10.0, 12.5, 51, "lin")
         drive = DriveWaveform(f_m=f_m, duty=duty)
-        results = sweep_vbc(grid, drive, ens, geom, coupling, resp, syn)
+        results = sweep_vbc(grid, drive, ens, geom, resp, syn)
     else:
         grid, grid_parts = _parse_grid(grid_spec, 100e3, 10e6, 25, "log")
-        results = sweep_fm(grid, ens, geom, coupling, resp, syn, duty=duty)
+        results = sweep_fm(grid, ens, geom, resp, syn, duty=duty)
 
     out_dir = args.out or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)

@@ -61,6 +61,7 @@ _SCHEMA = {
         "c_parasitic_pF": (_num(1e-12), "10"),
         "r_source_ohm": (_num(1.0), "50"),
         "second_stage_gain_dB": (_num(1.0), "40"),
+        # 40 kHz keeps the cascade within 1 dB of flat at 100 kHz
         "second_stage_f_low_kHz": (_num(1e3), "40"),
         "second_stage_f_high_GHz": (_num(1e9), "1.5"),
         "first_stage_noise_K": (_num(1.0), "2"),
@@ -124,6 +125,7 @@ class RunConfig:
             c_cell=g[("geometry", "c_cell_pF")],
             s_over_d=g[("geometry", "s_over_d_mm")],
             delta_z=g[("geometry", "delta_z_nm")],
+            c_parasitic=g[("chain", "c_parasitic_pF")],
         )
 
     def ensemble(self) -> source.EnsembleParams:
@@ -135,14 +137,6 @@ class RunConfig:
             v_resonance=g[("ensemble", "v_resonance_V")],
             linewidth_v=g[("ensemble", "linewidth_V")],
             f_mw=g[("ensemble", "f_mw_GHz")],
-        )
-
-    def coupling(self) -> chain_mod.CouplingNetwork:
-        g = self._values
-        return chain_mod.CouplingNetwork(
-            c_cell=g[("geometry", "c_cell_pF")],
-            c_parasitic=g[("chain", "c_parasitic_pF")],
-            r_input=g[("chain", "r_source_ohm")],
         )
 
     def amplifier_chain(self, stage: str | None = None) -> chain_mod.ChainResponse:
@@ -200,7 +194,7 @@ class RunConfig:
                 elif kind == "int":
                     lines.append(f"{key} = {val:d}")
                 else:
-                    lines.append(f"{key} = {val / scale:.17g}")
+                    lines.append(f"{key} = {_file_units(val, scale):.17g}")
             lines.append("")
         for name, mapping in (extra_sections or {}).items():
             lines.append(f"[{name}]")
@@ -208,6 +202,16 @@ class RunConfig:
                 lines.append(f"{k} = {v}")
             lines.append("")
         return "\n".join(lines)
+
+
+def _file_units(value, scale):
+    """File-unit x with x * scale == value exactly, so manifests reload
+    exactly; value / scale can miss by an ulp (2**-9 / 1e-9 * 1e-9 !=
+    2**-9), and x * scale is monotone in x."""
+    x = value / scale
+    while x * scale != value:
+        x = math.nextafter(x, math.inf if x * scale < value else -math.inf)
+    return x
 
 
 def _parse_value(section, key, raw):

@@ -8,7 +8,6 @@ CSV formats are documented in `load_iv_dataset`.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -124,7 +123,7 @@ def _parse_float(text, line):
 
 
 def load_iv_dataset(source) -> IVDataset:
-    """Load an IV dataset from a path, text stream, or string.
+    """Load an IV dataset from a path (any ``str`` or path-like) or a stream.
 
     Two CSV layouts (UTF-8, header row required):
 
@@ -135,9 +134,7 @@ def load_iv_dataset(source) -> IVDataset:
     Rows are sorted by sweep label then voltage; a voltage reversal within
     one label splits forward and backward branches.
     """
-    if isinstance(source, (str,)) and "\n" in source:
-        stream = io.StringIO(source)
-    elif isinstance(source, str) or hasattr(source, "__fspath__"):
+    if isinstance(source, str) or hasattr(source, "__fspath__"):
         stream = open(source, newline="", encoding="utf-8")
     else:
         stream = source

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .chain import ChainResponse, CouplingNetwork
+from .chain import ChainResponse
 from .source import (CellGeometry, DriveWaveform, EnsembleParams,
                      image_charge_waveform, rydberg_population,
                      stark_excitation_fraction)
@@ -229,8 +229,8 @@ def _noise_std(cfg: SynthesisConfig, fs, gain):
         fs / 2.0 * _cascade_energy(a, cfg.filter_order))
 
 
-def _run_point(index, f_m, duty, excitation_rate, scale, ens, geom, coupling,
-               chain, cfg):
+def _run_point(index, f_m, duty, excitation_rate, scale, ens, geom, chain,
+               cfg):
     """Lock-in output of one sweep point in closed form.
 
     The record ``synthesize`` + ``demodulate`` would process is one period
@@ -243,9 +243,9 @@ def _run_point(index, f_m, duty, excitation_rate, scale, ens, geom, coupling,
     drive = DriveWaveform(f_m=f_m, duty=duty, excitation_rate=excitation_rate)
     spp, n_per = _resolve_sampling(cfg, f_m)
     fs = spp * f_m
-    _, rho = rydberg_population(drive, ens, excitation_scale=scale,
-                                n_periods=1, samples_per_period=spp)
-    _, v_ac = image_charge_waveform(rho, geom, ens.n_s, coupling.c_parasitic)
+    rho = rydberg_population(drive, ens, excitation_scale=scale,
+                             n_periods=1, samples_per_period=spp)
+    _, v_ac = image_charge_waveform(rho, geom, ens.n_s)
     spectrum = np.fft.rfft(v_ac)
     gain = 1.0
     if chain is not None:
@@ -269,8 +269,8 @@ def _run_point(index, f_m, duty, excitation_rate, scale, ens, geom, coupling,
 
 
 def sweep_vbc(v_bc_grid, drive: DriveWaveform, ens: EnsembleParams,
-              geom: CellGeometry, coupling: CouplingNetwork,
-              chain: ChainResponse | None, cfg: SynthesisConfig):
+              geom: CellGeometry, chain: ChainResponse | None,
+              cfg: SynthesisConfig):
     """Resonance sweep: lock-in amplitude versus bottom-plate voltage."""
     v_bc_grid = list(v_bc_grid)
     if any(b < a for a, b in zip(v_bc_grid, v_bc_grid[1:])):
@@ -279,25 +279,21 @@ def sweep_vbc(v_bc_grid, drive: DriveWaveform, ens: EnsembleParams,
     for k, v_bc in enumerate(v_bc_grid):
         scale = stark_excitation_fraction(v_bc, ens)
         res = _run_point(k, drive.f_m, drive.duty, drive.excitation_rate,
-                         scale, ens, geom, coupling, chain, cfg)
+                         scale, ens, geom, chain, cfg)
         out.append((v_bc, res))
     return out
 
 
 def sweep_fm(f_m_grid, ens: EnsembleParams, geom: CellGeometry,
-             coupling: CouplingNetwork, chain: ChainResponse | None,
-             cfg: SynthesisConfig, duty: float = 0.5,
-             excitation_rate: float | None = None,
-             v_bc: float | None = None):
-    """Modulation-frequency sweep at fixed bottom-plate voltage (default:
-    on resonance)."""
+             chain: ChainResponse | None, cfg: SynthesisConfig,
+             duty: float = 0.5, excitation_rate: float | None = None):
+    """Modulation-frequency sweep on resonance."""
     f_m_grid = list(f_m_grid)
     if any(b < a for a, b in zip(f_m_grid, f_m_grid[1:])):
         raise ValueError("f_m grid must be sorted ascending")
-    scale = 1.0 if v_bc is None else stark_excitation_fraction(v_bc, ens)
     out = []
     for k, f_m in enumerate(f_m_grid):
-        res = _run_point(k, f_m, duty, excitation_rate, scale, ens, geom,
-                         coupling, chain, cfg)
+        res = _run_point(k, f_m, duty, excitation_rate, 1.0, ens, geom, chain,
+                         cfg)
         out.append((f_m, res))
     return out

@@ -36,14 +36,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CellGeometry:
-    """Parallel-plate cell holding the surface electrons."""
+    """Parallel-plate cell of the surface electrons, and its stray C_p."""
 
-    c_cell: float = 1e-12      # C_0, F
-    s_over_d: float = 5.65e-3  # plate area / plate spacing, m
-    delta_z: float = 35e-9     # excited-state displacement, m
+    c_cell: float = 1e-12        # C_0, F
+    s_over_d: float = 5.65e-3    # plate area / plate spacing, m
+    delta_z: float = 35e-9       # excited-state displacement, m
+    c_parasitic: float = 10e-12  # C_p, cable and input parasitics, F
 
     def __post_init__(self):
-        if not (self.c_cell > 0 and self.s_over_d > 0 and self.delta_z > 0):
+        if not (self.c_cell > 0 and self.s_over_d > 0 and self.delta_z > 0
+                and self.c_parasitic > 0):
             raise ValueError("geometry values must be positive")
 
 
@@ -101,17 +103,15 @@ def rydberg_population(drive: DriveWaveform, ens: EnsembleParams,
                        samples_per_period: int = 64):
     """Periodic steady-state excited-state occupancy.
 
-    Returns ``(t, rho22)`` sampled over ``n_periods`` modulation periods at
-    ``samples_per_period`` points per period.  The drive rate is the
-    ensemble's CW-calibrated rate (or ``drive.excitation_rate`` if set)
-    scaled by ``excitation_scale``.
+    Returns ``rho22`` over ``n_periods`` modulation periods, sample k at
+    t = k / (samples_per_period * f_m) with the MW-on edge at t = 0.  The
+    drive rate is the ensemble's CW-calibrated rate (or
+    ``drive.excitation_rate`` if set) scaled by ``excitation_scale``.
     """
     if samples_per_period < 16:
         raise ValueError("need at least 16 samples per period")
     if n_periods < 1:
         raise ValueError("need at least one period")
-    if ens.tau_relax <= 0:
-        raise ValueError("tau_relax must be positive")
     tau = ens.tau_relax
     r0 = drive.excitation_rate if drive.excitation_rate is not None \
         else cw_rate_for_occupancy(ens.rho22_target, tau)
@@ -141,13 +141,10 @@ def rydberg_population(drive: DriveWaveform, ens: EnsembleParams,
             rho_end_on * np.exp(-(t - t_on) / tau),
         )
 
-    rho = np.tile(rho_one, n_periods)
-    t_full = np.arange(rho.size) * (period / samples_per_period)
-    return t_full, rho
+    return np.tile(rho_one, n_periods)
 
 
-def image_charge_waveform(rho22, geom: CellGeometry, n_s: float,
-                          c_parasitic: float):
+def image_charge_waveform(rho22, geom: CellGeometry, n_s: float):
     """Induced image charge and coupled voltage for an occupancy waveform.
 
     delta_q = delta_z * e * n_s * rho22 * (S/D); v_ac = delta_q/(C_0 + C_p).
@@ -155,7 +152,7 @@ def image_charge_waveform(rho22, geom: CellGeometry, n_s: float,
     """
     rho22 = np.asarray(rho22, dtype=float)
     delta_q = geom.delta_z * ELEMENTARY_CHARGE * n_s * rho22 * geom.s_over_d
-    v_ac = delta_q / (geom.c_cell + c_parasitic)
+    v_ac = delta_q / (geom.c_cell + geom.c_parasitic)
     return delta_q, v_ac
 
 

@@ -80,7 +80,7 @@ def dft_fundamental_rms(x, samples_per_period):
 
 
 def time_domain_point(index, f_m, duty, excitation_rate, scale, ens, geom,
-                      coupling, chain, cfg):
+                      chain, cfg):
     """One sweep point by the full-record path the closed form replaced:
     the source tiled over the whole record, ``synthesize`` (FFT filtering
     plus white noise from the (seed, index) stream) and ``demodulate``
@@ -88,9 +88,9 @@ def time_domain_point(index, f_m, duty, excitation_rate, scale, ens, geom,
     drive = DriveWaveform(f_m=f_m, duty=duty, excitation_rate=excitation_rate)
     spp, n_per = _resolve_sampling(cfg, f_m)
     fs = spp * f_m
-    _, rho = rydberg_population(drive, ens, excitation_scale=scale,
-                                n_periods=n_per, samples_per_period=spp)
-    _, v_ac = image_charge_waveform(rho, geom, ens.n_s, coupling.c_parasitic)
+    rho = rydberg_population(drive, ens, excitation_scale=scale,
+                             n_periods=n_per, samples_per_period=spp)
+    _, v_ac = image_charge_waveform(rho, geom, ens.n_s)
     rng = np.random.default_rng((cfg.noise_seed, index))
     v_out = synthesize(v_ac, chain, cfg, sample_rate=fs, rng=rng)
     return demodulate(v_out, f_m, cfg.time_constant, cfg.filter_order,

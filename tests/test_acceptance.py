@@ -12,8 +12,9 @@ import numpy as np
 from scipy.constants import epsilon_0
 
 from cryoreadout import chain as chain_mod, device, ivfit
-from cryoreadout.chain import default_chain, s21_db
+from cryoreadout.chain import s21_db
 from cryoreadout.cli import main as cli_main
+from cryoreadout.config import load_config
 from cryoreadout.device import (BiasNetwork, TransistorParams,
                                 calibrated_i_sat, power_dissipation,
                                 solve_operating_point)
@@ -35,9 +36,10 @@ def _report(num, ok, detail):
 
 
 def test_c01_vac_values():
-    geom = CellGeometry()
-    dq, v300 = image_charge_waveform(np.array([0.1]), geom, 1e12, 300e-12)
-    _, v10 = image_charge_waveform(np.array([0.1]), geom, 1e12, 10e-12)
+    dq, v300 = image_charge_waveform(np.array([0.1]),
+                                     CellGeometry(c_parasitic=300e-12), 1e12)
+    _, v10 = image_charge_waveform(np.array([0.1]),
+                                   CellGeometry(c_parasitic=10e-12), 1e12)
     ok = (abs(v300[0] - 10.5e-9) / 10.5e-9 <= 0.03
           and abs(v10[0] - 290e-9) / 290e-9 <= 0.03)
     _report(1, ok, f"V_ac = {v300[0] * 1e9:.3f} nV (C_p=300 pF), "
@@ -86,8 +88,10 @@ def test_c05_beta_recovery():
 
 def test_c06_s21_flatness():
     freqs = np.geomspace(1e5, 1e8, 200)
-    both = np.array([d for _, d in s21_db(default_chain(), freqs)])
-    first = np.array([d for _, d in s21_db(default_chain(stage="first"), freqs)])
+    cfg = load_config()
+    both = np.array([d for _, d in s21_db(cfg.amplifier_chain(), freqs)])
+    first = np.array([d for _, d in s21_db(cfg.amplifier_chain(stage="first"),
+                                           freqs)])
     ok = np.all(np.abs(both - 40.0) <= 1.0) and np.all(np.abs(first) <= 1.0)
     _report(6, ok, f"two-stage S21 in [{both.min():.2f}, {both.max():.2f}] dB "
                    f"(40+-1); first stage in [{first.min():.2f}, "
@@ -154,8 +158,8 @@ def test_c09_lockin_vs_dft_oracle():
     sine = 0.7 * np.sin(2 * math.pi * f_ref * t + 0.4)
     square = (np.sin(2 * math.pi * f_ref * t) >= 0).astype(float)
     n_per = n // spp
-    _, rho = rydberg_population(DriveWaveform(f_m=f_ref), EnsembleParams(),
-                                n_periods=n_per, samples_per_period=spp)
+    rho = rydberg_population(DriveWaveform(f_m=f_ref), EnsembleParams(),
+                             n_periods=n_per, samples_per_period=spp)
     for name, x in (("sine", sine), ("square", square), ("population", rho)):
         r = demodulate(x, f_ref, tau, sample_rate=fs).amplitude_r
         ref = dft_fundamental_rms(x, spp)
@@ -165,16 +169,14 @@ def test_c09_lockin_vs_dft_oracle():
     _report(9, ok, f"lock-in R vs DFT fundamental: {detail} (each <=0.1%)")
 
 
-def _fm_sweep(second_stage_f_low=None, noise=35e-12):
+def _fm_sweep(second_stage_f_low_khz=None, noise=35e-12):
     ens, geom = EnsembleParams(), CellGeometry()
-    coupling = chain_mod.CouplingNetwork()
-    if second_stage_f_low is None:
-        resp = default_chain()
-    else:
-        resp = default_chain(second_stage_f_low=second_stage_f_low)
+    overrides = {} if second_stage_f_low_khz is None else \
+        {("chain", "second_stage_f_low_kHz"): second_stage_f_low_khz}
+    resp = load_config(overrides=overrides).amplifier_chain()
     cfg = SynthesisConfig(input_noise_density=noise)
     grid = np.geomspace(1e5, 1e7, 25)
-    out = sweep_fm(grid, ens, geom, coupling, resp, cfg)
+    out = sweep_fm(grid, ens, geom, resp, cfg)
     return grid, np.array([r.amplitude_r for _, r in out])
 
 
@@ -190,7 +192,7 @@ def test_c10_fm_sweep_shape():
     # suppresses the low end (region 1) only; removing it restores the
     # low end while leaving mid-band untouched
     _, r_corner = _fm_sweep(noise=0.0)
-    _, r_flat = _fm_sweep(second_stage_f_low=1.0, noise=0.0)
+    _, r_flat = _fm_sweep(second_stage_f_low_khz="0.001", noise=0.0)
     k_mid = int(np.argmin(np.abs(grid - 1e6)))
     ratio_low = r_corner[0] / r_flat[0]
     ratio_mid = r_corner[k_mid] / r_flat[k_mid]
@@ -211,7 +213,7 @@ def _vbc_sweep(v_resonance, noise):
     cfg = SynthesisConfig(input_noise_density=noise)
     grid = np.linspace(10.0, 12.5, 51)
     out = sweep_vbc(grid, DriveWaveform(f_m=250e3), ens, CellGeometry(),
-                    chain_mod.CouplingNetwork(), default_chain(), cfg)
+                    load_config().amplifier_chain(), cfg)
     return grid, np.array([r.amplitude_r for _, r in out])
 
 
@@ -239,11 +241,11 @@ def test_c11_vbc_sweep_peak_and_shift():
 def test_c12_rms_image_current():
     geom = CellGeometry()
     i_verbatim = rms_image_current(100e3, geom, 1e12, 0.1)
-    dq, _ = image_charge_waveform(np.array([0.1]), geom, 1e12, 10e-12)
+    dq, _ = image_charge_waveform(np.array([0.1]), geom, 1e12)
     i_charge = 2.0 * math.pi * 100e3 * dq[0]
 
     geom_id = CellGeometry(c_cell=epsilon_0 * 5.65e-3)
-    dq_id, _ = image_charge_waveform(np.array([0.1]), geom_id, 1e12, 10e-12)
+    dq_id, _ = image_charge_waveform(np.array([0.1]), geom_id, 1e12)
     identity_ok = abs(rms_image_current(100e3, geom_id, 1e12, 0.1)
                       - 2.0 * math.pi * 100e3 * dq_id[0]) \
         <= 1e-9 * i_verbatim

@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 
 from cryoreadout import chain, device
-from cryoreadout.chain import (ChainResponse, CouplingNetwork, StageResponse,
-                               capacitive_division, cascade, corner_frequency,
-                               default_chain, fixed_gain_stage,
-                               hbt_stage_response, s21_db, snr_db,
-                               unity_gain_load)
-
-# 0.1 * e * n_s * delta_z * S/D with the default source constants
-DELTA_Q = 3.1685e-18
+from cryoreadout.chain import (ChainResponse, StageResponse, cascade,
+                               fixed_gain_stage, hbt_stage_response, s21_db,
+                               snr_db, unity_gain_load)
+from cryoreadout.config import load_config
+from cryoreadout.source import CellGeometry
 
 
 def _default_first_stage():
@@ -22,35 +19,11 @@ def _default_first_stage():
     return ss, net
 
 
-def test_corner_frequency_values():
-    assert corner_frequency(CouplingNetwork(c_parasitic=300e-12)) == \
-        pytest.approx(10.6e6, rel=0.01)
-    assert corner_frequency(CouplingNetwork(c_parasitic=10e-12)) == \
-        pytest.approx(318e6, rel=0.01)
-
-
-def test_corner_frequency_scaling():
-    a = corner_frequency(CouplingNetwork(c_parasitic=10e-12))
-    b = corner_frequency(CouplingNetwork(c_parasitic=100e-12))
-    assert b == pytest.approx(a / 10.0, rel=1e-12)
-    # depends on R and C_p only through their product
-    c = corner_frequency(CouplingNetwork(c_parasitic=1e-12, r_input=500.0))
-    assert c == pytest.approx(a, rel=1e-12)
-
-
-def test_capacitive_division_values():
-    assert capacitive_division(DELTA_Q, CouplingNetwork(c_parasitic=300e-12)) \
-        == pytest.approx(10.5e-9, rel=0.03)
-    assert capacitive_division(DELTA_Q, CouplingNetwork(c_parasitic=10e-12)) \
-        == pytest.approx(290e-9, rel=0.03)
-    assert capacitive_division(0.0, CouplingNetwork()) == 0.0
-    with pytest.raises(ValueError):
-        capacitive_division(-1e-18, CouplingNetwork())
-
-
 def test_coupling_network_validation():
     with pytest.raises(ValueError):
-        CouplingNetwork(c_cell=0.0)
+        CellGeometry(c_cell=0.0)
+    with pytest.raises(ValueError):
+        CellGeometry(c_parasitic=0.0)
 
 
 def test_stage_response_validation():
@@ -144,17 +117,17 @@ def test_unity_gain_load():
 
 
 def test_first_stage_flat_at_unity():
-    resp = default_chain(stage="first")
+    resp = load_config().amplifier_chain(stage="first")
     db = np.array([d for _, d in s21_db(resp, np.geomspace(1e5, 1e8, 200))])
     assert np.all(np.abs(db) <= 1.0)
 
 
 def test_two_stage_flat_at_40db():
-    resp = default_chain()
+    resp = load_config().amplifier_chain()
     db = np.array([d for _, d in s21_db(resp, np.geomspace(1e5, 1e8, 200))])
     assert np.all(np.abs(db - 40.0) <= 1.0)
     with pytest.raises(ValueError):
-        default_chain(stage="third")
+        load_config().amplifier_chain(stage="third")
 
 
 def test_s21_db():
@@ -180,7 +153,7 @@ def test_snr_db_values():
 def test_transfer_function_matches_impulse_response_fft():
     from cryoreadout.lockin import SynthesisConfig, synthesize
 
-    resp = default_chain()
+    resp = load_config().amplifier_chain()
     n, fs = 2 ** 16, 2.5e8
     impulse = np.zeros(n)
     impulse[0] = 1.0

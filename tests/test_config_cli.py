@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
 from cryoreadout import chain as chain_mod, device, ivfit, source
 from cryoreadout.cli import main
-from cryoreadout.config import ConfigError, load_config
+from cryoreadout.config import _SCHEMA, ConfigError, load_config
 from cryoreadout.lockin import SynthesisConfig
 
 
@@ -61,7 +63,7 @@ def test_config_rejects_bad_input(tmp_path, text):
     lambda: source.EnsembleParams(tau_relax=math.nan),
     lambda: source.EnsembleParams(linewidth_v=math.nan),
     lambda: source.DriveWaveform(f_m=math.nan),
-    lambda: chain_mod.CouplingNetwork(r_input=math.nan),
+    lambda: source.CellGeometry(c_parasitic=math.nan),
     lambda: chain_mod.StageResponse(gain_factor=1.0, poles=(math.nan,)),
     lambda: SynthesisConfig(time_constant=math.nan),
     lambda: SynthesisConfig(input_noise_density=math.nan),
@@ -69,6 +71,9 @@ def test_config_rejects_bad_input(tmp_path, text):
                                     v_early=math.nan, beta_f=160.0),
     lambda: device.TransistorParams(i_sat=1e-12, v_teff=0.025,
                                     v_early=124.0, beta_f=math.nan),
+    lambda: chain_mod.hbt_stage_response(
+        device.SmallSignalParams(g_m=4e-3, r_pi=4e4, r_o=1.24e6),
+        device.default_network(), 50.0, source_resistance=math.nan),
 ])
 def test_module_objects_reject_nan(build):
     with pytest.raises(ValueError):
@@ -86,6 +91,42 @@ def test_config_roundtrip(tmp_path):
     p.write_text(cfg.as_text())
     cfg2 = load_config(p)
     assert cfg2._values == cfg._values
+
+
+# keys that CellGeometry checks for > 0; any finite value elsewhere
+_POSITIVE_KEYS = {("geometry", "c_cell_pF"), ("geometry", "s_over_d_mm"),
+                  ("geometry", "delta_z_nm"), ("chain", "c_parasitic_pF")}
+
+
+def _numeric_value(section, key):
+    kind = _SCHEMA[section][key][0][0]
+    if kind == "int":
+        return st.integers(-10 ** 6, 10 ** 6).map(str)
+    lo = 1e-200 if (section, key) in _POSITIVE_KEYS else -1e200
+    return st.floats(lo, 1e200).map(repr)
+
+
+_NUMERIC_KEYS = [(section, key) for section, keys in _SCHEMA.items()
+                 for key, ((kind, _), _) in keys.items() if kind != "str"]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=st.fixed_dictionaries(
+    {sk: _numeric_value(*sk) for sk in _NUMERIC_KEYS}))
+# 1953125 nF is stored as 2**-9 F, and 2**-9 / 1e-9 * 1e-9 != 2**-9
+@example(raw={**{sk: "1" for sk in _NUMERIC_KEYS},
+              ("network", "c_bypass_nF"): "1953125"})
+def test_config_manifest_roundtrip_property(tmp_path, raw):
+    # load -> as_text -> load is exact for every numeric key
+    cfg = load_config(None, overrides=raw)
+    p = tmp_path / "manifest.ini"
+    p.write_text(cfg.as_text())
+    cfg2 = load_config(p)
+    assert cfg2._values == cfg._values
+    assert cfg2.as_text() == cfg.as_text()
+    assert cfg2.geometry().c_parasitic == \
+        float(raw[("chain", "c_parasitic_pF")]) * 1e-12
 
 
 def test_explicit_i_sat(tmp_path):
@@ -199,6 +240,23 @@ def test_cli_sweep_non_finite_config(tmp_path, value):
     assert main(["--config", str(p), "--out", str(out), "sweep", "--axis",
                  "vbc", "--grid", "11.5:11.7:3:lin"]) == 2
     assert not (out / "sweep_vbc.csv").exists()
+
+
+@pytest.mark.parametrize("command, setting", [
+    ("s21", "r_source_ohm = 0"),
+    ("s21", "r_source_ohm = -50"),
+    ("sweep", "r_source_ohm = 0"),
+    ("sweep", "r_source_ohm = -50"),
+    ("sweep", "c_parasitic_pF = 0"),
+])
+def test_cli_nonpositive_chain_value_exit_code(tmp_path, command, setting):
+    p = tmp_path / "bad.ini"
+    p.write_text(f"[chain]\n{setting}\n")
+    out = tmp_path / "out"
+    args = ["--axis", "vbc", "--grid", "11.5:11.7:3:lin"] \
+        if command == "sweep" else []
+    assert main(["--config", str(p), "--out", str(out), command, *args]) == 2
+    assert not out.exists()
 
 
 def test_cli_sweep_overflow_exit_code(tmp_path):

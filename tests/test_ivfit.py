@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from cryoreadout.ivfit import (FitError, IVDataset, IVParseError, IVSweep,
 
 
 def test_input_csv_parse():
-    ds = load_iv_dataset("v_be_V,i_b_A\n0.1,1e-9\n0.2,1e-8\n0.3,1e-7\n")
+    ds = load_iv_dataset(io.StringIO(
+        "v_be_V,i_b_A\n0.1,1e-9\n0.2,1e-8\n0.3,1e-7\n"))
     assert ds.kind == "input_characteristics"
     assert ds.sweeps[0].voltage.tolist() == [0.1, 0.2, 0.3]
 
@@ -38,14 +41,23 @@ def test_bidirectional_parse():
     text = ("i_b_A,v_ce_V,i_c_A,direction\n"
             "1e-7,0.0,1e-5,fwd\n1e-7,1.0,1.1e-5,fwd\n"
             "1e-7,1.0,1.1e-5,bwd\n1e-7,0.0,1.0e-5,bwd\n")
-    ds = load_iv_dataset(text)
+    ds = load_iv_dataset(io.StringIO(text))
     assert ds.direction == "both"
     assert len(ds.forward_sweeps()) == 1
     assert len(ds.backward_sweeps()) == 1
 
 
+def test_str_is_always_a_path(tmp_path):
+    # a file name may contain a newline, and CSV text is not a file name
+    path = tmp_path / "a\nb.csv"
+    path.write_text("v_be_V,i_b_A\n0.1,1e-9\n0.2,1e-8\n", encoding="utf-8")
+    ds = load_iv_dataset(str(path))
+    assert ds.sweeps[0].voltage.tolist() == [0.1, 0.2]
+    with pytest.raises(FileNotFoundError):
+        load_iv_dataset(str(tmp_path / "v_be_V,i_b_A"))
+
+
 def test_empty_stream_is_parse_error():
-    import io
     with pytest.raises(IVParseError, match="empty"):
         load_iv_dataset(io.StringIO(""))
 
@@ -61,12 +73,12 @@ def test_empty_stream_is_parse_error():
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(IVParseError, match=fragment):
-        load_iv_dataset(text)
+        load_iv_dataset(io.StringIO(text))
 
 
 def test_parse_error_carries_line_number():
     with pytest.raises(IVParseError) as info:
-        load_iv_dataset("v_be_V,i_b_A\n0.1,1e-9\n0.2,oops\n")
+        load_iv_dataset(io.StringIO("v_be_V,i_b_A\n0.1,1e-9\n0.2,oops\n"))
     assert info.value.line == 3
 
 
@@ -151,7 +163,7 @@ def test_diode_fit_round_trip():
 
 
 def test_diode_fit_two_points_exact():
-    ds = load_iv_dataset("v_be_V,i_b_A\n0.1,1e-9\n0.2,1e-8\n")
+    ds = load_iv_dataset(io.StringIO("v_be_V,i_b_A\n0.1,1e-9\n0.2,1e-8\n"))
     fit = fit_diode_params(ds, beta_f=1.0)
     v_teff = 0.1 / np.log(10.0)
     assert fit.v_teff == pytest.approx(v_teff, rel=1e-9)
@@ -159,17 +171,19 @@ def test_diode_fit_two_points_exact():
 
 
 def test_diode_fit_constant_current_error():
-    ds = load_iv_dataset("v_be_V,i_b_A\n0.1,1e-9\n0.2,1e-9\n0.3,1e-9\n")
+    ds = load_iv_dataset(io.StringIO(
+        "v_be_V,i_b_A\n0.1,1e-9\n0.2,1e-9\n0.3,1e-9\n"))
     with pytest.raises(FitError, match="slope"):
         fit_diode_params(ds)
 
 
 def test_diode_fit_filters_nonpositive():
-    ds = load_iv_dataset(
-        "v_be_V,i_b_A\n0.05,-1e-12\n0.1,1e-9\n0.2,1e-8\n0.3,1e-7\n")
+    ds = load_iv_dataset(io.StringIO(
+        "v_be_V,i_b_A\n0.05,-1e-12\n0.1,1e-9\n0.2,1e-8\n0.3,1e-7\n"))
     fit = fit_diode_params(ds, beta_f=160.0)
     assert fit.v_teff == pytest.approx(0.1 / np.log(10.0), rel=1e-9)
-    ds2 = load_iv_dataset("v_be_V,i_b_A\n0.05,-1e-12\n0.1,1e-9\n0.2,1e-8\n")
+    ds2 = load_iv_dataset(io.StringIO(
+        "v_be_V,i_b_A\n0.05,-1e-12\n0.1,1e-9\n0.2,1e-8\n"))
     with pytest.raises(FitError):
         fit_diode_params(ds2)
 

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cryoreadout import lockin
-from cryoreadout.chain import (CouplingNetwork, StageResponse, cascade,
-                               default_chain)
+from cryoreadout.chain import StageResponse, cascade
+from cryoreadout.config import load_config
 from cryoreadout.lockin import (SynthesisConfig, demodulate, sweep_fm,
                                 sweep_vbc, synthesize)
 from cryoreadout.source import (CellGeometry, DriveWaveform, EnsembleParams,
@@ -103,8 +103,8 @@ def test_synthesize_identity():
     np.testing.assert_allclose(out, x, rtol=0, atol=1e-12)
 
 
-def test_synthesize_gain_through_default_chain():
-    resp = default_chain()
+def test_synthesize_gain_through_configured_chain():
+    resp = load_config().amplifier_chain()
     fs = 3.2e7
     n = int(20 * TAU * fs)
     t = np.arange(n) / fs
@@ -143,33 +143,32 @@ def test_synthesize_seeded_reproducibility():
 def _sweep_fixtures(noise=0.0):
     ens = EnsembleParams()
     geom = CellGeometry()
-    coupling = CouplingNetwork()
     cfg = SynthesisConfig(input_noise_density=noise, time_constant=2e-4)
-    return ens, geom, coupling, cfg
+    return ens, geom, cfg
 
 
 def test_sweep_vbc_zero_rate_flat_zero():
-    ens, geom, coupling, cfg = _sweep_fixtures()
+    ens, geom, cfg = _sweep_fixtures()
     drive = DriveWaveform(f_m=250e3, excitation_rate=0.0)
-    out = sweep_vbc([11.5, 11.6, 11.7], drive, ens, geom, coupling, None, cfg)
+    out = sweep_vbc([11.5, 11.6, 11.7], drive, ens, geom, None, cfg)
     assert all(r.amplitude_r < 1e-15 for _, r in out)
 
 
 def test_sweep_grid_must_be_sorted():
-    ens, geom, coupling, cfg = _sweep_fixtures()
+    ens, geom, cfg = _sweep_fixtures()
     drive = DriveWaveform(f_m=250e3)
     with pytest.raises(ValueError):
-        sweep_vbc([11.7, 11.5], drive, ens, geom, coupling, None, cfg)
+        sweep_vbc([11.7, 11.5], drive, ens, geom, None, cfg)
     with pytest.raises(ValueError):
-        sweep_fm([1e6, 1e5], ens, geom, coupling, None, cfg)
+        sweep_fm([1e6, 1e5], ens, geom, None, cfg)
 
 
 def test_sweep_fm_no_mechanism_is_flat():
     # all-pass chain and no relaxation: population pins at saturation,
     # leaving no f_m dependence
     ens = EnsembleParams(tau_relax=math.inf)
-    _, geom, coupling, cfg = _sweep_fixtures()
-    out = sweep_fm([2e5, 5e5, 2e6], ens, geom, coupling, None, cfg,
+    _, geom, cfg = _sweep_fixtures()
+    out = sweep_fm([2e5, 5e5, 2e6], ens, geom, None, cfg,
                    excitation_rate=2e5)
     # the source sits ~1.4 uV DC; any f_m dependence would appear as a
     # nonzero fundamental
@@ -177,36 +176,36 @@ def test_sweep_fm_no_mechanism_is_flat():
 
 
 def test_sweep_reproducibility():
-    ens, geom, coupling, cfg = _sweep_fixtures(noise=35e-12)
+    ens, geom, cfg = _sweep_fixtures(noise=35e-12)
     drive = DriveWaveform(f_m=250e3)
     grid = [11.55, 11.6, 11.65]
-    a = sweep_vbc(grid, drive, ens, geom, coupling, None, cfg)
-    b = sweep_vbc(grid, drive, ens, geom, coupling, None, cfg)
+    a = sweep_vbc(grid, drive, ens, geom, None, cfg)
+    b = sweep_vbc(grid, drive, ens, geom, None, cfg)
     assert [(x, r.amplitude_r, r.phase) for x, r in a] == \
         [(x, r.amplitude_r, r.phase) for x, r in b]
 
 
 def test_sweep_point_sampling_unresolvable():
-    ens, geom, coupling, _ = _sweep_fixtures()
+    ens, geom, _ = _sweep_fixtures()
     cfg = SynthesisConfig(sample_rate=1e6, time_constant=2e-4)
     drive = DriveWaveform(f_m=250e3)
     with pytest.raises(ValueError, match="resolve"):
-        sweep_vbc([11.6], drive, ens, geom, coupling, None, cfg)
+        sweep_vbc([11.6], drive, ens, geom, None, cfg)
 
 
 def test_sweep_duration_too_short():
-    ens, geom, coupling, _ = _sweep_fixtures()
+    ens, geom, _ = _sweep_fixtures()
     cfg = SynthesisConfig(duration=1e-4, time_constant=1e-1)
     drive = DriveWaveform(f_m=250e3)
     with pytest.raises(ValueError, match="time constants"):
-        sweep_vbc([11.6], drive, ens, geom, coupling, None, cfg)
+        sweep_vbc([11.6], drive, ens, geom, None, cfg)
 
 
 # -- closed form against the time-domain oracle ------------------------------
 
 @functools.cache
-def _default_chain():
-    return default_chain()
+def _reference_chain():
+    return load_config().amplifier_chain()
 
 
 def _xy(res):
@@ -227,7 +226,7 @@ def test_cascade_energy_matches_impulse_response(order):
 @pytest.mark.parametrize("tau", [2e-4, 1e-3])
 @pytest.mark.parametrize("f_m", [100e3, 250e3, 1e6])
 def test_noise_std_matches_exact_covariance(tau, f_m):
-    resp = _default_chain()
+    resp = _reference_chain()
     cfg = SynthesisConfig(time_constant=tau)
     var_x, var_y, cov = lockin_noise_covariance(resp, cfg, f_m)
     spp, _ = lockin._resolve_sampling(cfg, f_m)
@@ -240,10 +239,10 @@ def test_noise_std_matches_exact_covariance(tau, f_m):
 def test_sweep_point_noise_is_one_draw():
     # a point adds s * z to (X, Y), z = the first two standard normals of
     # the (seed, index) stream, X first
-    resp = _default_chain()
+    resp = _reference_chain()
     f_m, seed, index = 1e6, 5, 7
     point = (index, f_m, 0.5, None, 1.0, EnsembleParams(), CellGeometry(),
-             CouplingNetwork(), resp)
+             resp)
     cfg = SynthesisConfig(noise_seed=seed)
     x0, y0 = _xy(lockin._run_point(
         *point, SynthesisConfig(noise_seed=seed, input_noise_density=0.0)))
@@ -256,10 +255,10 @@ def test_sweep_point_noise_is_one_draw():
 
 def test_noise_statistics_match_time_domain():
     # 1000 seeds of the full-record path at f_m = 250 kHz, tau = 0.2 ms
-    ens, geom, coupling = EnsembleParams(), CellGeometry(), CouplingNetwork()
-    resp = _default_chain()
+    ens, geom = EnsembleParams(), CellGeometry()
+    resp = _reference_chain()
     f_m, n = 250e3, 1000
-    point = (0, f_m, 0.5, None, 1.0, ens, geom, coupling, resp)
+    point = (0, f_m, 0.5, None, 1.0, ens, geom, resp)
     cfg0 = SynthesisConfig(time_constant=2e-4, input_noise_density=0.0)
     x0, y0 = _xy(lockin._run_point(*point, cfg0))
     xy = np.array([
@@ -294,9 +293,9 @@ def test_closed_form_matches_time_domain(f_m, tau_periods, spp, extra_periods,
     cfg = SynthesisConfig(
         sample_rate=None if spp is None else spp * f_m, duration=duration,
         input_noise_density=0.0, time_constant=tau, filter_order=order)
-    resp = _default_chain() if with_chain else None
+    resp = _reference_chain() if with_chain else None
     point = (3, f_m, duty, None, scale, EnsembleParams(), CellGeometry(),
-             CouplingNetwork(), resp, cfg)
+             resp, cfg)
     fast = lockin._run_point(*point)
     slow = time_domain_point(*point)
     assert fast.amplitude_r == pytest.approx(slow.amplitude_r, rel=1e-9)
@@ -308,23 +307,23 @@ def test_closed_form_matches_time_domain(f_m, tau_periods, spp, extra_periods,
 def test_closed_form_extreme_record():
     # tau = 1 s at f_m = 10 MHz: the time-domain record would be 3.2e9
     # samples (25.6 GB per float64 array)
-    ens, geom, coupling = EnsembleParams(), CellGeometry(), CouplingNetwork()
-    resp = _default_chain()
+    ens, geom = EnsembleParams(), CellGeometry()
+    resp = _reference_chain()
     f_m = 10e6
     cfg = SynthesisConfig(time_constant=1.0, input_noise_density=0.0)
     spp, n_per = lockin._resolve_sampling(cfg, f_m)
     assert spp * n_per == 3_200_000_000
     tracemalloc.start()
     try:
-        res = lockin._run_point(0, f_m, 0.5, None, 1.0, ens, geom, coupling,
-                                resp, cfg)
+        res = lockin._run_point(0, f_m, 0.5, None, 1.0, ens, geom, resp,
+                                cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 10e6
-    _, rho = rydberg_population(DriveWaveform(f_m=f_m), ens,
-                                samples_per_period=spp)
-    _, v_ac = image_charge_waveform(rho, geom, ens.n_s, coupling.c_parasitic)
+    rho = rydberg_population(DriveWaveform(f_m=f_m), ens,
+                             samples_per_period=spp)
+    _, v_ac = image_charge_waveform(rho, geom, ens.n_s)
     want = abs(resp.evaluate(f_m)) * dft_fundamental_rms(v_ac, spp)
     assert math.isfinite(res.amplitude_r)
     assert res.amplitude_r == pytest.approx(want, rel=1e-5)

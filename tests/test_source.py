@@ -17,6 +17,8 @@ def test_validation():
     with pytest.raises(ValueError):
         CellGeometry(delta_z=0.0)
     with pytest.raises(ValueError):
+        CellGeometry(c_parasitic=0.0)
+    with pytest.raises(ValueError):
         EnsembleParams(rho22_target=0.6)
     with pytest.raises(ValueError):
         EnsembleParams(tau_relax=0.0)
@@ -52,7 +54,7 @@ def test_stark_rigid_shift():
 
 def test_population_zero_rate():
     drive = DriveWaveform(f_m=250e3, excitation_rate=0.0)
-    _, rho = rydberg_population(drive, EnsembleParams())
+    rho = rydberg_population(drive, EnsembleParams())
     assert np.all(rho == 0.0)
 
 
@@ -61,7 +63,8 @@ def test_population_saturation_and_free_decay():
     # decays as exp(-t/tau)
     ens = EnsembleParams(tau_relax=1e-6)
     drive = DriveWaveform(f_m=1e3, excitation_rate=1e9)
-    t, rho = rydberg_population(drive, ens, samples_per_period=1024)
+    rho = rydberg_population(drive, ens, samples_per_period=1024)
+    t = np.arange(rho.size) / (1024 * drive.f_m)
     on = t < 0.5e-3
     assert rho[on][-1] == pytest.approx(0.5, rel=1e-3)
     off = np.flatnonzero(~on)[10:50]
@@ -77,16 +80,16 @@ def test_population_bounds():
                               duty=rng.uniform(0.1, 0.9),
                               excitation_rate=10 ** rng.uniform(3, 9))
         ens = EnsembleParams(tau_relax=10 ** rng.uniform(-7, -5))
-        _, rho = rydberg_population(drive, ens)
+        rho = rydberg_population(drive, ens)
         assert np.all(rho >= 0.0) and np.all(rho <= 0.5)
 
 
 def test_population_high_frequency_ripple():
     ens = EnsembleParams()
-    _, rho_lo = rydberg_population(DriveWaveform(f_m=250e3), ens,
-                                   samples_per_period=256)
-    _, rho_hi = rydberg_population(DriveWaveform(f_m=10e6), ens,
-                                   samples_per_period=256)
+    rho_lo = rydberg_population(DriveWaveform(f_m=250e3), ens,
+                                samples_per_period=256)
+    rho_hi = rydberg_population(DriveWaveform(f_m=10e6), ens,
+                                samples_per_period=256)
     assert np.ptp(rho_hi) < 0.1 * np.ptp(rho_lo)
 
 
@@ -95,7 +98,8 @@ def test_population_matches_dense_integration():
     drive = DriveWaveform(f_m=250e3)
     r = cw_rate_for_occupancy(ens.rho22_target, ens.tau_relax)
     spp = 64
-    t, rho = rydberg_population(drive, ens, samples_per_period=spp)
+    rho = rydberg_population(drive, ens, samples_per_period=spp)
+    t = np.arange(spp) / (spp * drive.f_m)
     period = 1.0 / drive.f_m
     t_on = drive.duty * period
 
@@ -112,8 +116,8 @@ def test_population_matches_dense_integration():
 
 
 def test_population_periodicity():
-    _, rho = rydberg_population(DriveWaveform(f_m=250e3), EnsembleParams(),
-                                n_periods=3, samples_per_period=64)
+    rho = rydberg_population(DriveWaveform(f_m=250e3), EnsembleParams(),
+                             n_periods=3, samples_per_period=64)
     np.testing.assert_allclose(rho[:64], rho[64:128], rtol=1e-9)
 
 
@@ -123,8 +127,8 @@ def test_fundamental_crossover():
     spp = 128
 
     def fundamental(f_m):
-        _, rho = rydberg_population(DriveWaveform(f_m=f_m), ens,
-                                    samples_per_period=spp)
+        rho = rydberg_population(DriveWaveform(f_m=f_m), ens,
+                                 samples_per_period=spp)
         return dft_fundamental_rms(rho, spp)
 
     # flat at low f_m, 1/f decay at high f_m
@@ -142,23 +146,24 @@ def test_fundamental_crossover():
 
 
 def test_image_charge_values():
-    geom = CellGeometry()
     ens = EnsembleParams()
-    dq, v300 = image_charge_waveform(np.array([0.1]), geom, ens.n_s, 300e-12)
+    dq, v300 = image_charge_waveform(np.array([0.1]),
+                                     CellGeometry(c_parasitic=300e-12), ens.n_s)
     exact = 35e-9 * Q_E * 1e12 * 0.1 * 5.65e-3
     assert dq[0] == pytest.approx(exact, rel=1e-12)
     assert dq[0] == pytest.approx(3.16e-18, rel=0.01)
     assert v300[0] == pytest.approx(10.5e-9, rel=0.03)
-    _, v10 = image_charge_waveform(np.array([0.1]), geom, ens.n_s, 10e-12)
+    _, v10 = image_charge_waveform(np.array([0.1]),
+                                   CellGeometry(c_parasitic=10e-12), ens.n_s)
     assert v10[0] == pytest.approx(290e-9, rel=0.03)
 
 
 def test_image_charge_linearity():
-    geom = CellGeometry()
+    geom = CellGeometry(c_parasitic=10e-12)
     rho = np.linspace(0.0, 0.4, 9)
-    dq1, v1 = image_charge_waveform(rho, geom, 1e12, 10e-12)
-    dq2, v2 = image_charge_waveform(2.0 * rho, geom, 1e12, 10e-12)
-    dq3, _ = image_charge_waveform(rho, geom, 2e12, 10e-12)
+    dq1, v1 = image_charge_waveform(rho, geom, 1e12)
+    dq2, v2 = image_charge_waveform(2.0 * rho, geom, 1e12)
+    dq3, _ = image_charge_waveform(rho, geom, 2e12)
     np.testing.assert_allclose(dq2, 2.0 * dq1, rtol=1e-15)
     np.testing.assert_allclose(v2, 2.0 * v1, rtol=1e-15)
     np.testing.assert_allclose(dq3, 2.0 * dq1, rtol=1e-15)
@@ -180,6 +185,6 @@ def test_rms_image_current():
 def test_rms_current_charge_identity():
     # with C_0 = eps_0 * S/D the verbatim formula equals 2*pi*f*delta_q
     geom = CellGeometry(c_cell=epsilon_0 * 5.65e-3)
-    dq, _ = image_charge_waveform(np.array([0.1]), geom, 1e12, 10e-12)
+    dq, _ = image_charge_waveform(np.array([0.1]), geom, 1e12)
     i = rms_image_current(100e3, geom, 1e12, 0.1)
     assert i == pytest.approx(2.0 * math.pi * 100e3 * dq[0], rel=1e-12)
