@@ -30,7 +30,6 @@ __all__ = [
     "fixed_gain_stage",
     "cascade",
     "s21_db",
-    "snr_db",
 ]
 
 DEFAULT_REFERENCE_FREQUENCY = 10e6   # Hz, mid-band for gain/noise bookkeeping
@@ -197,10 +196,3 @@ def s21_db(chain: ChainResponse, frequencies):
     db = 20.0 * np.log10(mag)
     return list(zip(frequencies.tolist(), db.tolist()))
 
-
-def snr_db(signal_rms: float, input_noise_density: float, bandwidth: float) -> float:
-    """SNR of an RMS signal against white noise of the given density over
-    the given bandwidth."""
-    if signal_rms <= 0 or input_noise_density <= 0 or bandwidth <= 0:
-        raise ValueError("all arguments must be positive")
-    return 20.0 * math.log10(signal_rms / (input_noise_density * math.sqrt(bandwidth)))

@@ -101,11 +101,10 @@ def cmd_opp(args):
 
 def cmd_s21(args):
     cfg = load_config(args.config, overrides=_overrides(args))
+    # f_min == f_max asks for that one frequency, whatever --points says
+    points = min(args.points, 1) if args.f_min == args.f_max else args.points
+    freqs, _ = _parse_grid(None, args.f_min, args.f_max, points, "log")
     resp = cfg.amplifier_chain(stage=args.stage)
-    if args.f_min == args.f_max:
-        freqs = np.array([args.f_min])
-    else:
-        freqs = np.geomspace(args.f_min, args.f_max, args.points)
     rows = chain_mod.s21_db(resp, freqs)
     out_dir = args.out or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)

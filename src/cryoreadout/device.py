@@ -8,8 +8,11 @@ linear Early-effect factor and a constant forward current gain:
 
 The effective thermal voltage ``v_teff`` is a fitted quantity (cryogenic
 devices do not follow kT/q), defaulting to 25 mV.  The common-emitter bias
-network is solved for its DC operating point with a damped Newton iteration
-on the two-node Kirchhoff system in (v_be, v_ce).
+network is solved for its DC operating point by bisection on the exact 1-D
+reduction, checked by the two-node residuals: for fixed v_be the collector
+loop is linear in i_c and solves in closed form, which leaves one monotone
+base-node equation in v_be; the two-node Kirchhoff residuals of the full
+model then confirm the result.
 """
 
 from __future__ import annotations
@@ -42,7 +45,9 @@ MIXING_CHAMBER_COOLING_POWER = 420e-6
 
 
 class ConvergenceError(RuntimeError):
-    """Newton iteration failed to reach the requested tolerance."""
+    """A numerical solve missed its tolerance: the DC bias point (bisection
+    on the exact 1-D reduction, checked by the two-node residuals) or the
+    unity-gain load.  ``residual`` holds the final residual if known."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)
@@ -160,8 +165,9 @@ def _collector_loop(network: BiasNetwork, params: TransistorParams, v_be):
     return i_c, v_ce
 
 
-def _initial_guess(network: BiasNetwork, params: TransistorParams):
-    """Bisect the base-node residual, which is strictly decreasing in v_be."""
+def _bisect_base_node(network: BiasNetwork, params: TransistorParams):
+    """Bisect the base-node residual, which is strictly decreasing in v_be,
+    down to adjacent floats; return ``(v_be, v_ce)``."""
     def base_residual(v_be):
         i_c, _ = _collector_loop(network, params, v_be)
         i_b = i_c / params.beta_f
@@ -171,12 +177,15 @@ def _initial_guess(network: BiasNetwork, params: TransistorParams):
 
     hi = min(network.thevenin_voltage, 0.995 * EXP_CAP * params.v_teff)
     lo = hi - max(1.0, abs(hi))
-    if base_residual(hi) > 0:
-        raise ConvergenceError("no DC solution below the Thevenin voltage")
+    f_hi = base_residual(hi)
+    if f_hi > 0:
+        raise ConvergenceError("no DC solution below the Thevenin voltage",
+                               residual=f_hi)
     while base_residual(lo) < 0:
         lo -= max(1.0, abs(lo))
         if lo < -1e3:
-            raise ConvergenceError("base-node residual never changes sign")
+            raise ConvergenceError("base-node residual never changes sign",
+                                   residual=base_residual(lo))
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -191,72 +200,26 @@ def _initial_guess(network: BiasNetwork, params: TransistorParams):
 
 
 def solve_operating_point(network: BiasNetwork, params: TransistorParams,
-                          tol: float = 1e-9, max_iter: int = 100) -> OperatingPoint:
+                          tol: float = 1e-9) -> OperatingPoint:
     """Solve the bias network for its DC operating point.
 
-    A 1-D reduction (analytic collector loop + bisection on the base node)
-    provides the starting point; a damped Newton iteration (step halving)
-    on (v_be, v_ce) then drives both node residuals below ``tol`` relative
-    to i_c.  Deterministic for fixed inputs.
+    Bisection on the exact 1-D reduction (closed-form collector loop, base
+    node bisected in v_be), checked by the two-node residuals: both
+    Kirchhoff residuals of the full model must lie below ``tol`` relative
+    to i_c, else ``ConvergenceError`` carries the larger one.
+    Deterministic for fixed inputs.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    re = network.r_emitter
-    g_div = 1.0 / network.r_upper + 1.0 / network.r_lower
-
-    v_be, v_ce = _initial_guess(network, params)
-
-    def clamp(vbe, vce):
-        vbe = min(vbe, 0.995 * EXP_CAP * params.v_teff)
-        vce = max(vce, 0.0)
-        return vbe, vce
-
+    v_be, v_ce = _bisect_base_node(network, params)
     f1, f2, i_b, i_c = _residuals(network, params, v_be, v_ce)
-
-    for _ in range(max_iter):
-        scale = max(abs(i_c), 1e-30)
-        if abs(f1) < tol * scale and abs(f2) < tol * scale:
-            return OperatingPoint(v_be=v_be, v_ce=v_ce, i_b=i_b, i_c=i_c)
-
-        # analytic Jacobian of (f1, f2) wrt (v_be, v_ce)
-        dic_dvbe = i_c / params.v_teff
-        dic_dvce = i_c / (params.v_early + v_ce)
-        dib_dvbe = dic_dvbe / params.beta_f
-        dib_dvce = dic_dvce / params.beta_f
-        die_dvbe = dib_dvbe + dic_dvbe
-        die_dvce = dib_dvce + dic_dvce
-        # v_b = v_be + re*i_e, so d f1/d vbe = -(1 + re*die)*g_div - dib
-        j11 = -(1.0 + re * die_dvbe) * g_div - dib_dvbe
-        j12 = -(re * die_dvce) * g_div - dib_dvce
-        j21 = -(re * die_dvbe) / network.r_collector - dic_dvbe
-        j22 = -(1.0 + re * die_dvce) / network.r_collector - dic_dvce
-
-        det = j11 * j22 - j12 * j21
-        if det == 0 or not math.isfinite(det):
-            raise ConvergenceError("singular Jacobian", residual=max(abs(f1), abs(f2)))
-        dvbe = -(f2 * j12 - f1 * j22) / det
-        dvce = -(f1 * j21 - f2 * j11) / det
-
-        norm0 = f1 * f1 + f2 * f2
-        step = 1.0
-        for _halve in range(60):
-            vbe_t, vce_t = clamp(v_be + step * dvbe, v_ce + step * dvce)
-            try:
-                f1_t, f2_t, ib_t, ic_t = _residuals(network, params, vbe_t, vce_t)
-            except ValueError:
-                step *= 0.5
-                continue
-            if f1_t * f1_t + f2_t * f2_t < norm0:
-                break
-            step *= 0.5
-        else:
-            raise ConvergenceError(
-                "step halving stalled", residual=max(abs(f1), abs(f2)))
-        v_be, v_ce, f1, f2, i_b, i_c = vbe_t, vce_t, f1_t, f2_t, ib_t, ic_t
-
+    limit = tol * max(abs(i_c), 1e-30)
+    if abs(f1) < limit and abs(f2) < limit:
+        return OperatingPoint(v_be=v_be, v_ce=v_ce, i_b=i_b, i_c=i_c)
+    residual = max(abs(f1), abs(f2))
     raise ConvergenceError(
-        f"no convergence after {max_iter} iterations",
-        residual=max(abs(f1), abs(f2)))
+        f"node residual {residual:.3g} A not below tol*|i_c| = {limit:.3g} A",
+        residual=residual)
 
 
 def small_signal(op: OperatingPoint, params: TransistorParams) -> SmallSignalParams:

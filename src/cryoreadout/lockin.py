@@ -71,8 +71,6 @@ class SynthesisConfig:
 class LockInResult:
     amplitude_r: float    # RMS convention
     phase: float          # radians, in (-pi, pi]
-    f_ref: float
-    time_constant: float
 
 
 def _resolve_sampling(cfg: SynthesisConfig, f_m: float):
@@ -149,15 +147,14 @@ def demodulate(x, f_ref: float, time_constant: float, filter_order: int = 4,
     for _ in range(filter_order):
         xi = lfilter(b_coef, a_coef, xi)
         xq = lfilter(b_coef, a_coef, xq)
-    return _result(xi[-1], xq[-1], f_ref, time_constant)
+    return _result(xi[-1], xq[-1])
 
 
-def _result(x_f, y_f, f_ref, time_constant) -> LockInResult:
+def _result(x_f, y_f) -> LockInResult:
     phase = math.atan2(y_f, x_f)
     if phase <= -math.pi:
         phase += 2.0 * math.pi
-    return LockInResult(amplitude_r=float(math.hypot(x_f, y_f)), phase=phase,
-                        f_ref=f_ref, time_constant=time_constant)
+    return LockInResult(amplitude_r=float(math.hypot(x_f, y_f)), phase=phase)
 
 
 def _settled_output(mixed, a, order, n_periods):
@@ -261,7 +258,7 @@ def _run_point(index, f_m, duty, excitation_rate, scale, ens, geom, chain,
                                n_per)
     s = _noise_std(cfg, fs, gain)
     z = np.random.default_rng((cfg.noise_seed, index)).standard_normal(2)
-    res = _result(x_f + s * z[0], y_f + s * z[1], f_m, cfg.time_constant)
+    res = _result(x_f + s * z[0], y_f + s * z[1])
     if not (math.isfinite(res.amplitude_r) and math.isfinite(res.phase)):
         raise FloatingPointError(
             f"non-finite lock-in output at sweep point {index} (f_m={f_m:g})")

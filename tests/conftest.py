@@ -26,10 +26,11 @@ def pytest_terminal_summary(terminalreporter):
 def grid_search_operating_point(network, params, step=1e-4):
     """Brute-force DC solution on a (v_be, v_ce) grid.
 
-    Independent of the Newton path: evaluates the raw node equations on a
-    dense grid.  For each v_be the collector-node residual picks the best
-    v_ce cell, then the base-node residual picks the best v_be; this nested
-    argmin avoids mixing the two residuals' very different current scales.
+    Independent of the solver's bisection on the exact 1-D reduction:
+    evaluates the raw node equations on a dense grid.  For each v_be the
+    collector-node residual picks the best v_ce cell, then the base-node
+    residual picks the best v_be; this nested argmin avoids mixing the two
+    residuals' very different current scales.
 
     The v_be range is bounded above by the divider's Thevenin voltage (the
     base node cannot sit above it) and by the v_be at which the collector

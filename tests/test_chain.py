@@ -6,7 +6,7 @@ import pytest
 from cryoreadout import chain, device
 from cryoreadout.chain import (ChainResponse, StageResponse, cascade,
                                fixed_gain_stage, hbt_stage_response, s21_db,
-                               snr_db, unity_gain_load)
+                               unity_gain_load)
 from cryoreadout.config import load_config
 from cryoreadout.source import CellGeometry
 
@@ -139,15 +139,6 @@ def test_s21_db():
     assert rows[0][1] == pytest.approx(-10.0 * math.log10(2.0), rel=1e-9)
     with pytest.raises(ValueError):
         s21_db(unity, [0.0, 1e6])
-
-
-def test_snr_db_values():
-    assert snr_db(290e-9, 35e-12, 1.0) == pytest.approx(78.4, abs=0.1)
-    assert snr_db(290e-9, 35e-12, 100e6) == pytest.approx(-1.6, abs=0.1)
-    assert snr_db(35e-12 * math.sqrt(1e6), 35e-12, 1e6) == \
-        pytest.approx(0.0, abs=1e-9)
-    with pytest.raises(ValueError):
-        snr_db(0.0, 35e-12, 1.0)
 
 
 def test_transfer_function_matches_impulse_response_fft():

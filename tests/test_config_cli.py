@@ -160,6 +160,18 @@ def test_cli_s21_single_point(tmp_path):
     assert len(rows) == 1
 
 
+@pytest.mark.parametrize("grid", [
+    ["--f-min", "nan", "--f-max", "nan"],
+    ["--f-max", "inf"],
+    ["--points", "0"],
+    ["--f-min", "1e6", "--f-max", "1e5"],
+], ids=["nan", "inf", "no-points", "descending"])
+def test_cli_s21_bad_grid(tmp_path, grid):
+    # the s21 grid goes through the sweep --grid checks: exit 2, no CSV
+    assert main(["--out", str(tmp_path), "s21", *grid]) == 2
+    assert not (tmp_path / "s21_both.csv").exists()
+
+
 def test_cli_gen_and_fit_iv(tmp_path):
     out_csv = tmp_path / "family.csv"
     in_csv = tmp_path / "diode.csv"

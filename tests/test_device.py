@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cryoreadout import device
 from cryoreadout.device import (BiasNetwork, ConvergenceError, OperatingPoint,
@@ -153,8 +154,45 @@ def test_solver_failure_carries_residual():
     net = default_network()
     params = default_transistor(net)
     with pytest.raises(ConvergenceError) as info:
-        solve_operating_point(net, params, tol=1e-30, max_iter=1)
+        solve_operating_point(net, params, tol=1e-30)
     assert info.value.residual is not None
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(v_supply=_log_uniform(1e-2, 1e2), r_upper=_log_uniform(1e1, 1e8),
+       r_lower=_log_uniform(1e1, 1e8), r_collector=_log_uniform(1.0, 1e6),
+       r_emitter=_log_uniform(1e-2, 1e4), i_sat=_log_uniform(1e-20, 1e-3),
+       v_teff=_log_uniform(1e-3, 1.0), v_early=_log_uniform(1.0, 1e4),
+       beta_f=_log_uniform(1.0, 1e5))
+# cut-off: the Thevenin voltage (10 uV) is far below v_teff
+@example(v_supply=0.01, r_upper=1e6, r_lower=1e3, r_collector=1e3,
+         r_emitter=24.0, i_sat=DEFAULT_I_SAT, v_teff=25e-3, v_early=124.0,
+         beta_f=160.0)
+# saturated: the collector node cannot balance with v_ce >= 0
+@example(v_supply=1.0, r_upper=574e3, r_lower=235e3, r_collector=1e6,
+         r_emitter=24.0, i_sat=DEFAULT_I_SAT, v_teff=25e-3, v_early=124.0,
+         beta_f=160.0)
+def test_solver_converges_or_reports_residual(v_supply, r_upper, r_lower,
+                                              r_collector, r_emitter, i_sat,
+                                              v_teff, v_early, beta_f):
+    net = BiasNetwork(v_supply=v_supply, r_upper=r_upper, r_lower=r_lower,
+                      r_collector=r_collector, r_emitter=r_emitter)
+    params = TransistorParams(i_sat=i_sat, v_teff=v_teff, v_early=v_early,
+                              beta_f=beta_f)
+    tol = 1e-9
+    try:
+        op = solve_operating_point(net, params, tol=tol)
+    except ConvergenceError as exc:
+        assert exc.residual is not None
+        return
+    assert op.v_ce >= 0
+    f1, f2, i_b, i_c = device._residuals(net, params, op.v_be, op.v_ce)
+    assert (i_b, i_c) == (op.i_b, op.i_c)
+    assert abs(f1) < tol * abs(i_c) and abs(f2) < tol * abs(i_c)
 
 
 def test_solver_invalid_tol():

@@ -32,7 +32,6 @@ def test_demod_sine():
                      sample_rate=FS)
     assert res.amplitude_r == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-4)
     assert res.phase == pytest.approx(0.3, abs=1e-4)
-    assert res.f_ref == F_REF and res.time_constant == TAU
 
 
 def test_demod_dc_rejected():
