@@ -113,9 +113,8 @@ def _hbt_corners(ss: SmallSignalParams, net: BiasNetwork, load_resistance,
 
 
 def hbt_stage_response(ss: SmallSignalParams, net: BiasNetwork,
-                       load_resistance: float,
-                       source_resistance: float = 50.0,
-                       noise_temperature: float = 2.0) -> StageResponse:
+                       load_resistance: float, source_resistance: float,
+                       noise_temperature: float = 0.0) -> StageResponse:
     """Common-emitter stage response.
 
     Mid-band gain is -g_m*(R_c || r_o || R_load) with the emitter resistor
@@ -142,7 +141,7 @@ def hbt_stage_response(ss: SmallSignalParams, net: BiasNetwork,
 
 
 def unity_gain_load(ss: SmallSignalParams, net: BiasNetwork,
-                    source_resistance: float = 50.0,
+                    source_resistance: float,
                     f_ref: float = DEFAULT_REFERENCE_FREQUENCY) -> float:
     """Load resistance for which the stage reaches unity gain at ``f_ref``.
 

@@ -104,11 +104,12 @@ def cmd_s21(args):
     # f_min == f_max asks for that one frequency, whatever --points says
     points = min(args.points, 1) if args.f_min == args.f_max else args.points
     freqs, _ = _parse_grid(None, args.f_min, args.f_max, points, "log")
-    resp = cfg.amplifier_chain(stage=args.stage)
+    stage = args.stage or cfg[("chain", "stage")]
+    resp = cfg.amplifier_chain(stage=stage)
     rows = chain_mod.s21_db(resp, freqs)
     out_dir = args.out or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"s21_{args.stage}.csv")
+    path = os.path.join(out_dir, f"s21_{stage}.csv")
     _write_csv(path, ["f_Hz", "s21_dB"], rows)
     print(path)
     return EXIT_OK
@@ -165,8 +166,7 @@ def cmd_fit_iv(args):
     beta_cfg = cfg[("device", "beta_f")]
     report = []
 
-    beta_fit = None
-    verdict = None
+    beta_fit = early = verdict = None
     if args.output_chars is not None:
         ds = ivfit.load_iv_dataset(args.output_chars)
         ds_b = ivfit.load_iv_dataset(args.backward) if args.backward else None
@@ -190,10 +190,9 @@ def cmd_fit_iv(args):
         report.append(("i_sat_A", dio.i_sat))
         report.append(("v_teff_V", dio.v_teff))
         report.append(("diode_fit_residual", dio.residual))
-        if any(k == "v_early_V" for k, _ in report):
-            v_early = next(v for k, v in report if k == "v_early_V")
-            report.append(("intrinsic_gain", ivfit.intrinsic_gain(v_early,
-                                                                  dio.v_teff)))
+        if early is not None:
+            report.append(("intrinsic_gain",
+                           ivfit.intrinsic_gain(early.v_early, dio.v_teff)))
 
     for key, val in report:
         print(f"{key} = {val if isinstance(val, str) else _fmt(val)}")
@@ -232,10 +231,23 @@ def _overrides(args):
 def _beta_at(text):
     try:
         ic, vce = (float(p) for p in text.split(","))
-        return ic, vce
+        if math.isfinite(ic) and math.isfinite(vce):
+            return ic, vce
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected 'i_c_A,v_ce_V', got {text!r}") from None
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected finite 'i_c_A,v_ce_V', got {text!r}")
+
+
+def _noise(text):
+    try:
+        sigma = float(text)
+        if math.isfinite(sigma) and sigma >= 0:
+            return sigma
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a finite fraction >= 0, got {text!r}")
 
 
 def build_parser():
@@ -268,7 +280,8 @@ def build_parser():
     sp.add_argument("--f-min", type=float, default=1e5, metavar="HZ")
     sp.add_argument("--f-max", type=float, default=1e8, metavar="HZ")
     sp.add_argument("--points", type=int, default=200, metavar="N")
-    sp.add_argument("--stage", choices=("first", "both"), default="both")
+    sp.add_argument("--stage", choices=("first", "both"),
+                    help="chain to report (default: [chain] stage)")
     sp.set_defaults(func=cmd_s21)
 
     sp = sub.add_parser("sweep", help="lock-in sweep (CSV + manifest)")
@@ -282,7 +295,7 @@ def build_parser():
     sp = sub.add_parser("gen-iv", help="generate a synthetic IV dataset")
     sp.add_argument("--kind", choices=("input", "output"), required=True)
     sp.add_argument("--path", required=True, metavar="CSV")
-    sp.add_argument("--noise", type=float, default=0.0,
+    sp.add_argument("--noise", type=_noise, default=0.0,
                     help="multiplicative noise sigma (fraction)")
     sp.set_defaults(func=cmd_gen_iv)
     return p

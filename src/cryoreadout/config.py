@@ -1,9 +1,12 @@
 """Sectioned INI run configuration with unit-suffixed keys.
 
-Every module parameter has a default equal to the published device values,
-so an empty config reproduces the reference setup.  Unknown sections or
-keys are rejected.  A resolved config can be written back out as a
-manifest; re-running from the manifest reproduces the run bit-for-bit.
+``_SCHEMA`` is the one home of the reference values (the published device
+values, in file units): library classes and functions take them with no
+defaults of their own, so library callers get reference objects from
+``load_config()``, which resolves an empty config to the reference setup.
+Unknown sections or keys are rejected.  A resolved config can be written
+back out as a manifest; re-running from the manifest reproduces the run
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ def _num(scale):
     return ("num", scale)
 
 
-# section -> key -> (kind, scale-to-SI or None) and default (in file units)
+# section -> key -> ((kind, SI scale | allowed strings | None), default in
+# file units)
 _SCHEMA = {
     "device": {
         "i_sat_A": (("auto_num", 1.0), "auto"),
@@ -66,7 +70,7 @@ _SCHEMA = {
         "second_stage_f_high_GHz": (_num(1e9), "1.5"),
         "first_stage_noise_K": (_num(1.0), "2"),
         "second_stage_noise_K": (_num(1.0), "6"),
-        "stage": (("str", None), "both"),
+        "stage": (("str", ("first", "both")), "both"),
     },
     "synthesis": {
         "input_noise_density_pV_rtHz": (_num(1e-12), "35"),
@@ -113,9 +117,9 @@ class RunConfig:
         v_early = g[("device", "v_early_V")]
         beta_f = g[("device", "beta_f")]
         if i_sat == "auto":
-            return device.default_transistor(
-                self.network(), v_teff=v_teff, v_early=v_early, beta_f=beta_f,
-                i_c_target=g[("device", "i_c_target_mA")])
+            i_sat = device.calibrated_i_sat(
+                self.network(), v_teff, v_early, beta_f,
+                g[("device", "i_c_target_mA")])
         return device.TransistorParams(i_sat=i_sat, v_teff=v_teff,
                                        v_early=v_early, beta_f=beta_f)
 
@@ -218,6 +222,9 @@ def _parse_value(section, key, raw):
     (kind, scale), _default = _SCHEMA[section][key]
     raw = raw.strip()
     if kind == "str":
+        if scale is not None and raw not in scale:
+            raise ConfigError(f"[{section}] {key}: expected one of "
+                              f"{', '.join(scale)}, got {raw!r}")
         return raw
     if kind == "int":
         try:

@@ -7,7 +7,7 @@ linear Early-effect factor and a constant forward current gain:
     i_b = i_c / beta_f
 
 The effective thermal voltage ``v_teff`` is a fitted quantity (cryogenic
-devices do not follow kT/q), defaulting to 25 mV.  The common-emitter bias
+devices do not follow kT/q).  The common-emitter bias
 network is solved for its DC operating point by bisection on the exact 1-D
 reduction, checked by the two-node residuals: for fixed v_be the collector
 loop is linear in i_c and solves in closed form, which leaves one monotone
@@ -32,8 +32,6 @@ __all__ = [
     "power_dissipation",
     "thermal_budget_check",
     "calibrated_i_sat",
-    "default_network",
-    "default_transistor",
 ]
 
 # exp() argument cap for the junction law; beyond this the model is rejected
@@ -76,14 +74,14 @@ class TransistorParams:
 class BiasNetwork:
     """Common-emitter bias network component values."""
 
-    v_supply: float = 1.0        # V
-    r_upper: float = 574e3       # supply-to-base divider resistor, ohm
-    r_lower: float = 235e3       # base-to-ground divider resistor, ohm
-    r_collector: float = 1e3     # ohm
-    r_emitter: float = 24.0      # ohm
-    c_in: float = 12e-9          # input coupling, F
-    c_out: float = 12e-9         # output coupling, F
-    c_bypass: float = 220e-9     # emitter bypass, F
+    v_supply: float       # V
+    r_upper: float        # supply-to-base divider resistor, ohm
+    r_lower: float        # base-to-ground divider resistor, ohm
+    r_collector: float    # ohm
+    r_emitter: float      # ohm
+    c_in: float           # input coupling, F
+    c_out: float          # output coupling, F
+    c_bypass: float       # emitter bypass, F
 
     def __post_init__(self):
         vals = (self.v_supply, self.r_upper, self.r_lower, self.r_collector,
@@ -257,7 +255,7 @@ def thermal_budget_check(p_dissipated: float, p_cooling: float,
 
 
 def calibrated_i_sat(network: BiasNetwork, v_teff: float, v_early: float,
-                     beta_f: float, i_c_target: float = 1e-4) -> float:
+                     beta_f: float, i_c_target: float) -> float:
     """Back-solve the saturation current so the network biases at i_c_target.
 
     The bias network fixes (v_be, v_ce) once i_c is prescribed, so i_sat
@@ -273,18 +271,3 @@ def calibrated_i_sat(network: BiasNetwork, v_teff: float, v_early: float,
         raise ValueError("target collector current is not reachable in this network")
     return i_c_target / (math.exp(v_be / v_teff) * (1.0 + v_ce / v_early))
 
-
-def default_network() -> BiasNetwork:
-    return BiasNetwork()
-
-
-def default_transistor(network: BiasNetwork | None = None,
-                       v_teff: float = 25e-3, v_early: float = 124.0,
-                       beta_f: float = 160.0,
-                       i_c_target: float = 1e-4) -> TransistorParams:
-    """Paper-style fitted parameters: i_sat calibrated so the default
-    network solves to the nominal 0.1 mA bias point."""
-    net = network if network is not None else default_network()
-    return TransistorParams(
-        i_sat=calibrated_i_sat(net, v_teff, v_early, beta_f, i_c_target),
-        v_teff=v_teff, v_early=v_early, beta_f=beta_f)

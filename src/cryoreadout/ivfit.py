@@ -117,9 +117,19 @@ class DeviceClassification:
 
 def _parse_float(text, line):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise IVParseError(f"not a number: {text!r}", line=line) from None
+    if not math.isfinite(value):
+        raise IVParseError(f"not a finite number: {text!r}", line=line)
+    return value
+
+
+def _finite(what, value):
+    # a fit of finite data can still overflow
+    if not math.isfinite(value):
+        raise FitError(f"non-finite {what}: {value!r}")
+    return value
 
 
 def load_iv_dataset(source) -> IVDataset:
@@ -138,8 +148,8 @@ def load_iv_dataset(source) -> IVDataset:
         stream = open(source, newline="", encoding="utf-8")
     else:
         stream = source
+    reader = csv.reader(stream)
     try:
-        reader = csv.reader(stream)
         try:
             header = next(reader)
         except StopIteration:
@@ -150,6 +160,9 @@ def load_iv_dataset(source) -> IVDataset:
         if header[:3] == OUTPUT_HEADER and header[3:] in ([], ["direction"]):
             return _load_output(reader, has_direction=len(header) == 4)
         raise IVParseError(f"unrecognized header {header!r}", line=1)
+    except csv.Error as exc:
+        raise IVParseError(f"malformed CSV: {exc}",
+                           line=reader.line_num) from None
     finally:
         if stream is not source:
             stream.close()
@@ -197,6 +210,9 @@ def _load_output(reader, has_direction):
     has_bwd = False
     for (ib, d) in sorted(groups, key=lambda k: (k[0], k[1])):
         pts = groups[(ib, d)]
+        if len(pts) < 2:
+            raise IVParseError(f"sweep i_b={ib:g} needs >= 2 points",
+                               line=pts[0][2])
         v = np.array([p[0] for p in pts])
         i = np.array([p[1] for p in pts])
         dv = np.diff(v)
@@ -277,8 +293,10 @@ def fit_early_voltage(ds: IVDataset, window: tuple[float, float] | None = None,
     if not intercepts:
         raise FitError("all curves excluded (flat or negative slope)")
     w = np.asarray(slopes)
-    v_early = float(np.sum(w * np.abs(intercepts)) / np.sum(w))
-    r_squared = float(np.clip(np.sum(w * np.asarray(r2s)) / np.sum(w), 0.0, 1.0))
+    v_early = _finite("Early voltage",
+                      float(np.sum(w * np.abs(intercepts)) / np.sum(w)))
+    r_squared = _finite("Early fit r^2", float(
+        np.clip(np.sum(w * np.asarray(r2s)) / np.sum(w), 0.0, 1.0)))
     return EarlyFit(v_early=v_early, per_curve_intercepts=tuple(intercepts),
                     fit_window=(lo, hi), r_squared=r_squared,
                     excluded_labels=tuple(excluded))
@@ -308,7 +326,7 @@ def fit_beta(ds: IVDataset, i_c: float, v_ce: float) -> float:
     for k in range(len(sweeps) - 1):
         if ics[k] <= i_c <= ics[k + 1]:
             d_ib = sweeps[k + 1].label - sweeps[k].label
-            return (ics[k + 1] - ics[k]) / d_ib
+            return _finite("beta", (ics[k + 1] - ics[k]) / d_ib)
     raise FitError(f"target i_c={i_c:g} A at v_ce={v_ce:g} V outside the data hull")
 
 
@@ -316,10 +334,10 @@ def intrinsic_gain(v_early: float, v_teff: float) -> float:
     """Maximum single-stage voltage gain g_m*r_o = v_early/v_teff."""
     if v_early <= 0 or v_teff <= 0:
         raise ValueError("v_early and v_teff must be positive")
-    return v_early / v_teff
+    return _finite("intrinsic gain", v_early / v_teff)
 
 
-def fit_diode_params(ds: IVDataset, beta_f: float = 160.0,
+def fit_diode_params(ds: IVDataset, beta_f: float,
                      v_teff_max: float = 10.0) -> DiodeFit:
     """Log-linear fit of the input characteristics.
 
@@ -340,7 +358,7 @@ def fit_diode_params(ds: IVDataset, beta_f: float = 160.0,
     if slope <= 1.0 / v_teff_max:
         raise FitError("slope too small: v_teff diverges (constant-current data?)")
     v_teff = 1.0 / slope
-    i_sat = beta_f * math.exp(icpt)
+    i_sat = _finite("saturation current", beta_f * math.exp(icpt))
     resid = np.log(i) - (slope * v + icpt)
     return DiodeFit(i_sat=i_sat, v_teff=v_teff,
                     residual=float(np.sqrt(np.mean(resid ** 2))))
@@ -374,7 +392,7 @@ def classify_transistor(ds_forward: IVDataset,
         if np.any(bad):
             v_bad = s.voltage[bad]
             evidence.append(("ndr", s.label, (float(v_bad.min()), float(v_bad.max())),
-                             float(slope[bad].min())))
+                             _finite("NDR slope", float(slope[bad].min()))))
 
     bwd_sweeps = []
     if ds_backward is not None:
@@ -400,7 +418,7 @@ def classify_transistor(ds_forward: IVDataset,
                 v_bad = sf.voltage[bad]
                 evidence.append(("hysteresis", sb.label,
                                  (float(v_bad.min()), float(v_bad.max())),
-                                 float(rel[bad].max())))
+                                 _finite("hysteresis", float(rel[bad].max()))))
 
     kinds = {e[0] for e in evidence}
     if not kinds:
@@ -414,9 +432,9 @@ def classify_transistor(ds_forward: IVDataset,
     return DeviceClassification(verdict=verdict, evidence=tuple(evidence))
 
 
-def synth_output_family(beta_f: float = 160.0, v_early: float = 124.0,
-                        i_b_labels=None, v_ce=None,
-                        noise: float = 0.0, rng=None) -> IVDataset:
+def synth_output_family(beta_f: float, v_early: float, i_b_labels=None,
+                        v_ce=None, noise: float = 0.0,
+                        rng=None) -> IVDataset:
     """Synthesize a measured-style output family i_c = beta*i_b*(1 + v_ce/V_A).
 
     A fixed-base-current sweep tracks the junction's own i_b(v_be) law,

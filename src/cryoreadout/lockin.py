@@ -37,26 +37,19 @@ __all__ = [
     "sweep_fm",
 ]
 
-MIN_SAMPLES_PER_PERIOD = 16
+SAMPLES_PER_PERIOD = 16
 MIN_PERIODS = 200
 MIN_TIME_CONSTANTS = 20.0
 
 
 @dataclass(frozen=True)
 class SynthesisConfig:
-    """Per-run synthesis/demodulation settings.
+    """Per-run synthesis/demodulation settings."""
 
-    ``sample_rate`` and ``duration`` of None mean per-point auto-scaling:
-    16 samples per modulation period and max(20 time constants, 200
-    periods).
-    """
-
-    sample_rate: float | None = None
-    duration: float | None = None
-    noise_seed: int = 0
-    input_noise_density: float = 35e-12   # V/sqrt(Hz), referred to chain input
-    time_constant: float = 1e-3           # lock-in time constant, s
-    filter_order: int = 4
+    noise_seed: int
+    input_noise_density: float   # V/sqrt(Hz), referred to chain input
+    time_constant: float         # lock-in time constant, s
+    filter_order: int
 
     def __post_init__(self):
         if not self.time_constant > 0:
@@ -74,46 +67,32 @@ class LockInResult:
 
 
 def _resolve_sampling(cfg: SynthesisConfig, f_m: float):
-    """Samples per period and period count for one sweep point."""
-    if cfg.sample_rate is None:
-        spp = MIN_SAMPLES_PER_PERIOD
-    else:
-        spp = int(round(cfg.sample_rate / f_m))
-        if spp < 10:
-            raise ValueError(
-                f"sample rate {cfg.sample_rate:g} cannot resolve f_m={f_m:g}")
-    if cfg.duration is None:
-        n_per = max(int(math.ceil(MIN_TIME_CONSTANTS * cfg.time_constant * f_m)),
-                    MIN_PERIODS)
-    else:
-        n_per = int(math.ceil(cfg.duration * f_m))
-        if n_per / f_m < MIN_TIME_CONSTANTS * cfg.time_constant:
-            raise ValueError("duration shorter than 20 lock-in time constants")
-    return spp, n_per
+    """Samples per period and period count for one sweep point: 16 samples
+    per modulation period over max(20 time constants, 200 periods)."""
+    n_per = max(int(math.ceil(MIN_TIME_CONSTANTS * cfg.time_constant * f_m)),
+                MIN_PERIODS)
+    return SAMPLES_PER_PERIOD, n_per
 
 
 def synthesize(v_source, chain: ChainResponse | None, cfg: SynthesisConfig,
-               sample_rate: float | None = None, rng=None):
+               sample_rate: float, rng=None):
     """Filter a sampled source voltage through the chain and add noise.
 
-    ``sample_rate`` overrides cfg.sample_rate.  Deterministic for a fixed
-    seed/rng.  The sweeps do not call this: they use the closed form, and
-    this full-record path is its oracle in the tests.
+    Deterministic for a fixed seed/rng.  The sweeps do not call this: they
+    use the closed form, and this full-record path is its oracle in the
+    tests.
     """
     v_source = np.asarray(v_source, dtype=float)
-    fs = sample_rate if sample_rate is not None else cfg.sample_rate
-    if fs is None:
-        raise ValueError("sample rate not resolved")
     n = v_source.size
     spectrum = np.fft.rfft(v_source)
     if chain is not None:
-        h = chain.evaluate(np.fft.rfftfreq(n, 1.0 / fs))
+        h = chain.evaluate(np.fft.rfftfreq(n, 1.0 / sample_rate))
         spectrum = spectrum * h
     out = np.fft.irfft(spectrum, n)
     if cfg.input_noise_density > 0:
         if rng is None:
             rng = np.random.default_rng(cfg.noise_seed)
-        sigma = cfg.input_noise_density * math.sqrt(fs / 2.0)
+        sigma = cfg.input_noise_density * math.sqrt(sample_rate / 2.0)
         noise = rng.normal(0.0, sigma, n)
         if chain is not None:
             noise = np.fft.irfft(np.fft.rfft(noise) * h, n)
@@ -283,7 +262,7 @@ def sweep_vbc(v_bc_grid, drive: DriveWaveform, ens: EnsembleParams,
 
 def sweep_fm(f_m_grid, ens: EnsembleParams, geom: CellGeometry,
              chain: ChainResponse | None, cfg: SynthesisConfig,
-             duty: float = 0.5, excitation_rate: float | None = None):
+             duty: float, excitation_rate: float | None = None):
     """Modulation-frequency sweep on resonance."""
     f_m_grid = list(f_m_grid)
     if any(b < a for a, b in zip(f_m_grid, f_m_grid[1:])):

@@ -38,10 +38,10 @@ __all__ = [
 class CellGeometry:
     """Parallel-plate cell of the surface electrons, and its stray C_p."""
 
-    c_cell: float = 1e-12        # C_0, F
-    s_over_d: float = 5.65e-3    # plate area / plate spacing, m
-    delta_z: float = 35e-9       # excited-state displacement, m
-    c_parasitic: float = 10e-12  # C_p, cable and input parasitics, F
+    c_cell: float         # C_0, F
+    s_over_d: float       # plate area / plate spacing, m
+    delta_z: float        # excited-state displacement, m
+    c_parasitic: float    # C_p, cable and input parasitics, F
 
     def __post_init__(self):
         if not (self.c_cell > 0 and self.s_over_d > 0 and self.delta_z > 0
@@ -53,12 +53,12 @@ class CellGeometry:
 class EnsembleParams:
     """Electron ensemble and resonance parameters."""
 
-    n_s: float = 1e12             # areal density, m^-2 (= 1e8 cm^-2)
-    rho22_target: float = 0.1     # MW-on steady-state occupancy at resonance
-    tau_relax: float = 1e-6       # excited-state relaxation time, s
-    v_resonance: float = 11.6     # bottom-plate voltage at resonance, V
-    linewidth_v: float = 0.1      # resonance FWHM in V_BC units, V
-    f_mw: float = 110e9           # microwave frequency, Hz (bookkeeping)
+    n_s: float            # areal density, m^-2
+    rho22_target: float   # MW-on steady-state occupancy at resonance
+    tau_relax: float      # excited-state relaxation time, s
+    v_resonance: float    # bottom-plate voltage at resonance, V
+    linewidth_v: float    # resonance FWHM in V_BC units, V
+    f_mw: float           # microwave frequency, Hz (bookkeeping)
 
     def __post_init__(self):
         if not 0.0 <= self.rho22_target <= 0.5:
@@ -74,7 +74,7 @@ class DriveWaveform:
     """Pulse-modulated microwave drive."""
 
     f_m: float                    # modulation frequency, Hz
-    duty: float = 0.5
+    duty: float                   # MW-on fraction of the period
     excitation_rate: float | None = None   # MW-on pumping rate, 1/s
 
     def __post_init__(self):
@@ -163,7 +163,7 @@ def rms_image_current(f_m: float, geom: CellGeometry, n_s: float,
         <i> = 2 pi f_m e n_s C_0 delta_z rho22 / epsilon_0
 
     Note this equals 2 pi f_m * delta_q only when C_0 = epsilon_0 * (S/D);
-    with the default C_0 = 1 pF the two differ by C_0/(epsilon_0 S/D) ~ 20.
+    with the reference C_0 = 1 pF the two differ by C_0/(epsilon_0 S/D) ~ 20.
     Callers that want the charge-based figure should use
     ``image_charge_waveform`` and multiply by 2 pi f_m.
     """

@@ -1,10 +1,14 @@
-"""Shared independent oracles and acceptance-line reporting."""
+"""Shared independent oracles, the reference setup and acceptance-line
+reporting."""
 
+import functools
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.signal import lfilter
 
+from cryoreadout.config import load_config
 from cryoreadout.device import EXP_CAP
 from cryoreadout.lockin import _resolve_sampling, demodulate, synthesize
 from cryoreadout.source import (DriveWaveform, image_charge_waveform,
@@ -13,6 +17,15 @@ from cryoreadout.source import (DriveWaveform, image_charge_waveform,
 # one "[ACCEPTANCE nn] PASS/FAIL - ..." line per criterion, filled in by
 # tests/test_acceptance.py and printed after capture ends
 ACCEPTANCE_LINES = {}
+
+
+@functools.cache
+def reference():
+    """RunConfig of the reference setup: ``config._SCHEMA``'s defaults, as
+    the CLI reads them with no config file.  Tests take reference objects
+    from it (``reference().network()``) and build variants with
+    ``dataclasses.replace``."""
+    return load_config()
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -124,3 +137,85 @@ def lockin_noise_covariance(chain, cfg, f_m):
     sigma2 = cfg.input_noise_density ** 2 * fs / 2.0
     return (sigma2 * (u[0] @ u[0]), sigma2 * (u[1] @ u[1]),
             sigma2 * (u[0] @ u[1]))
+
+
+
+# CSV-like text for the IV loader.  Most draws are well-formed datasets,
+# input curves or output families with or without a direction column,
+# whose numbers are either typical values or any float (huge ones make
+# the fits overflow); some cells are then swapped for junk (nan, inf,
+# words, random text) or rows cut short; the rest is random rows under a
+# random header.
+_IV_JUNK = st.one_of(
+    st.sampled_from(["", "nan", "inf", "-inf", "fwd", "bwd", "x", "1e400"]),
+    st.floats().map(repr),
+    st.text(max_size=4))
+
+
+def _iv_numbers(typical):
+    return st.sampled_from(typical) | st.floats(allow_nan=False,
+                                                allow_infinity=False)
+
+
+def _iv_sweep(typical, currents):
+    voltages = st.just(typical) | st.lists(_iv_numbers(typical), min_size=1,
+                                           max_size=8, unique=True)
+    return voltages.flatmap(
+        lambda v: st.tuples(
+            st.just(sorted(v)),
+            st.lists(currents, min_size=len(v), max_size=len(v))))
+
+
+@st.composite
+def _iv_rows(draw):
+    kind = draw(st.sampled_from(["input", "output", "direction", "random"]))
+    if kind == "random":
+        header = draw(st.text(max_size=12))
+        rows = draw(st.lists(st.lists(_IV_JUNK, min_size=1, max_size=5),
+                             max_size=10))
+        return header, rows
+    currents = _iv_numbers([1e-9, 1e-7, 1e-5, 1e-4, 1.1e-4, 0.0, -1e-9])
+    # the model's law with any parameters, or any currents
+    law = draw(st.booleans())
+    if kind == "input":
+        # i_b = i_0 exp(v_be / v_teff)
+        i_0, v_teff = draw(_iv_numbers([1e-12])), draw(_iv_numbers([0.025]))
+        v, i = draw(_iv_sweep([0.1, 0.15, 0.2, 0.25, 0.3], currents))
+        if law:
+            with np.errstate(all="ignore"):
+                i = i_0 * np.exp(np.array(v) / v_teff)
+        return "v_be_V,i_b_A", [[repr(float(a)), repr(float(b))]
+                                for a, b in zip(v, i)]
+    # i_c = beta i_b (1 + v_ce / v_early)
+    beta, v_early = draw(_iv_numbers([160.0])), draw(_iv_numbers([124.0]))
+    rows = []
+    typical = [2e-7, 4e-7, 6e-7, 8e-7]
+    labels = draw(st.just(typical) | st.lists(_iv_numbers(typical),
+                                              min_size=1, max_size=4,
+                                              unique=True))
+    for label in labels:
+        v, i = draw(_iv_sweep([0.0, 0.5, 1.0, 1.5, 2.0], currents))
+        if law:
+            with np.errstate(all="ignore"):
+                i = beta * label * (1.0 + np.array(v) / v_early)
+        end = [] if kind == "output" else [draw(st.sampled_from(["fwd",
+                                                                 "bwd"]))]
+        rows += [[repr(label), repr(float(a)), repr(float(b)), *end]
+                 for a, b in zip(v, i)]
+    header = "i_b_A,v_ce_V,i_c_A" + (",direction" if kind != "output" else "")
+    return header, rows
+
+
+@st.composite
+def iv_csv_text(draw):
+    header, rows = draw(_iv_rows())
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        if not rows:
+            break
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        col = draw(st.integers(0, len(row)))
+        if col < len(row):
+            row[col] = draw(_IV_JUNK)
+        else:
+            del row[-1:]    # cut the row short
+    return "\n".join([header, *(",".join(row) for row in rows)]) + "\n"

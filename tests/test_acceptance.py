@@ -7,6 +7,7 @@ single summary line (bypassing capture so it always appears), then asserts.
 import math
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 from scipy.constants import epsilon_0
@@ -15,16 +16,15 @@ from cryoreadout import chain as chain_mod, device, ivfit
 from cryoreadout.chain import s21_db
 from cryoreadout.cli import main as cli_main
 from cryoreadout.config import load_config
-from cryoreadout.device import (BiasNetwork, TransistorParams,
-                                calibrated_i_sat, power_dissipation,
-                                solve_operating_point)
-from cryoreadout.lockin import SynthesisConfig, demodulate, sweep_fm, sweep_vbc
-from cryoreadout.source import (CellGeometry, DriveWaveform, EnsembleParams,
-                                image_charge_waveform, rms_image_current,
-                                rydberg_population)
+from cryoreadout.device import (TransistorParams, calibrated_i_sat,
+                                power_dissipation, solve_operating_point)
+from cryoreadout.lockin import demodulate, sweep_fm, sweep_vbc
+from cryoreadout.source import (DriveWaveform, image_charge_waveform,
+                                rms_image_current, rydberg_population)
 
 import conftest
-from conftest import dft_fundamental_rms, grid_search_operating_point
+from conftest import (dft_fundamental_rms, grid_search_operating_point,
+                      reference)
 
 
 def _report(num, ok, detail):
@@ -36,10 +36,11 @@ def _report(num, ok, detail):
 
 
 def test_c01_vac_values():
-    dq, v300 = image_charge_waveform(np.array([0.1]),
-                                     CellGeometry(c_parasitic=300e-12), 1e12)
-    _, v10 = image_charge_waveform(np.array([0.1]),
-                                   CellGeometry(c_parasitic=10e-12), 1e12)
+    geom = reference().geometry()
+    dq, v300 = image_charge_waveform(
+        np.array([0.1]), replace(geom, c_parasitic=300e-12), 1e12)
+    _, v10 = image_charge_waveform(
+        np.array([0.1]), replace(geom, c_parasitic=10e-12), 1e12)
     ok = (abs(v300[0] - 10.5e-9) / 10.5e-9 <= 0.03
           and abs(v10[0] - 290e-9) / 290e-9 <= 0.03)
     _report(1, ok, f"V_ac = {v300[0] * 1e9:.3f} nV (C_p=300 pF), "
@@ -55,8 +56,8 @@ def test_c02_intrinsic_gain():
 def test_c03_power():
     p_exact = power_dissipation(
         device.OperatingPoint(v_be=0.0, v_ce=0.9, i_b=0.0, i_c=1e-4))
-    net = device.default_network()
-    op = solve_operating_point(net, device.default_transistor(net))
+    op = solve_operating_point(reference().network(),
+                               reference().transistor())
     p_full = power_dissipation(op)
     ok = p_exact == 9e-5 and 70e-6 <= p_full <= 110e-6
     _report(3, ok, f"collector term {p_exact * 1e6:.1f} uW exact; "
@@ -64,11 +65,11 @@ def test_c03_power():
 
 
 def test_c04_early_voltage_recovery():
-    fit0 = ivfit.fit_early_voltage(ivfit.synth_output_family(v_early=124.0))
+    fit0 = ivfit.fit_early_voltage(ivfit.synth_output_family(160.0, 124.0))
     err0 = abs(fit0.v_early - 124.0) / 124.0
     vals = []
     for seed in range(100):
-        ds = ivfit.synth_output_family(v_early=124.0, noise=0.01,
+        ds = ivfit.synth_output_family(160.0, 124.0, noise=0.01,
                                        rng=np.random.default_rng(seed))
         vals.append(ivfit.fit_early_voltage(ds).v_early)
     err_noisy = abs(np.mean(vals) - 124.0) / 124.0
@@ -79,7 +80,7 @@ def test_c04_early_voltage_recovery():
 
 
 def test_c05_beta_recovery():
-    beta = ivfit.fit_beta(ivfit.synth_output_family(beta_f=160.0), 1e-4, 0.9)
+    beta = ivfit.fit_beta(ivfit.synth_output_family(160.0, 124.0), 1e-4, 0.9)
     err = abs(beta - 160.0) / 160.0
     ok = err <= 0.01
     _report(5, ok, f"beta_F = {beta:.2f} at (0.1 mA, 0.9 V), err "
@@ -109,6 +110,7 @@ def test_c07_friis():
 def test_c08_dc_solver_vs_grid_oracle():
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
+    net0 = reference().network()
     worst = 0.0
     n_done = 0
     while n_done < 20:
@@ -116,11 +118,11 @@ def test_c08_dc_solver_vs_grid_oracle():
         beta = rng.uniform(50.0, 300.0)
         v_early = rng.uniform(30.0, 300.0)
         v1 = rng.uniform(0.7, 1.2)
-        net = BiasNetwork(v_supply=v1,
-                          r_upper=10 ** rng.uniform(4.5, 5.9),
-                          r_lower=10 ** rng.uniform(4.5, 5.7),
-                          r_collector=10 ** rng.uniform(2.7, 3.7),
-                          r_emitter=rng.uniform(5.0, 50.0))
+        net = replace(net0, v_supply=v1,
+                      r_upper=10 ** rng.uniform(4.5, 5.9),
+                      r_lower=10 ** rng.uniform(4.5, 5.7),
+                      r_collector=10 ** rng.uniform(2.7, 3.7),
+                      r_emitter=rng.uniform(5.0, 50.0))
         i_target = 10 ** rng.uniform(-4.7, -3.7)
         if i_target * (net.r_collector + 1.01 * net.r_emitter) > 0.6 * v1:
             continue
@@ -141,7 +143,7 @@ def test_c08_dc_solver_vs_grid_oracle():
                     abs(g_vce - op.v_ce) / (1.5e-4 * (1.0 + lever)))
         n_done += 1
     ok = worst <= 1.0
-    _report(8, ok, f"20 randomized sets: max normalized |Newton - grid| = "
+    _report(8, ok, f"20 randomized sets: max normalized |bisection - grid| = "
                    f"{worst:.3f} (<= 1.0; 1.5 cells of the 0.1 mV grid, "
                    "v_ce scaled by the load-line sensitivity), "
                    f"{time.perf_counter() - t0:.1f} s")
@@ -158,8 +160,9 @@ def test_c09_lockin_vs_dft_oracle():
     sine = 0.7 * np.sin(2 * math.pi * f_ref * t + 0.4)
     square = (np.sin(2 * math.pi * f_ref * t) >= 0).astype(float)
     n_per = n // spp
-    rho = rydberg_population(DriveWaveform(f_m=f_ref), EnsembleParams(),
-                             n_periods=n_per, samples_per_period=spp)
+    rho = rydberg_population(DriveWaveform(f_m=f_ref, duty=0.5),
+                             reference().ensemble(), n_periods=n_per,
+                             samples_per_period=spp)
     for name, x in (("sine", sine), ("square", square), ("population", rho)):
         r = demodulate(x, f_ref, tau, sample_rate=fs).amplitude_r
         ref = dft_fundamental_rms(x, spp)
@@ -170,13 +173,13 @@ def test_c09_lockin_vs_dft_oracle():
 
 
 def _fm_sweep(second_stage_f_low_khz=None, noise=35e-12):
-    ens, geom = EnsembleParams(), CellGeometry()
+    ref = reference()
     overrides = {} if second_stage_f_low_khz is None else \
         {("chain", "second_stage_f_low_kHz"): second_stage_f_low_khz}
     resp = load_config(overrides=overrides).amplifier_chain()
-    cfg = SynthesisConfig(input_noise_density=noise)
+    cfg = replace(ref.synthesis(), input_noise_density=noise)
     grid = np.geomspace(1e5, 1e7, 25)
-    out = sweep_fm(grid, ens, geom, resp, cfg)
+    out = sweep_fm(grid, ref.ensemble(), ref.geometry(), resp, cfg, 0.5)
     return grid, np.array([r.amplitude_r for _, r in out])
 
 
@@ -209,11 +212,12 @@ def test_c10_fm_sweep_shape():
 
 
 def _vbc_sweep(v_resonance, noise):
-    ens = EnsembleParams(v_resonance=v_resonance)
-    cfg = SynthesisConfig(input_noise_density=noise)
+    ref = reference()
+    ens = replace(ref.ensemble(), v_resonance=v_resonance)
+    cfg = replace(ref.synthesis(), input_noise_density=noise)
     grid = np.linspace(10.0, 12.5, 51)
-    out = sweep_vbc(grid, DriveWaveform(f_m=250e3), ens, CellGeometry(),
-                    load_config().amplifier_chain(), cfg)
+    out = sweep_vbc(grid, DriveWaveform(f_m=250e3, duty=0.5), ens,
+                    ref.geometry(), ref.amplifier_chain(), cfg)
     return grid, np.array([r.amplitude_r for _, r in out])
 
 
@@ -239,12 +243,12 @@ def test_c11_vbc_sweep_peak_and_shift():
 
 
 def test_c12_rms_image_current():
-    geom = CellGeometry()
+    geom = reference().geometry()
     i_verbatim = rms_image_current(100e3, geom, 1e12, 0.1)
     dq, _ = image_charge_waveform(np.array([0.1]), geom, 1e12)
     i_charge = 2.0 * math.pi * 100e3 * dq[0]
 
-    geom_id = CellGeometry(c_cell=epsilon_0 * 5.65e-3)
+    geom_id = replace(geom, c_cell=epsilon_0 * 5.65e-3)
     dq_id, _ = image_charge_waveform(np.array([0.1]), geom_id, 1e12)
     identity_ok = abs(rms_image_current(100e3, geom_id, 1e12, 0.1)
                       - 2.0 * math.pi * 100e3 * dq_id[0]) \

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,22 +9,26 @@ from cryoreadout.chain import (ChainResponse, StageResponse, cascade,
                                fixed_gain_stage, hbt_stage_response, s21_db,
                                unity_gain_load)
 from cryoreadout.config import load_config
-from cryoreadout.source import CellGeometry
+
+from conftest import reference
+
+R_SOURCE = reference()[("chain", "r_source_ohm")]
 
 
 def _default_first_stage():
-    net = device.default_network()
-    params = device.default_transistor(net)
+    net = reference().network()
+    params = reference().transistor()
     op = device.solve_operating_point(net, params)
     ss = device.small_signal(op, params)
     return ss, net
 
 
 def test_coupling_network_validation():
+    geom = reference().geometry()
     with pytest.raises(ValueError):
-        CellGeometry(c_cell=0.0)
+        replace(geom, c_cell=0.0)
     with pytest.raises(ValueError):
-        CellGeometry(c_parasitic=0.0)
+        replace(geom, c_parasitic=0.0)
 
 
 def test_stage_response_validation():
@@ -92,26 +97,29 @@ def test_friis_zero_gain_stage_rejected():
 
 def test_hbt_midband_gain_formula():
     ss, net = _default_first_stage()
-    st = hbt_stage_response(ss, net, load_resistance=50.0)
+    st = hbt_stage_response(ss, net, load_resistance=50.0,
+                            source_resistance=R_SOURCE)
     r_par = 1.0 / (1.0 / net.r_collector + 1.0 / ss.r_o + 1.0 / 50.0)
     assert abs(st.evaluate(10e6)) == pytest.approx(ss.g_m * r_par, rel=0.02)
     assert abs(st.evaluate(10e6)) == pytest.approx(0.19, rel=0.02)
     with pytest.raises(ValueError):
-        hbt_stage_response(ss, net, load_resistance=0.0)
+        hbt_stage_response(ss, net, load_resistance=0.0,
+                           source_resistance=R_SOURCE)
 
 
 def test_hbt_big_caps_flatten_response():
     ss, net0 = _default_first_stage()
-    net = device.BiasNetwork(c_in=1.0, c_out=1.0, c_bypass=1.0)
-    st = hbt_stage_response(ss, net, load_resistance=333.0)
+    net = replace(net0, c_in=1.0, c_out=1.0, c_bypass=1.0)
+    st = hbt_stage_response(ss, net, load_resistance=333.0,
+                            source_resistance=R_SOURCE)
     assert abs(st.evaluate(1e3)) == pytest.approx(abs(st.evaluate(1e7)),
                                                   rel=0.01)
 
 
 def test_unity_gain_load():
     ss, net = _default_first_stage()
-    r_load = unity_gain_load(ss, net)
-    st = hbt_stage_response(ss, net, r_load)
+    r_load = unity_gain_load(ss, net, R_SOURCE)
+    st = hbt_stage_response(ss, net, r_load, R_SOURCE)
     assert abs(st.evaluate(chain.DEFAULT_REFERENCE_FREQUENCY)) == \
         pytest.approx(1.0, rel=1e-9)
 
@@ -142,14 +150,14 @@ def test_s21_db():
 
 
 def test_transfer_function_matches_impulse_response_fft():
-    from cryoreadout.lockin import SynthesisConfig, synthesize
+    from cryoreadout.lockin import synthesize
 
     resp = load_config().amplifier_chain()
     n, fs = 2 ** 16, 2.5e8
     impulse = np.zeros(n)
     impulse[0] = 1.0
-    cfg = SynthesisConfig(sample_rate=fs, input_noise_density=0.0)
-    out = synthesize(impulse, resp, cfg)
+    cfg = replace(reference().synthesis(), input_noise_density=0.0)
+    out = synthesize(impulse, resp, cfg, fs)
     freqs = np.fft.rfftfreq(n, 1.0 / fs)
     mag_db = 20.0 * np.log10(np.abs(np.fft.rfft(out)[1:]))
     ref_db = np.array([d for _, d in s21_db(resp, freqs[1:])])

@@ -1,17 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cryoreadout import device
-from cryoreadout.device import (BiasNetwork, ConvergenceError, OperatingPoint,
+from cryoreadout.device import (ConvergenceError, OperatingPoint,
                                 TransistorParams, calibrated_i_sat,
-                                default_network, default_transistor,
                                 evaluate_dc, power_dissipation, small_signal,
                                 solve_operating_point, thermal_budget_check)
 
-from conftest import grid_search_operating_point
+from conftest import grid_search_operating_point, reference
 
 PARAMS = TransistorParams(i_sat=1e-12, v_teff=25e-3, v_early=124.0, beta_f=160.0)
 
@@ -36,7 +36,7 @@ def test_early_factor_doubles_at_v_early():
 
 def test_fitted_model_beta_point():
     # on the family curve with i_b = 600 nA, i_c(v_ce = 0.9 V) = 160 * 600 nA
-    params = default_transistor()
+    params = reference().transistor()
     v_be = params.v_teff * math.log(
         600e-9 * params.beta_f / (params.i_sat * (1.0 + 0.9 / params.v_early)))
     i_b, i_c = evaluate_dc(params, v_be, 0.9)
@@ -81,16 +81,17 @@ def test_param_validation():
 
 
 def test_network_validation():
+    net = reference().network()
     with pytest.raises(ValueError):
-        BiasNetwork(r_collector=float("inf"))   # open collector: no DC path
+        replace(net, r_collector=float("inf"))   # open collector: no DC path
     with pytest.raises(ValueError):
-        BiasNetwork(r_emitter=0.0)
+        replace(net, r_emitter=0.0)
     with pytest.raises(ValueError):
-        BiasNetwork(v_supply=-1.0)
+        replace(net, v_supply=-1.0)
 
 
 def test_thevenin_properties():
-    net = default_network()
+    net = reference().network()
     assert net.thevenin_voltage == pytest.approx(235.0 / 809.0, rel=1e-12)
     assert net.thevenin_resistance == pytest.approx(235e3 * 574e3 / 809e3,
                                                     rel=1e-12)
@@ -110,8 +111,9 @@ def test_solver_constructed_solution():
     r_upper = (v_supply - v_b) / (v_b / r_lower + i_b)
     i_sat = i_c / (math.exp(v_be / v_teff) * (1.0 + v_ce / v_early))
 
-    net = BiasNetwork(v_supply=v_supply, r_upper=r_upper, r_lower=r_lower,
-                      r_collector=r_collector, r_emitter=r_emitter)
+    net = replace(reference().network(), v_supply=v_supply, r_upper=r_upper,
+                  r_lower=r_lower, r_collector=r_collector,
+                  r_emitter=r_emitter)
     params = TransistorParams(i_sat=i_sat, v_teff=v_teff, v_early=v_early,
                               beta_f=beta)
     op = solve_operating_point(net, params)
@@ -125,8 +127,8 @@ def test_solver_constructed_solution():
 
 
 def test_solver_default_point():
-    net = default_network()
-    params = default_transistor(net)
+    net = reference().network()
+    params = reference().transistor()
     op = solve_operating_point(net, params)
     assert op.i_c == pytest.approx(1e-4, rel=0.2)
     assert op.v_ce == pytest.approx(0.9, rel=0.2)
@@ -141,8 +143,8 @@ def test_isat_doubling_shifts_vbe_by_vteff_ln2():
     # stiff divider (small Thevenin resistance) removes base-current
     # loading; strong emitter degeneration (i_c*r_e >> v_teff) pins i_c so
     # the junction absorbs the i_sat change entirely in v_be
-    net = BiasNetwork(v_supply=20.0, r_upper=100.0, r_lower=100.0,
-                      r_collector=100.0, r_emitter=1e4)
+    net = replace(reference().network(), v_supply=20.0, r_upper=100.0,
+                  r_lower=100.0, r_collector=100.0, r_emitter=1e4)
     p1 = TransistorParams(i_sat=1e-12, v_teff=25e-3, v_early=100.0, beta_f=200.0)
     p2 = TransistorParams(i_sat=2e-12, v_teff=25e-3, v_early=100.0, beta_f=200.0)
     op1 = solve_operating_point(net, p1)
@@ -151,8 +153,8 @@ def test_isat_doubling_shifts_vbe_by_vteff_ln2():
 
 
 def test_solver_failure_carries_residual():
-    net = default_network()
-    params = default_transistor(net)
+    net = reference().network()
+    params = reference().transistor()
     with pytest.raises(ConvergenceError) as info:
         solve_operating_point(net, params, tol=1e-30)
     assert info.value.residual is not None
@@ -179,8 +181,9 @@ def _log_uniform(lo, hi):
 def test_solver_converges_or_reports_residual(v_supply, r_upper, r_lower,
                                               r_collector, r_emitter, i_sat,
                                               v_teff, v_early, beta_f):
-    net = BiasNetwork(v_supply=v_supply, r_upper=r_upper, r_lower=r_lower,
-                      r_collector=r_collector, r_emitter=r_emitter)
+    net = replace(reference().network(), v_supply=v_supply, r_upper=r_upper,
+                  r_lower=r_lower, r_collector=r_collector,
+                  r_emitter=r_emitter)
     params = TransistorParams(i_sat=i_sat, v_teff=v_teff, v_early=v_early,
                               beta_f=beta_f)
     tol = 1e-9
@@ -197,7 +200,8 @@ def test_solver_converges_or_reports_residual(v_supply, r_upper, r_lower,
 
 def test_solver_invalid_tol():
     with pytest.raises(ValueError):
-        solve_operating_point(default_network(), default_transistor(), tol=0.0)
+        solve_operating_point(reference().network(), reference().transistor(),
+                              tol=0.0)
 
 
 def test_small_signal_values():
@@ -241,5 +245,5 @@ def test_thermal_budget():
 
 def test_calibrated_i_sat_unreachable_target():
     with pytest.raises(ValueError):
-        calibrated_i_sat(default_network(), 25e-3, 124.0, 160.0,
+        calibrated_i_sat(reference().network(), 25e-3, 124.0, 160.0,
                          i_c_target=1.5e-3)   # drives v_ce below zero

@@ -1,7 +1,9 @@
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from cryoreadout import ivfit
 from cryoreadout.ivfit import (FitError, IVDataset, IVParseError, IVSweep,
@@ -9,6 +11,8 @@ from cryoreadout.ivfit import (FitError, IVDataset, IVParseError, IVSweep,
                                fit_early_voltage, intrinsic_gain,
                                load_iv_dataset, save_iv_dataset,
                                synth_input_curve, synth_output_family)
+
+from conftest import iv_csv_text
 
 
 def test_input_csv_parse():
@@ -19,7 +23,7 @@ def test_input_csv_parse():
 
 
 def test_output_family_parse_and_roundtrip(tmp_path):
-    ds = synth_output_family()
+    ds = synth_output_family(160.0, 124.0)
     assert len(ds.sweeps) == 17      # 200..1000 nA step 50 nA
     assert ds.sweeps[0].label == pytest.approx(200e-9)
     assert ds.sweeps[-1].label == pytest.approx(1000e-9)
@@ -76,6 +80,34 @@ def test_parse_errors(text, fragment):
         load_iv_dataset(io.StringIO(text))
 
 
+@pytest.mark.parametrize("text,fragment,line", [
+    ("v_be_V,i_b_A\n0.1,1e-9\n0.2,nan\n", "finite", 3),
+    ("v_be_V,i_b_A\n0.1,1e-9\n0.2,inf\n", "finite", 3),
+    ("i_b_A,v_ce_V,i_c_A\n1e-7,0.0,1e-5\n1e-7,-inf,2e-5\n", "finite", 3),
+    ("i_b_A,v_ce_V,i_c_A\n1e-7,0.0,1e-5\n1e-7,1.0,2e-5\n2e-7,0.0,3e-5\n",
+     "2 points", 4),
+    # a bare carriage return inside an unquoted field
+    ("v_be_V,i_b_A\n0.1,1e-9\n0.2,1\re-8\n", "malformed", 3),
+], ids=["nan", "inf", "output-inf", "one-point-sweep", "bare-cr"])
+def test_parse_error_line(text, fragment, line):
+    with pytest.raises(IVParseError, match=fragment) as info:
+        load_iv_dataset(io.StringIO(text))
+    assert info.value.line == line
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=iv_csv_text())
+def test_loader_returns_dataset_or_parse_error(text):
+    try:
+        ds = load_iv_dataset(io.StringIO(text))
+    except IVParseError:
+        return
+    assert ds.sweeps
+    for s in ds.sweeps:
+        assert s.voltage.size >= 2
+        assert all(map(math.isfinite, [*s.voltage, *s.current]))
+
+
 def test_parse_error_carries_line_number():
     with pytest.raises(IVParseError) as info:
         load_iv_dataset(io.StringIO("v_be_V,i_b_A\n0.1,1e-9\n0.2,oops\n"))
@@ -83,7 +115,7 @@ def test_parse_error_carries_line_number():
 
 
 def test_early_fit_noise_free():
-    ds = synth_output_family(v_early=124.0)
+    ds = synth_output_family(160.0, 124.0)
     fit = fit_early_voltage(ds)
     assert fit.v_early == pytest.approx(124.0, rel=1e-6)
     assert fit.fit_window == (0.5, 2.0)
@@ -92,7 +124,7 @@ def test_early_fit_noise_free():
 
 
 def test_early_fit_label_range_filter():
-    ds = synth_output_family()
+    ds = synth_output_family(160.0, 124.0)
     fit = fit_early_voltage(ds)
     # only 200..800 nA curves enter: 13 of the 17
     assert len(fit.per_curve_intercepts) == 13
@@ -108,7 +140,7 @@ def test_early_fit_flat_curves_error():
 
 
 def test_early_fit_label_shift_invariance():
-    ds = synth_output_family()
+    ds = synth_output_family(160.0, 124.0)
     shifted = IVDataset(
         kind="output_characteristics",
         sweeps=tuple(IVSweep(label=s.label + 1e-6, voltage=s.voltage,
@@ -124,7 +156,7 @@ def test_early_fit_wrong_kind():
 
 
 def test_fit_beta_round_trip():
-    ds = synth_output_family(beta_f=160.0)
+    ds = synth_output_family(160.0, 124.0)
     assert fit_beta(ds, 1e-4, 0.9) == pytest.approx(160.0, rel=0.01)
 
 
@@ -137,7 +169,7 @@ def test_fit_beta_two_curve_arithmetic():
 
 
 def test_fit_beta_outside_hull():
-    ds = synth_output_family()
+    ds = synth_output_family(160.0, 124.0)
     with pytest.raises(FitError):
         fit_beta(ds, 1e-2, 0.9)
     with pytest.raises(FitError):
@@ -174,7 +206,7 @@ def test_diode_fit_constant_current_error():
     ds = load_iv_dataset(io.StringIO(
         "v_be_V,i_b_A\n0.1,1e-9\n0.2,1e-9\n0.3,1e-9\n"))
     with pytest.raises(FitError, match="slope"):
-        fit_diode_params(ds)
+        fit_diode_params(ds, beta_f=160.0)
 
 
 def test_diode_fit_filters_nonpositive():
@@ -185,17 +217,17 @@ def test_diode_fit_filters_nonpositive():
     ds2 = load_iv_dataset(io.StringIO(
         "v_be_V,i_b_A\n0.05,-1e-12\n0.1,1e-9\n0.2,1e-8\n"))
     with pytest.raises(FitError):
-        fit_diode_params(ds2)
+        fit_diode_params(ds2, beta_f=160.0)
 
 
 def test_classify_clean_family():
-    cls = classify_transistor(synth_output_family())
+    cls = classify_transistor(synth_output_family(160.0, 124.0))
     assert cls.verdict == "usable"
     assert cls.evidence == ()
 
 
 def test_classify_ndr_dip():
-    ds = synth_output_family()
+    ds = synth_output_family(160.0, 124.0)
     s = ds.sweeps[8]
     current = s.current.copy()
     dip = (s.voltage >= 1.0) & (s.voltage <= 1.2)
@@ -212,13 +244,13 @@ def test_classify_ndr_dip():
 
 
 def test_classify_identical_backward_no_hysteresis():
-    ds = synth_output_family()
+    ds = synth_output_family(160.0, 124.0)
     bwd = IVDataset(kind="output_characteristics", sweeps=ds.sweeps)
     assert classify_transistor(ds, bwd).verdict == "usable"
 
 
 def test_classify_hysteresis():
-    ds = synth_output_family()
+    ds = synth_output_family(160.0, 124.0)
     bwd_sweeps = tuple(IVSweep(label=s.label, voltage=s.voltage,
                                current=1.1 * s.current) for s in ds.sweeps)
     bwd = IVDataset(kind="output_characteristics", sweeps=bwd_sweeps)
@@ -228,7 +260,7 @@ def test_classify_hysteresis():
 
 
 def test_classify_mismatched_labels():
-    ds = synth_output_family()
+    ds = synth_output_family(160.0, 124.0)
     bwd = IVDataset(kind="output_characteristics",
                     sweeps=(IVSweep(label=123e-9, voltage=ds.sweeps[0].voltage,
                                     current=ds.sweeps[0].current),))
@@ -237,7 +269,8 @@ def test_classify_mismatched_labels():
 
 
 def test_classify_threshold_monotone():
-    ds = synth_output_family(noise=0.01, rng=np.random.default_rng(3))
+    ds = synth_output_family(160.0, 124.0, noise=0.01,
+                             rng=np.random.default_rng(3))
     n_strict = len(classify_transistor(ds, ndr_threshold=1e-8).evidence)
     n_loose = len(classify_transistor(ds, ndr_threshold=1e-3).evidence)
     assert n_loose <= n_strict

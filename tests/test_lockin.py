@@ -1,6 +1,7 @@
 import functools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,17 +9,24 @@ from hypothesis import given, settings, strategies as st
 
 from cryoreadout import lockin
 from cryoreadout.chain import StageResponse, cascade
-from cryoreadout.config import load_config
-from cryoreadout.lockin import (SynthesisConfig, demodulate, sweep_fm,
-                                sweep_vbc, synthesize)
-from cryoreadout.source import (CellGeometry, DriveWaveform, EnsembleParams,
-                                image_charge_waveform, rydberg_population)
+from cryoreadout.lockin import demodulate, sweep_fm, sweep_vbc, synthesize
+from cryoreadout.source import (DriveWaveform, image_charge_waveform,
+                                rydberg_population)
 from conftest import (dft_fundamental_rms, lockin_noise_covariance,
-                      time_domain_point)
+                      reference, time_domain_point)
 
 FS = 4e6
 F_REF = 1e5
 TAU = 2e-4
+
+
+@functools.cache
+def _reference_chain():
+    return reference().amplifier_chain()
+
+
+def _synthesis(**changes):
+    return replace(reference().synthesis(), **changes)
 
 
 def _record(duration=25 * TAU):
@@ -97,20 +105,20 @@ def test_synthesize_identity():
     t = _record(1e-3)
     x = np.sin(2 * math.pi * F_REF * t)
     unity = cascade([StageResponse(gain_factor=1.0)])
-    cfg = SynthesisConfig(sample_rate=FS, input_noise_density=0.0)
-    out = synthesize(x, unity, cfg)
+    cfg = _synthesis(input_noise_density=0.0)
+    out = synthesize(x, unity, cfg, FS)
     np.testing.assert_allclose(out, x, rtol=0, atol=1e-12)
 
 
 def test_synthesize_gain_through_configured_chain():
-    resp = load_config().amplifier_chain()
+    resp = _reference_chain()
     fs = 3.2e7
     n = int(20 * TAU * fs)
     t = np.arange(n) / fs
     amp = 1e-6
     x = amp * np.sin(2 * math.pi * 1e6 * t)
-    cfg = SynthesisConfig(sample_rate=fs, input_noise_density=0.0)
-    out = synthesize(x, resp, cfg)
+    cfg = _synthesis(input_noise_density=0.0)
+    out = synthesize(x, resp, cfg, fs)
     r = demodulate(out, 1e6, TAU, sample_rate=fs).amplitude_r
     h = abs(resp.evaluate(1e6))
     assert h == pytest.approx(100.0, rel=0.01)
@@ -124,50 +132,49 @@ def test_noise_rms_parseval():
     zeros = np.zeros(n)
     rms = []
     for seed in range(50):
-        cfg = SynthesisConfig(sample_rate=2e6, noise_seed=seed,
-                              input_noise_density=35e-12)
-        rms.append(np.sqrt(np.mean(synthesize(zeros, unity, cfg) ** 2)))
+        cfg = _synthesis(noise_seed=seed, input_noise_density=35e-12)
+        rms.append(np.sqrt(np.mean(synthesize(zeros, unity, cfg, 2e6) ** 2)))
     expected = 35e-12 * math.sqrt(1e6)
     assert np.mean(rms) == pytest.approx(expected, rel=0.1)
 
 
 def test_synthesize_seeded_reproducibility():
-    cfg = SynthesisConfig(sample_rate=2e6, noise_seed=42)
+    cfg = _synthesis(noise_seed=42)
     unity = cascade([StageResponse(gain_factor=1.0)])
-    a = synthesize(np.zeros(4096), unity, cfg)
-    b = synthesize(np.zeros(4096), unity, cfg)
+    a = synthesize(np.zeros(4096), unity, cfg, 2e6)
+    b = synthesize(np.zeros(4096), unity, cfg, 2e6)
     np.testing.assert_array_equal(a, b)
 
 
 def _sweep_fixtures(noise=0.0):
-    ens = EnsembleParams()
-    geom = CellGeometry()
-    cfg = SynthesisConfig(input_noise_density=noise, time_constant=2e-4)
+    ens = reference().ensemble()
+    geom = reference().geometry()
+    cfg = _synthesis(input_noise_density=noise, time_constant=2e-4)
     return ens, geom, cfg
 
 
 def test_sweep_vbc_zero_rate_flat_zero():
     ens, geom, cfg = _sweep_fixtures()
-    drive = DriveWaveform(f_m=250e3, excitation_rate=0.0)
+    drive = DriveWaveform(f_m=250e3, duty=0.5, excitation_rate=0.0)
     out = sweep_vbc([11.5, 11.6, 11.7], drive, ens, geom, None, cfg)
     assert all(r.amplitude_r < 1e-15 for _, r in out)
 
 
 def test_sweep_grid_must_be_sorted():
     ens, geom, cfg = _sweep_fixtures()
-    drive = DriveWaveform(f_m=250e3)
+    drive = DriveWaveform(f_m=250e3, duty=0.5)
     with pytest.raises(ValueError):
         sweep_vbc([11.7, 11.5], drive, ens, geom, None, cfg)
     with pytest.raises(ValueError):
-        sweep_fm([1e6, 1e5], ens, geom, None, cfg)
+        sweep_fm([1e6, 1e5], ens, geom, None, cfg, 0.5)
 
 
 def test_sweep_fm_no_mechanism_is_flat():
     # all-pass chain and no relaxation: population pins at saturation,
     # leaving no f_m dependence
-    ens = EnsembleParams(tau_relax=math.inf)
+    ens = replace(reference().ensemble(), tau_relax=math.inf)
     _, geom, cfg = _sweep_fixtures()
-    out = sweep_fm([2e5, 5e5, 2e6], ens, geom, None, cfg,
+    out = sweep_fm([2e5, 5e5, 2e6], ens, geom, None, cfg, 0.5,
                    excitation_rate=2e5)
     # the source sits ~1.4 uV DC; any f_m dependence would appear as a
     # nonzero fundamental
@@ -176,7 +183,7 @@ def test_sweep_fm_no_mechanism_is_flat():
 
 def test_sweep_reproducibility():
     ens, geom, cfg = _sweep_fixtures(noise=35e-12)
-    drive = DriveWaveform(f_m=250e3)
+    drive = DriveWaveform(f_m=250e3, duty=0.5)
     grid = [11.55, 11.6, 11.65]
     a = sweep_vbc(grid, drive, ens, geom, None, cfg)
     b = sweep_vbc(grid, drive, ens, geom, None, cfg)
@@ -184,27 +191,7 @@ def test_sweep_reproducibility():
         [(x, r.amplitude_r, r.phase) for x, r in b]
 
 
-def test_sweep_point_sampling_unresolvable():
-    ens, geom, _ = _sweep_fixtures()
-    cfg = SynthesisConfig(sample_rate=1e6, time_constant=2e-4)
-    drive = DriveWaveform(f_m=250e3)
-    with pytest.raises(ValueError, match="resolve"):
-        sweep_vbc([11.6], drive, ens, geom, None, cfg)
-
-
-def test_sweep_duration_too_short():
-    ens, geom, _ = _sweep_fixtures()
-    cfg = SynthesisConfig(duration=1e-4, time_constant=1e-1)
-    drive = DriveWaveform(f_m=250e3)
-    with pytest.raises(ValueError, match="time constants"):
-        sweep_vbc([11.6], drive, ens, geom, None, cfg)
-
-
 # -- closed form against the time-domain oracle ------------------------------
-
-@functools.cache
-def _reference_chain():
-    return load_config().amplifier_chain()
 
 
 def _xy(res):
@@ -226,7 +213,7 @@ def test_cascade_energy_matches_impulse_response(order):
 @pytest.mark.parametrize("f_m", [100e3, 250e3, 1e6])
 def test_noise_std_matches_exact_covariance(tau, f_m):
     resp = _reference_chain()
-    cfg = SynthesisConfig(time_constant=tau)
+    cfg = _synthesis(time_constant=tau)
     var_x, var_y, cov = lockin_noise_covariance(resp, cfg, f_m)
     spp, _ = lockin._resolve_sampling(cfg, f_m)
     s2 = lockin._noise_std(cfg, spp * f_m, abs(resp.evaluate(f_m))) ** 2
@@ -240,11 +227,11 @@ def test_sweep_point_noise_is_one_draw():
     # the (seed, index) stream, X first
     resp = _reference_chain()
     f_m, seed, index = 1e6, 5, 7
-    point = (index, f_m, 0.5, None, 1.0, EnsembleParams(), CellGeometry(),
-             resp)
-    cfg = SynthesisConfig(noise_seed=seed)
+    point = (index, f_m, 0.5, None, 1.0, reference().ensemble(),
+             reference().geometry(), resp)
+    cfg = _synthesis(noise_seed=seed)
     x0, y0 = _xy(lockin._run_point(
-        *point, SynthesisConfig(noise_seed=seed, input_noise_density=0.0)))
+        *point, replace(cfg, input_noise_density=0.0)))
     x, y = _xy(lockin._run_point(*point, cfg))
     z = np.random.default_rng((seed, index)).standard_normal(2)
     s = lockin._noise_std(cfg, 16 * f_m, abs(resp.evaluate(f_m)))
@@ -254,17 +241,16 @@ def test_sweep_point_noise_is_one_draw():
 
 def test_noise_statistics_match_time_domain():
     # 1000 seeds of the full-record path at f_m = 250 kHz, tau = 0.2 ms
-    ens, geom = EnsembleParams(), CellGeometry()
+    ens, geom = reference().ensemble(), reference().geometry()
     resp = _reference_chain()
     f_m, n = 250e3, 1000
     point = (0, f_m, 0.5, None, 1.0, ens, geom, resp)
-    cfg0 = SynthesisConfig(time_constant=2e-4, input_noise_density=0.0)
-    x0, y0 = _xy(lockin._run_point(*point, cfg0))
+    cfg = _synthesis(time_constant=2e-4)
+    x0, y0 = _xy(lockin._run_point(*point,
+                                   replace(cfg, input_noise_density=0.0)))
     xy = np.array([
-        _xy(time_domain_point(*point, SynthesisConfig(time_constant=2e-4,
-                                                      noise_seed=seed)))
+        _xy(time_domain_point(*point, replace(cfg, noise_seed=seed)))
         for seed in range(n)])
-    cfg = SynthesisConfig(time_constant=2e-4)
     s2 = lockin._noise_std(cfg, 16 * f_m, abs(resp.evaluate(f_m))) ** 2
     se = math.sqrt(s2 / n)
     assert abs(xy[:, 0].mean() - x0) <= 4.0 * se
@@ -276,25 +262,21 @@ def test_noise_statistics_match_time_domain():
 
 @settings(max_examples=100, deadline=None)
 @given(f_m=st.floats(1e4, 1e7),
-       tau_periods=st.floats(0.5, 10.0),
-       spp=st.none() | st.integers(16, 64),
-       extra_periods=st.none() | st.integers(1, 800),
+       tau_periods=st.floats(0.5, 50.05),
        order=st.integers(1, 6),
        duty=st.floats(0.05, 0.95),
        scale=st.floats(0.01, 1.0),
        with_chain=st.booleans())
-def test_closed_form_matches_time_domain(f_m, tau_periods, spp, extra_periods,
-                                         order, duty, scale, with_chain):
-    # records of at most 64 * 1001 samples
+def test_closed_form_matches_time_domain(f_m, tau_periods, order, duty, scale,
+                                         with_chain):
+    # 200 to 1001 periods (20 time constants), records of at most
+    # 16 * 1001 samples
     tau = tau_periods / f_m
-    duration = None if extra_periods is None else \
-        (math.ceil(20.0 * tau_periods) + extra_periods) / f_m
-    cfg = SynthesisConfig(
-        sample_rate=None if spp is None else spp * f_m, duration=duration,
-        input_noise_density=0.0, time_constant=tau, filter_order=order)
+    cfg = _synthesis(input_noise_density=0.0, time_constant=tau,
+                     filter_order=order)
     resp = _reference_chain() if with_chain else None
-    point = (3, f_m, duty, None, scale, EnsembleParams(), CellGeometry(),
-             resp, cfg)
+    point = (3, f_m, duty, None, scale, reference().ensemble(),
+             reference().geometry(), resp, cfg)
     fast = lockin._run_point(*point)
     slow = time_domain_point(*point)
     assert fast.amplitude_r == pytest.approx(slow.amplitude_r, rel=1e-9)
@@ -306,10 +288,10 @@ def test_closed_form_matches_time_domain(f_m, tau_periods, spp, extra_periods,
 def test_closed_form_extreme_record():
     # tau = 1 s at f_m = 10 MHz: the time-domain record would be 3.2e9
     # samples (25.6 GB per float64 array)
-    ens, geom = EnsembleParams(), CellGeometry()
+    ens, geom = reference().ensemble(), reference().geometry()
     resp = _reference_chain()
     f_m = 10e6
-    cfg = SynthesisConfig(time_constant=1.0, input_noise_density=0.0)
+    cfg = _synthesis(time_constant=1.0, input_noise_density=0.0)
     spp, n_per = lockin._resolve_sampling(cfg, f_m)
     assert spp * n_per == 3_200_000_000
     tracemalloc.start()
@@ -320,7 +302,7 @@ def test_closed_form_extreme_record():
     finally:
         tracemalloc.stop()
     assert peak < 10e6
-    rho = rydberg_population(DriveWaveform(f_m=f_m), ens,
+    rho = rydberg_population(DriveWaveform(f_m=f_m, duty=0.5), ens,
                              samples_per_period=spp)
     _, v_ac = image_charge_waveform(rho, geom, ens.n_s)
     want = abs(resp.evaluate(f_m)) * dft_fundamental_rms(v_ac, spp)

@@ -1,29 +1,37 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.constants import e as Q_E, epsilon_0
 from scipy.integrate import solve_ivp
 
-from cryoreadout.source import (CellGeometry, DriveWaveform, EnsembleParams,
-                                cw_rate_for_occupancy, image_charge_waveform,
-                                rms_image_current, rydberg_population,
-                                stark_excitation_fraction)
+from cryoreadout.source import (DriveWaveform, cw_rate_for_occupancy,
+                                image_charge_waveform, rms_image_current,
+                                rydberg_population, stark_excitation_fraction)
 
-from conftest import dft_fundamental_rms
+from conftest import dft_fundamental_rms, reference
+
+
+def _ensemble(**changes):
+    return replace(reference().ensemble(), **changes)
+
+
+def _geometry(**changes):
+    return replace(reference().geometry(), **changes)
 
 
 def test_validation():
     with pytest.raises(ValueError):
-        CellGeometry(delta_z=0.0)
+        _geometry(delta_z=0.0)
     with pytest.raises(ValueError):
-        CellGeometry(c_parasitic=0.0)
+        _geometry(c_parasitic=0.0)
     with pytest.raises(ValueError):
-        EnsembleParams(rho22_target=0.6)
+        _ensemble(rho22_target=0.6)
     with pytest.raises(ValueError):
-        EnsembleParams(tau_relax=0.0)
+        _ensemble(tau_relax=0.0)
     with pytest.raises(ValueError):
-        DriveWaveform(f_m=0.0)
+        DriveWaveform(f_m=0.0, duty=0.5)
     with pytest.raises(ValueError):
         DriveWaveform(f_m=1e5, duty=1.0)
 
@@ -38,31 +46,31 @@ def test_cw_rate_back_solve():
 
 
 def test_stark_lineshape():
-    ens = EnsembleParams()
+    ens = _ensemble()
     assert stark_excitation_fraction(11.6, ens) == 1.0
     assert stark_excitation_fraction(11.65, ens) == pytest.approx(0.5, rel=1e-12)
     assert stark_excitation_fraction(11.55, ens) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_stark_rigid_shift():
-    ens = EnsembleParams()
-    shifted = EnsembleParams(v_resonance=10.45)
+    ens = _ensemble()
+    shifted = _ensemble(v_resonance=10.45)
     for v in np.linspace(10.0, 12.5, 11):
         assert stark_excitation_fraction(v - 1.15, shifted) == \
             pytest.approx(stark_excitation_fraction(v, ens), rel=1e-12)
 
 
 def test_population_zero_rate():
-    drive = DriveWaveform(f_m=250e3, excitation_rate=0.0)
-    rho = rydberg_population(drive, EnsembleParams())
+    drive = DriveWaveform(f_m=250e3, duty=0.5, excitation_rate=0.0)
+    rho = rydberg_population(drive, _ensemble())
     assert np.all(rho == 0.0)
 
 
 def test_population_saturation_and_free_decay():
     # slow modulation, very strong drive: on-plateau at 0.5, off-segment
     # decays as exp(-t/tau)
-    ens = EnsembleParams(tau_relax=1e-6)
-    drive = DriveWaveform(f_m=1e3, excitation_rate=1e9)
+    ens = _ensemble(tau_relax=1e-6)
+    drive = DriveWaveform(f_m=1e3, duty=0.5, excitation_rate=1e9)
     rho = rydberg_population(drive, ens, samples_per_period=1024)
     t = np.arange(rho.size) / (1024 * drive.f_m)
     on = t < 0.5e-3
@@ -79,23 +87,23 @@ def test_population_bounds():
         drive = DriveWaveform(f_m=10 ** rng.uniform(4, 7),
                               duty=rng.uniform(0.1, 0.9),
                               excitation_rate=10 ** rng.uniform(3, 9))
-        ens = EnsembleParams(tau_relax=10 ** rng.uniform(-7, -5))
+        ens = _ensemble(tau_relax=10 ** rng.uniform(-7, -5))
         rho = rydberg_population(drive, ens)
         assert np.all(rho >= 0.0) and np.all(rho <= 0.5)
 
 
 def test_population_high_frequency_ripple():
-    ens = EnsembleParams()
-    rho_lo = rydberg_population(DriveWaveform(f_m=250e3), ens,
+    ens = _ensemble()
+    rho_lo = rydberg_population(DriveWaveform(f_m=250e3, duty=0.5), ens,
                                 samples_per_period=256)
-    rho_hi = rydberg_population(DriveWaveform(f_m=10e6), ens,
+    rho_hi = rydberg_population(DriveWaveform(f_m=10e6, duty=0.5), ens,
                                 samples_per_period=256)
     assert np.ptp(rho_hi) < 0.1 * np.ptp(rho_lo)
 
 
 def test_population_matches_dense_integration():
-    ens = EnsembleParams()
-    drive = DriveWaveform(f_m=250e3)
+    ens = _ensemble()
+    drive = DriveWaveform(f_m=250e3, duty=0.5)
     r = cw_rate_for_occupancy(ens.rho22_target, ens.tau_relax)
     spp = 64
     rho = rydberg_population(drive, ens, samples_per_period=spp)
@@ -116,18 +124,18 @@ def test_population_matches_dense_integration():
 
 
 def test_population_periodicity():
-    rho = rydberg_population(DriveWaveform(f_m=250e3), EnsembleParams(),
+    rho = rydberg_population(DriveWaveform(f_m=250e3, duty=0.5), _ensemble(),
                              n_periods=3, samples_per_period=64)
     np.testing.assert_allclose(rho[:64], rho[64:128], rtol=1e-9)
 
 
 def test_fundamental_crossover():
-    ens = EnsembleParams()
+    ens = _ensemble()
     drive_r = cw_rate_for_occupancy(ens.rho22_target, ens.tau_relax)
     spp = 128
 
     def fundamental(f_m):
-        rho = rydberg_population(DriveWaveform(f_m=f_m), ens,
+        rho = rydberg_population(DriveWaveform(f_m=f_m, duty=0.5), ens,
                                  samples_per_period=spp)
         return dft_fundamental_rms(rho, spp)
 
@@ -146,20 +154,20 @@ def test_fundamental_crossover():
 
 
 def test_image_charge_values():
-    ens = EnsembleParams()
+    ens = _ensemble()
     dq, v300 = image_charge_waveform(np.array([0.1]),
-                                     CellGeometry(c_parasitic=300e-12), ens.n_s)
+                                     _geometry(c_parasitic=300e-12), ens.n_s)
     exact = 35e-9 * Q_E * 1e12 * 0.1 * 5.65e-3
     assert dq[0] == pytest.approx(exact, rel=1e-12)
     assert dq[0] == pytest.approx(3.16e-18, rel=0.01)
     assert v300[0] == pytest.approx(10.5e-9, rel=0.03)
     _, v10 = image_charge_waveform(np.array([0.1]),
-                                   CellGeometry(c_parasitic=10e-12), ens.n_s)
+                                   _geometry(c_parasitic=10e-12), ens.n_s)
     assert v10[0] == pytest.approx(290e-9, rel=0.03)
 
 
 def test_image_charge_linearity():
-    geom = CellGeometry(c_parasitic=10e-12)
+    geom = _geometry(c_parasitic=10e-12)
     rho = np.linspace(0.0, 0.4, 9)
     dq1, v1 = image_charge_waveform(rho, geom, 1e12)
     dq2, v2 = image_charge_waveform(2.0 * rho, geom, 1e12)
@@ -170,7 +178,7 @@ def test_image_charge_linearity():
 
 
 def test_rms_image_current():
-    geom = CellGeometry()
+    geom = _geometry()
     i = rms_image_current(100e3, geom, 1e12, 0.1)
     verbatim = (2.0 * math.pi * 100e3 * Q_E * 1e12 * 1e-12 * 35e-9 * 0.1) \
         / epsilon_0
@@ -184,7 +192,7 @@ def test_rms_image_current():
 
 def test_rms_current_charge_identity():
     # with C_0 = eps_0 * S/D the verbatim formula equals 2*pi*f*delta_q
-    geom = CellGeometry(c_cell=epsilon_0 * 5.65e-3)
+    geom = _geometry(c_cell=epsilon_0 * 5.65e-3)
     dq, _ = image_charge_waveform(np.array([0.1]), geom, 1e12)
     i = rms_image_current(100e3, geom, 1e12, 0.1)
     assert i == pytest.approx(2.0 * math.pi * 100e3 * dq[0], rel=1e-12)
