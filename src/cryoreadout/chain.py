@@ -76,16 +76,18 @@ class ChainResponse:
             h = h * s.evaluate(f)
         return h
 
-    def total_noise_temperature(self, f_ref: float = DEFAULT_REFERENCE_FREQUENCY):
-        """Friis accumulation of stage noise temperatures at ``f_ref``."""
+    def total_noise_temperature(self):
+        """Friis accumulation of stage noise temperatures at
+        ``DEFAULT_REFERENCE_FREQUENCY``."""
         t_total = 0.0
         g_run = 1.0
         for k, s in enumerate(self.stages):
             t_total += s.noise_temperature / g_run
-            g = abs(s.evaluate(f_ref)) ** 2
+            g = abs(s.evaluate(DEFAULT_REFERENCE_FREQUENCY)) ** 2
             if g == 0.0 and k < len(self.stages) - 1:
                 raise ValueError(
-                    f"stage {k} has zero gain at {f_ref:g} Hz; "
+                    f"stage {k} has zero gain at "
+                    f"{DEFAULT_REFERENCE_FREQUENCY:g} Hz; "
                     "noise accumulation undefined")
             g_run *= g
         return t_total
@@ -141,9 +143,9 @@ def hbt_stage_response(ss: SmallSignalParams, net: BiasNetwork,
 
 
 def unity_gain_load(ss: SmallSignalParams, net: BiasNetwork,
-                    source_resistance: float,
-                    f_ref: float = DEFAULT_REFERENCE_FREQUENCY) -> float:
-    """Load resistance for which the stage reaches unity gain at ``f_ref``.
+                    source_resistance: float) -> float:
+    """Load resistance for which the stage reaches unity gain at
+    ``DEFAULT_REFERENCE_FREQUENCY``.
 
     Fixed-point iteration: the output coupling corner depends weakly on the
     load, so a few passes suffice.  Raises ``ConvergenceError`` if 40
@@ -152,13 +154,13 @@ def unity_gain_load(ss: SmallSignalParams, net: BiasNetwork,
     r_load = 1.0 / ss.g_m
     for _ in range(40):
         stage = hbt_stage_response(ss, net, r_load, source_resistance)
-        h = abs(stage.evaluate(f_ref))
+        h = abs(stage.evaluate(DEFAULT_REFERENCE_FREQUENCY))
         # |H| scales with R_c||r_o||R_load; invert that relation for R_load
         r_par = 1.0 / (1.0 / net.r_collector + 1.0 / ss.r_o + 1.0 / r_load)
         r_par_target = r_par / h
         inv = 1.0 / r_par_target - 1.0 / net.r_collector - 1.0 / ss.r_o
         if inv <= 0:
-            raise ValueError("unity gain unreachable: stage too weak at f_ref")
+            raise ValueError("unity gain unreachable: stage too weak")
         r_new = 1.0 / inv
         step = abs(r_new - r_load) / r_load
         r_load = r_new
@@ -192,6 +194,9 @@ def s21_db(chain: ChainResponse, frequencies):
     if np.any(frequencies <= 0):
         raise ValueError("frequencies must be positive")
     mag = np.abs(chain.evaluate(frequencies))
+    if not np.all((mag > 0) & np.isfinite(mag)):
+        raise FloatingPointError("chain gain is zero or not finite; "
+                                 "S21 in dB is undefined")
     db = 20.0 * np.log10(mag)
     return list(zip(frequencies.tolist(), db.tolist()))
 

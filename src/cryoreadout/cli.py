@@ -9,7 +9,8 @@ Subcommands:
 * ``gen-iv``  -- generate synthetic IV datasets from the configured model
 
 Exit codes: 0 success, 1 device classified unusable (fit-iv), 2
-input/config error, 3 numerical failure.
+input/config error, 3 numerical failure.  A grid of more than
+``MAX_GRID_POINTS`` points is an input error.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ EXIT_OK = 0
 EXIT_UNUSABLE = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
+
+# points of an s21 or sweep grid: far more than a readout needs, and far
+# below the 1e9 that would take 7.45 GiB per array
+MAX_GRID_POINTS = 10 ** 6
 
 
 def _fmt(x):
@@ -66,6 +71,9 @@ def _parse_grid(spec, default_start, default_stop, default_points,
         raise ConfigError(f"grid bounds must be finite, got {start:g}:{stop:g}")
     if points < 1 or stop < start:
         raise ConfigError("grid needs stop >= start and points >= 1")
+    if points > MAX_GRID_POINTS:
+        raise ConfigError(f"grid needs at most {MAX_GRID_POINTS} points, "
+                          f"got {points}")
     if points == 1:
         return np.array([start]), (start, stop, points, spacing)
     if spacing == "log":
@@ -93,7 +101,8 @@ def cmd_opp(args):
                           ("mixing_chamber", device.MIXING_CHAMBER_COOLING_POWER)):
         ok, margin, margin_ok = device.thermal_budget_check(p, cooling)
         status = "ok" if ok else "OVER BUDGET"
-        flag = "" if margin_ok else "  [margin < 10x dissipation]"
+        flag = "" if margin_ok else \
+            f"  [margin < {device.THERMAL_MARGIN_RATIO:g}x dissipation]"
         print(f"  {name}: cooling {cooling * 1e6:.0f} uW, margin "
               f"{margin * 1e6:.1f} uW, {status}{flag}")
     return EXIT_OK
@@ -124,20 +133,19 @@ def cmd_sweep(args):
         raise ConfigError("sweep needs --axis vbc|fm (or a manifest config)")
     grid_spec = args.grid or manifest_sweep.get("grid")
 
+    # check the inputs before the chain's DC solve starts
     ens = cfg.ensemble()
     geom = cfg.geometry()
-    resp = cfg.amplifier_chain()
     syn = cfg.synthesis()
-    f_m = cfg[("synthesis", "f_m_kHz")]
     duty = cfg[("synthesis", "duty")]
-
     if axis == "vbc":
         grid, grid_parts = _parse_grid(grid_spec, 10.0, 12.5, 51, "lin")
-        drive = DriveWaveform(f_m=f_m, duty=duty)
-        results = sweep_vbc(grid, drive, ens, geom, resp, syn)
+        drive = DriveWaveform(f_m=cfg[("synthesis", "f_m_kHz")], duty=duty)
+        results = sweep_vbc(grid, drive, ens, geom, cfg.amplifier_chain(), syn)
     else:
         grid, grid_parts = _parse_grid(grid_spec, 100e3, 10e6, 25, "log")
-        results = sweep_fm(grid, ens, geom, resp, syn, duty=duty)
+        results = sweep_fm(grid, ens, geom, cfg.amplifier_chain(), syn,
+                           duty=duty)
 
     out_dir = args.out or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)

@@ -41,6 +41,12 @@ EXP_CAP = 200.0
 STILL_COOLING_POWER = 33e-3
 MIXING_CHAMBER_COOLING_POWER = 420e-6
 
+# a plate has margin when its cooling power is this many times the dissipation
+THERMAL_MARGIN_RATIO = 10.0
+
+# relative tolerance of the DC solve's two-node residual check
+DC_TOL = 1e-9
+
 
 class ConvergenceError(RuntimeError):
     """A numerical solve missed its tolerance: the DC bias point (bisection
@@ -197,27 +203,29 @@ def _bisect_base_node(network: BiasNetwork, params: TransistorParams):
     return v_be, v_ce
 
 
-def solve_operating_point(network: BiasNetwork, params: TransistorParams,
-                          tol: float = 1e-9) -> OperatingPoint:
+def solve_operating_point(network: BiasNetwork,
+                          params: TransistorParams) -> OperatingPoint:
     """Solve the bias network for its DC operating point.
 
     Bisection on the exact 1-D reduction (closed-form collector loop, base
-    node bisected in v_be), checked by the two-node residuals: both
-    Kirchhoff residuals of the full model must lie below ``tol`` relative
-    to i_c, else ``ConvergenceError`` carries the larger one.
-    Deterministic for fixed inputs.
+    node bisected in v_be), checked by the two-node residuals: each
+    Kirchhoff residual of the full model must lie below ``DC_TOL`` times
+    the larger of |i_c| and that node's own current scale (v_supply/r_upper
+    for the base node, v_supply/r_collector for the collector node), else
+    ``ConvergenceError`` carries the larger residual.  A node's residual is
+    a difference of currents of that scale, so rounding alone leaves it a
+    few ulps of the scale.  Deterministic for fixed inputs.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     v_be, v_ce = _bisect_base_node(network, params)
     f1, f2, i_b, i_c = _residuals(network, params, v_be, v_ce)
-    limit = tol * max(abs(i_c), 1e-30)
-    if abs(f1) < limit and abs(f2) < limit:
+    limit1 = DC_TOL * max(abs(i_c), network.v_supply / network.r_upper)
+    limit2 = DC_TOL * max(abs(i_c), network.v_supply / network.r_collector)
+    if abs(f1) < limit1 and abs(f2) < limit2:
         return OperatingPoint(v_be=v_be, v_ce=v_ce, i_b=i_b, i_c=i_c)
-    residual = max(abs(f1), abs(f2))
     raise ConvergenceError(
-        f"node residual {residual:.3g} A not below tol*|i_c| = {limit:.3g} A",
-        residual=residual)
+        f"node residuals {abs(f1):.3g} A (base), {abs(f2):.3g} A (collector) "
+        f"not below {limit1:.3g} A, {limit2:.3g} A",
+        residual=max(abs(f1), abs(f2)))
 
 
 def small_signal(op: OperatingPoint, params: TransistorParams) -> SmallSignalParams:
@@ -238,19 +246,18 @@ def power_dissipation(op: OperatingPoint) -> float:
     return op.i_c * op.v_ce + op.i_b * op.v_be
 
 
-def thermal_budget_check(p_dissipated: float, p_cooling: float,
-                         margin_ratio: float = 10.0):
+def thermal_budget_check(p_dissipated: float, p_cooling: float):
     """Check dissipation against a plate's cooling power.
 
     Returns ``(ok, margin, margin_ok)`` where ``ok`` is the strict budget
     check, ``margin`` = p_cooling - p_dissipated, and ``margin_ok`` requires
-    p_cooling >= margin_ratio * p_dissipated.
+    p_cooling >= THERMAL_MARGIN_RATIO * p_dissipated.
     """
     if p_dissipated < 0 or p_cooling < 0:
         raise ValueError("powers must be non-negative")
     ok = p_dissipated < p_cooling
     margin = p_cooling - p_dissipated
-    margin_ok = ok and p_cooling >= margin_ratio * p_dissipated
+    margin_ok = ok and p_cooling >= THERMAL_MARGIN_RATIO * p_dissipated
     return ok, margin, margin_ok
 
 

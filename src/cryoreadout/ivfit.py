@@ -37,9 +37,27 @@ OUTPUT_HEADER = ["i_b_A", "v_ce_V", "i_c_A"]
 
 # base-current label range over which flat-region curves enter the Early fit
 EARLY_FIT_IB_RANGE = (200e-9, 800e-9)
+# lower edge of the Early fit's v_ce window, V; the upper edge is the data max
+EARLY_FIT_V_CE_MIN = 0.5
+# a diode fit whose v_teff would exceed this (V) has no usable slope
+V_TEFF_MAX = 10.0
+# classification: NDR below this smoothed slope (-S); hysteresis above this
+# |I_fwd - I_bwd| / max|I|
+NDR_THRESHOLD = 1e-6
+HYSTERESIS_THRESHOLD = 0.02
+# synthetic datasets: output-family base-current labels (A) and v_ce grid (V),
+# input-curve v_be grid (V)
+SYNTH_I_B_LABELS = np.arange(200e-9, 1000e-9 + 1e-12, 50e-9)
+SYNTH_V_CE = np.arange(0.0, 2.0 + 1e-9, 5e-3)
+SYNTH_V_BE = np.linspace(0.05, 0.35, 61)
+for _grid in (SYNTH_I_B_LABELS, SYNTH_V_CE, SYNTH_V_BE):
+    _grid.flags.writeable = False
 
 
 class IVParseError(ValueError):
+    """An IV file that is not valid input: malformed, or of the wrong kind
+    for the fit asked of it."""
+
     def __init__(self, message, line=None):
         if line is not None:
             message = f"line {line}: {message}"
@@ -74,7 +92,6 @@ class IVSweep:
 class IVDataset:
     kind: str                    # "input_characteristics" | "output_characteristics"
     sweeps: tuple[IVSweep, ...]
-    direction: str = "forward"   # "forward" | "backward" | "both"
 
     def __post_init__(self):
         if self.kind not in ("input_characteristics", "output_characteristics"):
@@ -123,6 +140,15 @@ def _parse_float(text, line):
     if not math.isfinite(value):
         raise IVParseError(f"not a finite number: {text!r}", line=line)
     return value
+
+
+def _require_kind(ds: IVDataset, kind: str, what: str):
+    # a file of the wrong kind is an input error, not a failed fit
+    if ds.kind != kind:
+        header = INPUT_HEADER if kind == "input_characteristics" \
+            else OUTPUT_HEADER
+        raise IVParseError(f"{what} needs {kind.replace('_', ' ')} (header "
+                           f"{','.join(header)}), got {ds.kind}")
 
 
 def _finite(what, value):
@@ -207,7 +233,6 @@ def _load_output(reader, has_direction):
     for ib, vce, ic, d, ln in rows:
         groups.setdefault((ib, d), []).append((vce, ic, ln))
     sweeps = []
-    has_bwd = False
     for (ib, d) in sorted(groups, key=lambda k: (k[0], k[1])):
         pts = groups[(ib, d)]
         if len(pts) < 2:
@@ -222,12 +247,8 @@ def _load_output(reader, has_direction):
         if not (np.all(dv > 0) or np.all(dv < 0)):
             raise IVParseError(f"non-monotone v_ce in sweep i_b={ib:g}",
                                line=pts[0][2])
-        if d == "bwd":
-            has_bwd = True
         sweeps.append(IVSweep(label=ib, voltage=v, current=i, direction=d))
-    direction = "both" if has_bwd else "forward"
-    return IVDataset(kind="output_characteristics", sweeps=tuple(sweeps),
-                     direction=direction)
+    return IVDataset(kind="output_characteristics", sweeps=tuple(sweeps))
 
 
 def save_iv_dataset(ds: IVDataset, path) -> None:
@@ -240,7 +261,7 @@ def save_iv_dataset(ds: IVDataset, path) -> None:
             for v, i in zip(s.voltage, s.current):
                 w.writerow([f"{v:.17g}", f"{i:.17g}"])
         else:
-            has_dir = ds.direction == "both"
+            has_dir = bool(ds.backward_sweeps())
             w.writerow(OUTPUT_HEADER + (["direction"] if has_dir else []))
             for s in ds.sweeps:
                 for v, i in zip(s.voltage, s.current):
@@ -250,28 +271,23 @@ def save_iv_dataset(ds: IVDataset, path) -> None:
                     w.writerow(row)
 
 
-def fit_early_voltage(ds: IVDataset, window: tuple[float, float] | None = None,
-                      i_b_range: tuple[float, float] | None = EARLY_FIT_IB_RANGE
-                      ) -> EarlyFit:
+def fit_early_voltage(ds: IVDataset) -> EarlyFit:
     """Extract the Early voltage by backward extrapolation.
 
-    Each flat-region i_c(v_ce) curve is fitted with a least-squares line over
-    ``window`` (default [0.5 V, data max]); its v_ce-axis intercept is
+    The forward curves labelled inside ``EARLY_FIT_IB_RANGE`` are each
+    fitted with a least-squares line over the window
+    [``EARLY_FIT_V_CE_MIN``, data max]; a line's v_ce-axis intercept is
     -b/m.  The reported Early voltage is the slope-weighted mean of the
     intercept magnitudes.  Curves with non-positive slope are excluded with
     a warning entry; an all-excluded family is a fit error.
     """
-    if ds.kind != "output_characteristics":
-        raise FitError("Early fit needs output characteristics")
-    sweeps = ds.forward_sweeps()
-    if i_b_range is not None:
-        sweeps = [s for s in sweeps if i_b_range[0] <= s.label <= i_b_range[1]]
-        if not sweeps:
-            raise FitError("no curves inside the base-current range")
-    vmax = max(s.voltage.max() for s in sweeps)
-    if window is None:
-        window = (0.5, vmax)
-    lo, hi = window
+    _require_kind(ds, "output_characteristics", "Early fit")
+    ib_lo, ib_hi = EARLY_FIT_IB_RANGE
+    sweeps = [s for s in ds.forward_sweeps() if ib_lo <= s.label <= ib_hi]
+    if not sweeps:
+        raise FitError("no curves inside the base-current range")
+    lo = EARLY_FIT_V_CE_MIN
+    hi = max(s.voltage.max() for s in sweeps)
 
     intercepts, slopes, r2s, excluded = [], [], [], []
     for s in sweeps:
@@ -317,8 +333,7 @@ def fit_beta(ds: IVDataset, i_c: float, v_ce: float) -> float:
     Uses the two family curves whose interpolated collector currents at
     ``v_ce`` bracket the target ``i_c``.
     """
-    if ds.kind != "output_characteristics":
-        raise FitError("beta fit needs output characteristics")
+    _require_kind(ds, "output_characteristics", "beta fit")
     sweeps = ds.forward_sweeps()
     if len(sweeps) < 2:
         raise FitError("need at least two curves to bracket the target")
@@ -337,16 +352,14 @@ def intrinsic_gain(v_early: float, v_teff: float) -> float:
     return _finite("intrinsic gain", v_early / v_teff)
 
 
-def fit_diode_params(ds: IVDataset, beta_f: float,
-                     v_teff_max: float = 10.0) -> DiodeFit:
+def fit_diode_params(ds: IVDataset, beta_f: float) -> DiodeFit:
     """Log-linear fit of the input characteristics.
 
     Fits ln(i_b) = ln(i_sat/beta_f) + v_be/v_teff; non-positive currents are
     filtered out, and a near-zero slope (v_teff diverging past
-    ``v_teff_max``) is rejected.
+    ``V_TEFF_MAX``) is rejected.
     """
-    if ds.kind != "input_characteristics":
-        raise FitError("diode fit needs input characteristics")
+    _require_kind(ds, "input_characteristics", "diode fit")
     s = ds.sweeps[0]
     keep = s.current > 0
     v, i = s.voltage[keep], s.current[keep]
@@ -355,7 +368,7 @@ def fit_diode_params(ds: IVDataset, beta_f: float,
     if v.size < 3 and s.voltage.size >= 3:
         raise FitError("fewer than 3 positive-current points")
     slope, icpt = np.polyfit(v, np.log(i), 1)
-    if slope <= 1.0 / v_teff_max:
+    if slope <= 1.0 / V_TEFF_MAX:
         raise FitError("slope too small: v_teff diverges (constant-current data?)")
     v_teff = 1.0 / slope
     i_sat = _finite("saturation current", beta_f * math.exp(icpt))
@@ -374,30 +387,32 @@ def _smoothed_slope(v, i, width=5):
 
 
 def classify_transistor(ds_forward: IVDataset,
-                        ds_backward: IVDataset | None = None,
-                        ndr_threshold: float = 1e-6,
-                        hysteresis_threshold: float = 0.02
+                        ds_backward: IVDataset | None = None
                         ) -> DeviceClassification:
     """Flag negative differential resistance and forward/backward hysteresis.
 
-    NDR: smoothed local slope below -ndr_threshold (S).  Hysteresis:
-    |I_fwd - I_bwd| / max|I| above hysteresis_threshold over a contiguous
-    span.  The verdict is "usable" iff no evidence is found.
+    NDR: smoothed local slope below -NDR_THRESHOLD (S).  Hysteresis:
+    |I_fwd - I_bwd| / max|I| above HYSTERESIS_THRESHOLD.  The backward
+    branches are those of ``ds_backward`` if given, else the backward
+    sweeps of ``ds_forward``.  The verdict is "usable" iff no evidence is
+    found.
     """
+    _require_kind(ds_forward, "output_characteristics", "classification")
     evidence = []
 
     for s in ds_forward.forward_sweeps():
         slope = _smoothed_slope(s.voltage, s.current)
-        bad = slope < -ndr_threshold
+        bad = slope < -NDR_THRESHOLD
         if np.any(bad):
             v_bad = s.voltage[bad]
             evidence.append(("ndr", s.label, (float(v_bad.min()), float(v_bad.max())),
                              _finite("NDR slope", float(slope[bad].min()))))
 
-    bwd_sweeps = []
     if ds_backward is not None:
+        _require_kind(ds_backward, "output_characteristics",
+                      "backward classification")
         bwd_sweeps = ds_backward.forward_sweeps() + ds_backward.backward_sweeps()
-    elif ds_forward.direction == "both":
+    else:
         bwd_sweeps = ds_forward.backward_sweeps()
     if bwd_sweeps:
         fwd_by_label = {s.label: s for s in ds_forward.forward_sweeps()}
@@ -413,7 +428,7 @@ def classify_transistor(ds_forward: IVDataset,
             scale = max(np.abs(sf.current).max(), np.abs(ib).max())
             rel = np.abs(sf.current - i_b_on_f) / scale if scale > 0 else \
                 np.zeros_like(sf.current)
-            bad = rel > hysteresis_threshold
+            bad = rel > HYSTERESIS_THRESHOLD
             if np.any(bad):
                 v_bad = sf.voltage[bad]
                 evidence.append(("hysteresis", sb.label,
@@ -432,41 +447,40 @@ def classify_transistor(ds_forward: IVDataset,
     return DeviceClassification(verdict=verdict, evidence=tuple(evidence))
 
 
-def synth_output_family(beta_f: float, v_early: float, i_b_labels=None,
-                        v_ce=None, noise: float = 0.0,
+def synth_output_family(beta_f: float, v_early: float, noise: float = 0.0,
                         rng=None) -> IVDataset:
-    """Synthesize a measured-style output family i_c = beta*i_b*(1 + v_ce/V_A).
+    """Synthesize a measured-style output family i_c = beta*i_b*(1 + v_ce/V_A)
+    over ``SYNTH_V_CE``, one curve per label of ``SYNTH_I_B_LABELS``.
 
     A fixed-base-current sweep tracks the junction's own i_b(v_be) law,
     which carries no Early factor, so the measured family shows the linear
     Early tilt even though the bias-point model keeps i_c/i_b constant.
     ``noise`` is a multiplicative Gaussian sigma.
     """
-    if i_b_labels is None:
-        i_b_labels = np.arange(200e-9, 1000e-9 + 1e-12, 50e-9)
-    if v_ce is None:
-        v_ce = np.arange(0.0, 2.0 + 1e-9, 5e-3)
     if noise > 0 and rng is None:
         rng = np.random.default_rng(0)
     sweeps = []
-    for ib in i_b_labels:
-        ic = beta_f * ib * (1.0 + v_ce / v_early)
+    for ib in SYNTH_I_B_LABELS:
+        ic = beta_f * ib * (1.0 + SYNTH_V_CE / v_early)
         if noise > 0:
             ic = ic * (1.0 + noise * rng.standard_normal(ic.size))
-        sweeps.append(IVSweep(label=float(ib), voltage=v_ce.copy(), current=ic))
+        if not np.all(np.isfinite(ic)):
+            raise FloatingPointError(f"synthetic i_c overflows at i_b={ib:g}")
+        sweeps.append(IVSweep(label=float(ib), voltage=SYNTH_V_CE.copy(),
+                              current=ic))
     return IVDataset(kind="output_characteristics", sweeps=tuple(sweeps))
 
 
 def synth_input_curve(i_sat: float, v_teff: float, beta_f: float,
-                      v_be=None, noise: float = 0.0, rng=None) -> IVDataset:
-    """Synthesize input characteristics i_b = (i_sat/beta_f)*exp(v_be/v_teff)."""
-    if v_be is None:
-        v_be = np.linspace(0.05, 0.35, 61)
-    v_be = np.asarray(v_be, dtype=float)
-    ib = (i_sat / beta_f) * np.exp(v_be / v_teff)
+                      noise: float = 0.0, rng=None) -> IVDataset:
+    """Synthesize input characteristics i_b = (i_sat/beta_f)*exp(v_be/v_teff)
+    over ``SYNTH_V_BE``."""
+    ib = (i_sat / beta_f) * np.exp(SYNTH_V_BE / v_teff)
     if noise > 0:
         if rng is None:
             rng = np.random.default_rng(0)
         ib = ib * (1.0 + noise * rng.standard_normal(ib.size))
-    sweep = IVSweep(label=None, voltage=v_be, current=ib)
+    if not np.all(np.isfinite(ib)):
+        raise FloatingPointError("synthetic i_b overflows")
+    sweep = IVSweep(label=None, voltage=SYNTH_V_BE.copy(), current=ib)
     return IVDataset(kind="input_characteristics", sweeps=(sweep,))

@@ -40,6 +40,8 @@ __all__ = [
 SAMPLES_PER_PERIOD = 16
 MIN_PERIODS = 200
 MIN_TIME_CONSTANTS = 20.0
+# low-pass cascade orders lock-in amplifiers offer: 6 to 48 dB/octave
+MAX_FILTER_ORDER = 8
 
 
 @dataclass(frozen=True)
@@ -54,8 +56,10 @@ class SynthesisConfig:
     def __post_init__(self):
         if not self.time_constant > 0:
             raise ValueError("time_constant must be positive")
-        if self.filter_order < 1:
-            raise ValueError("filter_order must be >= 1")
+        if not 1 <= self.filter_order <= MAX_FILTER_ORDER:
+            raise ValueError(
+                f"filter_order must lie in 1-{MAX_FILTER_ORDER}, "
+                f"got {self.filter_order}")
         if not self.input_noise_density >= 0:
             raise ValueError("input_noise_density must be non-negative")
 
@@ -100,8 +104,8 @@ def synthesize(v_source, chain: ChainResponse | None, cfg: SynthesisConfig,
     return out
 
 
-def demodulate(x, f_ref: float, time_constant: float, filter_order: int = 4,
-               sample_rate: float | None = None) -> LockInResult:
+def demodulate(x, f_ref: float, time_constant: float, filter_order: int,
+               sample_rate: float) -> LockInResult:
     """Lock-in demodulation of a sampled record.
 
     Quadrature mixing with unit-RMS references followed by ``filter_order``
@@ -111,8 +115,6 @@ def demodulate(x, f_ref: float, time_constant: float, filter_order: int = 4,
     this sample-by-sample path is their oracle in the tests.
     """
     x = np.asarray(x, dtype=float)
-    if sample_rate is None:
-        raise ValueError("sample_rate is required")
     if sample_rate < 10.0 * f_ref:
         raise ValueError(f"f_ref={f_ref:g} unresolvable at fs={sample_rate:g}")
     if x.size / sample_rate < MIN_TIME_CONSTANTS * time_constant:
@@ -205,8 +207,7 @@ def _noise_std(cfg: SynthesisConfig, fs, gain):
         fs / 2.0 * _cascade_energy(a, cfg.filter_order))
 
 
-def _run_point(index, f_m, duty, excitation_rate, scale, ens, geom, chain,
-               cfg):
+def _run_point(index, f_m, duty, scale, ens, geom, chain, cfg):
     """Lock-in output of one sweep point in closed form.
 
     The record ``synthesize`` + ``demodulate`` would process is one period
@@ -216,11 +217,11 @@ def _run_point(index, f_m, duty, excitation_rate, scale, ens, geom, chain,
     from N(0, s^2), s from ``_noise_std``, from the RNG stream keyed by
     (seed, index), X first.
     """
-    drive = DriveWaveform(f_m=f_m, duty=duty, excitation_rate=excitation_rate)
+    drive = DriveWaveform(f_m=f_m, duty=duty)
     spp, n_per = _resolve_sampling(cfg, f_m)
     fs = spp * f_m
     rho = rydberg_population(drive, ens, excitation_scale=scale,
-                             n_periods=1, samples_per_period=spp)
+                             samples_per_period=spp)
     _, v_ac = image_charge_waveform(rho, geom, ens.n_s)
     spectrum = np.fft.rfft(v_ac)
     gain = 1.0
@@ -254,22 +255,22 @@ def sweep_vbc(v_bc_grid, drive: DriveWaveform, ens: EnsembleParams,
     out = []
     for k, v_bc in enumerate(v_bc_grid):
         scale = stark_excitation_fraction(v_bc, ens)
-        res = _run_point(k, drive.f_m, drive.duty, drive.excitation_rate,
-                         scale, ens, geom, chain, cfg)
+        res = _run_point(k, drive.f_m, drive.duty, scale, ens, geom, chain,
+                         cfg)
         out.append((v_bc, res))
     return out
 
 
 def sweep_fm(f_m_grid, ens: EnsembleParams, geom: CellGeometry,
              chain: ChainResponse | None, cfg: SynthesisConfig,
-             duty: float, excitation_rate: float | None = None):
-    """Modulation-frequency sweep on resonance."""
+             duty: float):
+    """Modulation-frequency sweep on resonance, at the ensemble's
+    CW-calibrated drive rate."""
     f_m_grid = list(f_m_grid)
     if any(b < a for a, b in zip(f_m_grid, f_m_grid[1:])):
         raise ValueError("f_m grid must be sorted ascending")
     out = []
     for k, f_m in enumerate(f_m_grid):
-        res = _run_point(k, f_m, duty, excitation_rate, 1.0, ens, geom, chain,
-                         cfg)
+        res = _run_point(k, f_m, duty, 1.0, ens, geom, chain, cfg)
         out.append((f_m, res))
     return out

@@ -61,8 +61,10 @@ class EnsembleParams:
     f_mw: float           # microwave frequency, Hz (bookkeeping)
 
     def __post_init__(self):
-        if not 0.0 <= self.rho22_target <= 0.5:
-            raise ValueError("rho22_target must lie in [0, 0.5]")
+        # the drive rate is cw_rate_for_occupancy(rho22_target, tau_relax),
+        # which diverges at 0.5
+        if not 0.0 <= self.rho22_target < 0.5:
+            raise ValueError("rho22_target must lie in [0, 0.5)")
         if not self.tau_relax > 0:
             raise ValueError("tau_relax must be positive")
         if not self.linewidth_v > 0:
@@ -73,9 +75,8 @@ class EnsembleParams:
 class DriveWaveform:
     """Pulse-modulated microwave drive."""
 
-    f_m: float                    # modulation frequency, Hz
-    duty: float                   # MW-on fraction of the period
-    excitation_rate: float | None = None   # MW-on pumping rate, 1/s
+    f_m: float        # modulation frequency, Hz
+    duty: float       # MW-on fraction of the period
 
     def __post_init__(self):
         if not self.f_m > 0:
@@ -99,23 +100,20 @@ def stark_excitation_fraction(v_bc: float, ens: EnsembleParams) -> float:
 
 def rydberg_population(drive: DriveWaveform, ens: EnsembleParams,
                        excitation_scale: float = 1.0,
-                       n_periods: int = 1,
                        samples_per_period: int = 64):
-    """Periodic steady-state excited-state occupancy.
+    """Periodic steady-state excited-state occupancy over one period.
 
-    Returns ``rho22`` over ``n_periods`` modulation periods, sample k at
-    t = k / (samples_per_period * f_m) with the MW-on edge at t = 0.  The
-    drive rate is the ensemble's CW-calibrated rate (or
-    ``drive.excitation_rate`` if set) scaled by ``excitation_scale``.
+    Returns ``rho22`` for one modulation period, sample k at
+    t = k / (samples_per_period * f_m) with the MW-on edge at t = 0; the
+    waveform is exactly periodic, so a longer record is this one tiled.
+    The drive rate is the ensemble's CW-calibrated rate,
+    ``cw_rate_for_occupancy(ens.rho22_target, ens.tau_relax)``, scaled by
+    ``excitation_scale``.
     """
     if samples_per_period < 16:
         raise ValueError("need at least 16 samples per period")
-    if n_periods < 1:
-        raise ValueError("need at least one period")
     tau = ens.tau_relax
-    r0 = drive.excitation_rate if drive.excitation_rate is not None \
-        else cw_rate_for_occupancy(ens.rho22_target, tau)
-    r = r0 * excitation_scale
+    r = cw_rate_for_occupancy(ens.rho22_target, tau) * excitation_scale
     if r < 0:
         raise ValueError("excitation rate must be non-negative")
 
@@ -125,23 +123,20 @@ def rydberg_population(drive: DriveWaveform, ens: EnsembleParams,
     t = np.arange(samples_per_period) * (period / samples_per_period)
 
     if r == 0.0:
-        rho_one = np.zeros(samples_per_period)
-    else:
-        tau_on = 1.0 / (2.0 * r + 1.0 / tau)
-        rho_inf = r * tau_on
-        a = math.exp(-t_on / tau_on)
-        b = math.exp(-t_off / tau)
-        # periodic fixed point at the start of the on segment
-        rho0 = rho_inf * (1.0 - a) * b / (1.0 - a * b)
-        rho_end_on = rho_inf + (rho0 - rho_inf) * a
-        on = t < t_on
-        rho_one = np.where(
-            on,
-            rho_inf + (rho0 - rho_inf) * np.exp(-t / tau_on),
-            rho_end_on * np.exp(-(t - t_on) / tau),
-        )
-
-    return np.tile(rho_one, n_periods)
+        return np.zeros(samples_per_period)
+    tau_on = 1.0 / (2.0 * r + 1.0 / tau)
+    rho_inf = r * tau_on
+    a = math.exp(-t_on / tau_on)
+    b = math.exp(-t_off / tau)
+    # periodic fixed point at the start of the on segment
+    rho0 = rho_inf * (1.0 - a) * b / (1.0 - a * b)
+    rho_end_on = rho_inf + (rho0 - rho_inf) * a
+    on = t < t_on
+    return np.where(
+        on,
+        rho_inf + (rho0 - rho_inf) * np.exp(-t / tau_on),
+        rho_end_on * np.exp(-(t - t_on) / tau),
+    )
 
 
 def image_charge_waveform(rho22, geom: CellGeometry, n_s: float):

@@ -93,17 +93,16 @@ def dft_fundamental_rms(x, samples_per_period):
     return abs(c) / np.sqrt(2.0)
 
 
-def time_domain_point(index, f_m, duty, excitation_rate, scale, ens, geom,
-                      chain, cfg):
+def time_domain_point(index, f_m, duty, scale, ens, geom, chain, cfg):
     """One sweep point by the full-record path the closed form replaced:
-    the source tiled over the whole record, ``synthesize`` (FFT filtering
-    plus white noise from the (seed, index) stream) and ``demodulate``
-    (mixing plus the IIR cascade, sample by sample)."""
-    drive = DriveWaveform(f_m=f_m, duty=duty, excitation_rate=excitation_rate)
+    the source period tiled over the whole record, ``synthesize`` (FFT
+    filtering plus white noise from the (seed, index) stream) and
+    ``demodulate`` (mixing plus the IIR cascade, sample by sample)."""
+    drive = DriveWaveform(f_m=f_m, duty=duty)
     spp, n_per = _resolve_sampling(cfg, f_m)
     fs = spp * f_m
-    rho = rydberg_population(drive, ens, excitation_scale=scale,
-                             n_periods=n_per, samples_per_period=spp)
+    rho = np.tile(rydberg_population(drive, ens, excitation_scale=scale,
+                                     samples_per_period=spp), n_per)
     _, v_ac = image_charge_waveform(rho, geom, ens.n_s)
     rng = np.random.default_rng((cfg.noise_seed, index))
     v_out = synthesize(v_ac, chain, cfg, sample_rate=fs, rng=rng)

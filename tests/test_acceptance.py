@@ -159,12 +159,12 @@ def test_c09_lockin_vs_dft_oracle():
 
     sine = 0.7 * np.sin(2 * math.pi * f_ref * t + 0.4)
     square = (np.sin(2 * math.pi * f_ref * t) >= 0).astype(float)
-    n_per = n // spp
-    rho = rydberg_population(DriveWaveform(f_m=f_ref, duty=0.5),
-                             reference().ensemble(), n_periods=n_per,
-                             samples_per_period=spp)
+    rho = np.tile(rydberg_population(DriveWaveform(f_m=f_ref, duty=0.5),
+                                     reference().ensemble(),
+                                     samples_per_period=spp), n // spp)
+    order = reference().synthesis().filter_order
     for name, x in (("sine", sine), ("square", square), ("population", rho)):
-        r = demodulate(x, f_ref, tau, sample_rate=fs).amplitude_r
+        r = demodulate(x, f_ref, tau, order, fs).amplitude_r
         ref = dft_fundamental_rms(x, spp)
         errs[name] = abs(r - ref) / ref
     ok = all(e <= 1e-3 for e in errs.values())

@@ -1,15 +1,17 @@
 import csv
 import math
 import re
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
-from cryoreadout import chain as chain_mod, device, ivfit, source
-from cryoreadout.cli import main
+from cryoreadout import chain as chain_mod, device, ivfit, lockin, source
+from cryoreadout.cli import MAX_GRID_POINTS, main
 from cryoreadout.config import _SCHEMA, ConfigError, load_config
 
 from conftest import iv_csv_text, reference
@@ -311,6 +313,27 @@ def test_cli_fit_iv_exit_contract(tmp_path, text, option):
             assert not re.search(r"nan|inf", value, re.IGNORECASE), value
 
 
+@pytest.mark.parametrize("option, kind, header", [
+    ("--input", "output", "v_be_V,i_b_A"),
+    ("--output-chars", "input", "i_b_A,v_ce_V,i_c_A"),
+    ("--backward", "input", "i_b_A,v_ce_V,i_c_A"),
+])
+def test_cli_fit_iv_wrong_kind(tmp_path, capsys, option, kind, header):
+    # an IV file of the wrong kind is an input error: exit 2, a message
+    # naming the expected header, no report
+    wrong, family = tmp_path / "wrong.csv", tmp_path / "family.csv"
+    assert main(["gen-iv", "--kind", kind, "--path", str(wrong)]) == 0
+    assert main(["gen-iv", "--kind", "output", "--path", str(family)]) == 0
+    args = [option, str(wrong)]
+    if option == "--backward":
+        args += ["--output-chars", str(family)]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["--out", str(out), "fit-iv", *args]) == 2
+    assert header in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_fit_iv_empty_file(tmp_path):
     p = tmp_path / "empty.csv"
     p.write_text("")
@@ -345,6 +368,35 @@ def test_cli_bad_grid_spec(tmp_path):
                  "--grid", "nan:12:5"]) == 2
     assert main(["--out", str(tmp_path), "sweep", "--axis", "vbc",
                  "--grid", "11:inf:5"]) == 2
+
+
+@pytest.mark.parametrize("args, setting", [
+    (["s21", "--points", "1000000000"], ""),
+    (["s21", "--points", str(MAX_GRID_POINTS + 1)], ""),
+    (["sweep", "--axis", "vbc", "--grid", "10:12:1000000000:lin"], ""),
+    (["sweep", "--axis", "fm"], "[sweep]\ngrid = 1e5:1e7:1000000000:log\n"),
+    (["sweep", "--axis", "vbc", "--grid", "11.5:11.7:3:lin"],
+     "[synthesis]\nfilter_order = 9\n"),
+    (["sweep", "--axis", "fm", "--grid", "1e5:1e6:3:log"],
+     "[synthesis]\nfilter_order = 2000\n"),
+    (["sweep", "--axis", "vbc", "--grid", "11.5:11.7:3:lin"],
+     "[synthesis]\nfilter_order = 100000\n"),
+], ids=["s21-1e9", "s21-limit", "vbc-1e9", "fm-manifest-1e9", "order-9",
+        "order-2000", "order-100000"])
+def test_cli_size_limits(tmp_path, monkeypatch, args, setting):
+    # grids above MAX_GRID_POINTS and filter orders above 8 are input
+    # errors (exit 2) found before the chain is built; they used to exhaust
+    # memory (7.45 GiB for 1e9 points, 74.5 GiB at order 100000) or run on
+    # (order 2000: about 10 s, then exit 3)
+    def no_chain(*_, **__):
+        raise AssertionError("chain built")
+
+    monkeypatch.setattr(type(load_config()), "amplifier_chain", no_chain)
+    p = tmp_path / "run.ini"
+    p.write_text(setting)
+    out = tmp_path / "out"
+    assert main(["--config", str(p), "--out", str(out), *args]) == 2
+    assert not out.exists()
 
 
 def test_cli_bad_config_exit_code(tmp_path):
@@ -390,6 +442,26 @@ def test_cli_sweep_overflow_exit_code(tmp_path):
         assert main(["--config", str(p), "--out", str(out), "sweep",
                      "--axis", "vbc", "--grid", "11.5:11.7:3:lin"]) == 3
     assert not (out / "sweep_vbc.csv").exists()
+
+
+@pytest.mark.parametrize("args, setting", [
+    # a -1e200 dB second stage: zero gain, -inf dB
+    (["s21"], "[chain]\nsecond_stage_gain_dB = -1e200\n"),
+    # v_teff = 1 uV: exp(v_be / v_teff) overflows
+    (["gen-iv", "--kind", "input"],
+     "[device]\ni_sat_A = 1e-12\nv_teff_mV = 1e-3\n"),
+], ids=["s21", "gen-iv"])
+def test_cli_overflow_writes_nothing(tmp_path, args, setting):
+    # finite settings whose results are not finite: exit 3, no file (both
+    # used to exit 0 with -inf or inf in their CSV)
+    p = tmp_path / "huge.ini"
+    p.write_text(setting)
+    out, path = tmp_path / "out", tmp_path / "iv.csv"
+    with np.errstate(all="ignore"):
+        assert main(["--config", str(p), "--out", str(out), *args,
+                     *(["--path", str(path)] if "gen-iv" in args else [])
+                     ]) == 3
+    assert not out.exists() and not path.exists()
 
 
 def test_cli_unity_gain_load_not_converging(tmp_path, monkeypatch):
@@ -479,3 +551,149 @@ def test_cli_entry_point_installed():
                               env=run_env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == project["version"]
+
+
+# -- exit-code contract on random argv and configs --------------------------
+
+# junk, non-finite, negative, zero and huge values for any option
+_BAD = st.sampled_from(["", "x", "nan", "inf", "-inf", "-1", "0", "1e400",
+                        "0x10", "1,2"]) \
+    | st.floats().map(repr) | st.integers(-10 ** 15, 10 ** 15).map(str)
+# accepted grids stay small; the rest are too large for memory (7.45 GiB
+# at 1e9 points) or not counts
+_POINTS = st.integers(1, 20).map(str)
+_BAD_POINTS = st.integers(10 ** 9, 10 ** 15).map(str) \
+    | st.sampled_from(["1000000000", "-1", "0"]) | _BAD.filter(bool)
+_ENDS = st.lists(st.floats(1e-3, 1e8), min_size=2, max_size=2).map(sorted)
+_SCHEMA_KEYS = [(section, key) for section, keys in _SCHEMA.items()
+                for key in keys if (section, key) != ("run", "output_dir")]
+
+
+@st.composite
+def _cli_run(draw):
+    """(argv after --config and --out, INI text).  Half the runs draw only
+    valid values; in the other half each value is bad one time in two."""
+    dirty = draw(st.booleans())
+
+    def value(valid, bad=_BAD):
+        return draw(valid | bad if dirty else valid)
+
+    def grid():
+        ends = draw(_ENDS)
+        spacing = value(st.sampled_from(["", ":lin", ":log"]),
+                        st.just(":cubic"))
+        return (f"{value(st.just(repr(ends[0])))}:"
+                f"{value(st.just(repr(ends[1])))}:"
+                f"{value(_POINTS, _BAD_POINTS)}{spacing}")
+
+    settings_ = {}
+    keys = _SCHEMA_KEYS + ([("network", "bogus"), ("mystery", "x")]
+                           if dirty else [])
+    for section, key in draw(st.lists(st.sampled_from(keys), max_size=4,
+                                      unique=True)):
+        (kind, allowed), default = _SCHEMA.get(section, {}).get(
+            key, (("num", None), "1"))
+        if kind == "str":
+            valid = st.sampled_from(allowed or [default])
+        elif key == "filter_order":
+            valid = st.integers(1, lockin.MAX_FILTER_ORDER).map(str)
+        elif kind == "int":
+            valid = st.integers(0, 2 ** 32).map(str)
+        else:
+            # the reference value, or that value halved to doubled
+            ref = 1e-7 if default == "auto" else float(default)
+            valid = st.just(default) | st.floats(0.5, 2.0).map(
+                lambda f, ref=ref: repr(ref * f))
+        # filter orders over the limit used to exhaust memory
+        bad = st.sampled_from(["9", "100000", "1000000000"]) | _BAD \
+            if key == "filter_order" else _BAD
+        settings_[(section, key)] = value(valid, bad)
+
+    argv = []
+
+    def maybe(flag, valid, bad=_BAD):
+        # FLAG=VALUE, so that argparse takes "-1" as a value, not a flag
+        if draw(st.booleans()):
+            argv.append(f"{flag}={value(valid, bad)}")
+
+    maybe("--seed", st.integers(0, 2 ** 32).map(str))
+    command = draw(st.sampled_from(["opp", "s21", "sweep", "gen-iv",
+                                    "fit-iv"]))
+    argv.append(command)
+    if command == "s21":
+        argv.append(f"--points={value(_POINTS, _BAD_POINTS)}")
+        maybe("--f-min", st.floats(1e3, 1e6).map(repr))
+        maybe("--f-max", st.floats(1e6, 1e9).map(repr))
+        maybe("--stage", st.sampled_from(["first", "both"]), st.just("x"))
+    elif command == "sweep":
+        axis = value(st.sampled_from(["vbc", "fm"]), st.just("x"))
+        # the grid comes from the flag or, as in a manifest, from [sweep]
+        if draw(st.booleans()):
+            argv += [f"--axis={axis}", f"--grid={grid()}"]
+        else:
+            settings_[("sweep", "axis")] = axis
+            settings_[("sweep", "grid")] = grid()
+    elif command == "gen-iv":
+        argv.append(f"--kind={value(st.sampled_from(['input', 'output']))}")
+        maybe("--noise", st.floats(0.0, 0.1).map(repr))
+    else:
+        files = st.sampled_from(["IVDIR/family.csv", "IVDIR/diode.csv"])
+        bad_files = files | st.just("IVDIR/missing.csv")
+        maybe("--input", files, bad_files)
+        maybe("--output-chars", files, bad_files)
+        maybe("--backward", files, bad_files)
+        maybe("--beta-at", st.just("1e-4,0.9"))
+    sections = {}
+    for (section, key), text in settings_.items():
+        sections.setdefault(section, []).append(f"{key} = {text}")
+    ini = "".join(f"[{section}]\n" + "\n".join(lines) + "\n"
+                  for section, lines in sections.items())
+    return argv, ini
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(run=_cli_run())
+# exited 0 with -inf in its CSV
+@example(run=(["s21", "--points=3"],
+              "[chain]\nsecond_stage_gain_dB = -1e200\n"))
+# asked for 7.45 GiB
+@example(run=(["s21", "--points=1000000000"], ""))
+def test_cli_exit_contract(tmp_path, capsys, run):
+    # any argv and config: main returns 0-3 or argparse exits 2, with no
+    # other exception; exit 0 writes only finite numbers
+    argv, ini = run
+    family, diode = tmp_path / "family.csv", tmp_path / "diode.csv"
+    if not family.exists():
+        ivfit.save_iv_dataset(ivfit.synth_output_family(160.0, 124.0),
+                              family)
+        ivfit.save_iv_dataset(ivfit.synth_input_curve(6.35e-8, 25e-3, 160.0),
+                              diode)
+    with tempfile.TemporaryDirectory(dir=tmp_path) as work:
+        work = Path(work)
+        config = work / "run.ini"
+        config.write_text(ini)
+        out = work / "out"
+        argv = [a.replace("IVDIR", str(tmp_path)) for a in argv]
+        if "gen-iv" in argv:
+            argv += ["--path", str(out / "iv.csv")]
+            out.mkdir()
+        capsys.readouterr()
+        try:
+            with np.errstate(all="ignore"):
+                code = main(["--config", str(config), "--out", str(out),
+                             *argv])
+        except SystemExit as exc:
+            code = exc.code
+            assert code == 2
+        assert code in (0, 1, 2, 3)
+        if code == 0:
+            texts = [f.read_text() for f in out.rglob("*") if f.is_file()]
+            if "opp" in argv:
+                texts.append(capsys.readouterr().out)
+            for token in re.split(r"[\s,=]+", "\n".join(texts)):
+                try:
+                    value = float(token)
+                except ValueError:
+                    continue
+                assert math.isfinite(value), token

@@ -153,11 +153,26 @@ def test_isat_doubling_shifts_vbe_by_vteff_ln2():
 
 
 def test_solver_failure_carries_residual():
-    net = reference().network()
-    params = reference().transistor()
+    # saturated: with a 1 Mohm collector resistor the collector node cannot
+    # balance with v_ce >= 0
+    net = replace(reference().network(), r_collector=1e6)
     with pytest.raises(ConvergenceError) as info:
-        solve_operating_point(net, params, tol=1e-30)
+        solve_operating_point(net, reference().transistor())
     assert info.value.residual is not None
+
+
+def test_solver_node_scale():
+    # i_c = 9 nA through a 1.2 ohm collector resistor: the collector node's
+    # currents are of order v_supply/r_collector = 1 A, so rounding alone
+    # leaves a residual of 3e-17 A there, above 1e-9 |i_c|
+    net = replace(reference().network(), v_supply=1.2, r_upper=5e5,
+                  r_lower=290.0, r_collector=1.2, r_emitter=1000.0)
+    params = TransistorParams(i_sat=5.6e-9, v_teff=0.5, v_early=1.9,
+                              beta_f=6.3)
+    op = solve_operating_point(net, params)
+    g_vbe, g_vce = grid_search_operating_point(net, params, step=1e-5)
+    assert abs(g_vbe - op.v_be) <= 1.5e-5
+    assert abs(g_vce - op.v_ce) <= 1.5e-5
 
 
 def _log_uniform(lo, hi):
@@ -186,22 +201,17 @@ def test_solver_converges_or_reports_residual(v_supply, r_upper, r_lower,
                   r_emitter=r_emitter)
     params = TransistorParams(i_sat=i_sat, v_teff=v_teff, v_early=v_early,
                               beta_f=beta_f)
-    tol = 1e-9
     try:
-        op = solve_operating_point(net, params, tol=tol)
+        op = solve_operating_point(net, params)
     except ConvergenceError as exc:
         assert exc.residual is not None
         return
     assert op.v_ce >= 0
     f1, f2, i_b, i_c = device._residuals(net, params, op.v_be, op.v_ce)
     assert (i_b, i_c) == (op.i_b, op.i_c)
-    assert abs(f1) < tol * abs(i_c) and abs(f2) < tol * abs(i_c)
-
-
-def test_solver_invalid_tol():
-    with pytest.raises(ValueError):
-        solve_operating_point(reference().network(), reference().transistor(),
-                              tol=0.0)
+    # each node to DC_TOL of the larger of |i_c| and its own current scale
+    assert abs(f1) < device.DC_TOL * max(abs(i_c), v_supply / r_upper)
+    assert abs(f2) < device.DC_TOL * max(abs(i_c), v_supply / r_collector)
 
 
 def test_small_signal_values():

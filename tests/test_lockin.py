@@ -18,6 +18,7 @@ from conftest import (dft_fundamental_rms, lockin_noise_covariance,
 FS = 4e6
 F_REF = 1e5
 TAU = 2e-4
+ORDER = reference().synthesis().filter_order
 
 
 @functools.cache
@@ -37,21 +38,21 @@ def _record(duration=25 * TAU):
 def test_demod_sine():
     t = _record()
     res = demodulate(np.sin(2 * math.pi * F_REF * t + 0.3), F_REF, TAU,
-                     sample_rate=FS)
+                     ORDER, FS)
     assert res.amplitude_r == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-4)
     assert res.phase == pytest.approx(0.3, abs=1e-4)
 
 
 def test_demod_dc_rejected():
     t = _record()
-    res = demodulate(np.full(t.size, 0.7), F_REF, TAU, sample_rate=FS)
+    res = demodulate(np.full(t.size, 0.7), F_REF, TAU, ORDER, FS)
     assert res.amplitude_r < 1e-6
 
 
 def test_demod_unit_square_wave():
     t = _record()
     x = (np.sin(2 * math.pi * F_REF * t) >= 0).astype(float)   # 0/1 square
-    res = demodulate(x, F_REF, TAU, sample_rate=FS)
+    res = demodulate(x, F_REF, TAU, ORDER, FS)
     # continuous-time fundamental; sampling at 40/period shifts it ~0.2%
     assert res.amplitude_r == pytest.approx((2.0 / math.pi) / math.sqrt(2.0),
                                             rel=5e-3)
@@ -64,28 +65,28 @@ def test_demod_unit_square_wave():
 def test_demod_input_validation():
     t = _record()
     x = np.sin(2 * math.pi * F_REF * t)
-    with pytest.raises(ValueError):
-        demodulate(x, F_REF, TAU, sample_rate=None)
+    with pytest.raises(TypeError):
+        demodulate(x, F_REF, TAU)     # filter order and sample rate required
     with pytest.raises(ValueError, match="unresolvable"):
-        demodulate(x, FS / 2.0, TAU, sample_rate=FS)
+        demodulate(x, FS / 2.0, TAU, ORDER, FS)
     with pytest.raises(ValueError, match="20 time constants"):
-        demodulate(x[: int(5 * TAU * FS)], F_REF, TAU, sample_rate=FS)
+        demodulate(x[: int(5 * TAU * FS)], F_REF, TAU, ORDER, FS)
 
 
 def test_demod_linearity():
     t = _record()
     x = np.sin(2 * math.pi * F_REF * t)
-    r1 = demodulate(x, F_REF, TAU, sample_rate=FS).amplitude_r
-    r2 = demodulate(3.0 * x, F_REF, TAU, sample_rate=FS).amplitude_r
+    r1 = demodulate(x, F_REF, TAU, ORDER, FS).amplitude_r
+    r2 = demodulate(3.0 * x, F_REF, TAU, ORDER, FS).amplitude_r
     assert r2 == pytest.approx(3.0 * r1, rel=1e-12)
 
 
 def test_demod_phase_invariance():
     t = _record()
     a = demodulate(np.sin(2 * math.pi * F_REF * t + 0.2), F_REF, TAU,
-                   sample_rate=FS)
+                   ORDER, FS)
     b = demodulate(np.sin(2 * math.pi * F_REF * t + 0.9), F_REF, TAU,
-                   sample_rate=FS)
+                   ORDER, FS)
     assert b.amplitude_r == pytest.approx(a.amplitude_r, rel=1e-6)
     assert b.phase - a.phase == pytest.approx(0.7, abs=1e-6)
 
@@ -96,7 +97,7 @@ def test_demod_matches_dft_oracle():
     t = _record()
     x = (0.4 + np.sin(2 * math.pi * F_REF * t + 0.5)
          + 0.3 * np.sin(2 * math.pi * 3 * F_REF * t))
-    r = demodulate(x, F_REF, TAU, sample_rate=FS).amplitude_r
+    r = demodulate(x, F_REF, TAU, ORDER, FS).amplitude_r
     n_keep = (t.size // spp) * spp
     assert r == pytest.approx(dft_fundamental_rms(x[:n_keep], spp), rel=1e-3)
 
@@ -119,7 +120,7 @@ def test_synthesize_gain_through_configured_chain():
     x = amp * np.sin(2 * math.pi * 1e6 * t)
     cfg = _synthesis(input_noise_density=0.0)
     out = synthesize(x, resp, cfg, fs)
-    r = demodulate(out, 1e6, TAU, sample_rate=fs).amplitude_r
+    r = demodulate(out, 1e6, TAU, ORDER, fs).amplitude_r
     h = abs(resp.evaluate(1e6))
     assert h == pytest.approx(100.0, rel=0.01)
     assert r == pytest.approx(h * amp / math.sqrt(2.0), rel=0.01)
@@ -146,6 +147,14 @@ def test_synthesize_seeded_reproducibility():
     np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("order", [0, lockin.MAX_FILTER_ORDER + 1, 2000,
+                                   100000])
+def test_synthesis_filter_order_range(order):
+    # orders 1-8 (6-48 dB/octave); a larger one cost 74.5 GiB at 100000
+    with pytest.raises(ValueError, match="filter_order"):
+        _synthesis(filter_order=order)
+
+
 def _sweep_fixtures(noise=0.0):
     ens = reference().ensemble()
     geom = reference().geometry()
@@ -155,8 +164,9 @@ def _sweep_fixtures(noise=0.0):
 
 def test_sweep_vbc_zero_rate_flat_zero():
     ens, geom, cfg = _sweep_fixtures()
-    drive = DriveWaveform(f_m=250e3, duty=0.5, excitation_rate=0.0)
-    out = sweep_vbc([11.5, 11.6, 11.7], drive, ens, geom, None, cfg)
+    drive = DriveWaveform(f_m=250e3, duty=0.5)
+    out = sweep_vbc([11.5, 11.6, 11.7], drive,
+                    replace(ens, rho22_target=0.0), geom, None, cfg)
     assert all(r.amplitude_r < 1e-15 for _, r in out)
 
 
@@ -170,12 +180,14 @@ def test_sweep_grid_must_be_sorted():
 
 
 def test_sweep_fm_no_mechanism_is_flat():
-    # all-pass chain and no relaxation: population pins at saturation,
-    # leaving no f_m dependence
-    ens = replace(reference().ensemble(), tau_relax=math.inf)
+    # all-pass chain and relaxation far slower than the drive (tau = 1e6 s
+    # against r = 2e5/s): population pins at saturation, leaving no f_m
+    # dependence
+    tau, r = 1e6, 2e5
+    ens = replace(reference().ensemble(), tau_relax=tau,
+                  rho22_target=r * tau / (1.0 + 2.0 * r * tau))
     _, geom, cfg = _sweep_fixtures()
-    out = sweep_fm([2e5, 5e5, 2e6], ens, geom, None, cfg, 0.5,
-                   excitation_rate=2e5)
+    out = sweep_fm([2e5, 5e5, 2e6], ens, geom, None, cfg, 0.5)
     # the source sits ~1.4 uV DC; any f_m dependence would appear as a
     # nonzero fundamental
     assert all(r.amplitude_r < 1e-12 for _, r in out)
@@ -199,7 +211,7 @@ def _xy(res):
             res.amplitude_r * math.sin(res.phase))
 
 
-@pytest.mark.parametrize("order", range(1, 7))
+@pytest.mark.parametrize("order", range(1, lockin.MAX_FILTER_ORDER + 1))
 def test_cascade_energy_matches_impulse_response(order):
     a = math.exp(-1.0 / 50.0)
     g = np.zeros(5000)
@@ -227,7 +239,7 @@ def test_sweep_point_noise_is_one_draw():
     # the (seed, index) stream, X first
     resp = _reference_chain()
     f_m, seed, index = 1e6, 5, 7
-    point = (index, f_m, 0.5, None, 1.0, reference().ensemble(),
+    point = (index, f_m, 0.5, 1.0, reference().ensemble(),
              reference().geometry(), resp)
     cfg = _synthesis(noise_seed=seed)
     x0, y0 = _xy(lockin._run_point(
@@ -244,7 +256,7 @@ def test_noise_statistics_match_time_domain():
     ens, geom = reference().ensemble(), reference().geometry()
     resp = _reference_chain()
     f_m, n = 250e3, 1000
-    point = (0, f_m, 0.5, None, 1.0, ens, geom, resp)
+    point = (0, f_m, 0.5, 1.0, ens, geom, resp)
     cfg = _synthesis(time_constant=2e-4)
     x0, y0 = _xy(lockin._run_point(*point,
                                    replace(cfg, input_noise_density=0.0)))
@@ -263,7 +275,7 @@ def test_noise_statistics_match_time_domain():
 @settings(max_examples=100, deadline=None)
 @given(f_m=st.floats(1e4, 1e7),
        tau_periods=st.floats(0.5, 50.05),
-       order=st.integers(1, 6),
+       order=st.integers(1, lockin.MAX_FILTER_ORDER),
        duty=st.floats(0.05, 0.95),
        scale=st.floats(0.01, 1.0),
        with_chain=st.booleans())
@@ -275,7 +287,7 @@ def test_closed_form_matches_time_domain(f_m, tau_periods, order, duty, scale,
     cfg = _synthesis(input_noise_density=0.0, time_constant=tau,
                      filter_order=order)
     resp = _reference_chain() if with_chain else None
-    point = (3, f_m, duty, None, scale, reference().ensemble(),
+    point = (3, f_m, duty, scale, reference().ensemble(),
              reference().geometry(), resp, cfg)
     fast = lockin._run_point(*point)
     slow = time_domain_point(*point)
@@ -296,8 +308,7 @@ def test_closed_form_extreme_record():
     assert spp * n_per == 3_200_000_000
     tracemalloc.start()
     try:
-        res = lockin._run_point(0, f_m, 0.5, None, 1.0, ens, geom, resp,
-                                cfg)
+        res = lockin._run_point(0, f_m, 0.5, 1.0, ens, geom, resp, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

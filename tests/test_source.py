@@ -29,6 +29,9 @@ def test_validation():
     with pytest.raises(ValueError):
         _ensemble(rho22_target=0.6)
     with pytest.raises(ValueError):
+        # the CW-calibrated drive rate diverges at 0.5
+        _ensemble(rho22_target=0.5)
+    with pytest.raises(ValueError):
         _ensemble(tau_relax=0.0)
     with pytest.raises(ValueError):
         DriveWaveform(f_m=0.0, duty=0.5)
@@ -61,16 +64,17 @@ def test_stark_rigid_shift():
 
 
 def test_population_zero_rate():
-    drive = DriveWaveform(f_m=250e3, duty=0.5, excitation_rate=0.0)
-    rho = rydberg_population(drive, _ensemble())
+    drive = DriveWaveform(f_m=250e3, duty=0.5)
+    rho = rydberg_population(drive, _ensemble(rho22_target=0.0))
     assert np.all(rho == 0.0)
 
 
 def test_population_saturation_and_free_decay():
-    # slow modulation, very strong drive: on-plateau at 0.5, off-segment
+    # slow modulation, very strong drive (r = 1e9/s, the CW occupancy
+    # r tau / (1 + 2 r tau) at tau = 1 us): on-plateau at 0.5, off-segment
     # decays as exp(-t/tau)
-    ens = _ensemble(tau_relax=1e-6)
-    drive = DriveWaveform(f_m=1e3, duty=0.5, excitation_rate=1e9)
+    ens = _ensemble(tau_relax=1e-6, rho22_target=1000.0 / 2001.0)
+    drive = DriveWaveform(f_m=1e3, duty=0.5)
     rho = rydberg_population(drive, ens, samples_per_period=1024)
     t = np.arange(rho.size) / (1024 * drive.f_m)
     on = t < 0.5e-3
@@ -85,9 +89,9 @@ def test_population_bounds():
     rng = np.random.default_rng(5)
     for _ in range(20):
         drive = DriveWaveform(f_m=10 ** rng.uniform(4, 7),
-                              duty=rng.uniform(0.1, 0.9),
-                              excitation_rate=10 ** rng.uniform(3, 9))
-        ens = _ensemble(tau_relax=10 ** rng.uniform(-7, -5))
+                              duty=rng.uniform(0.1, 0.9))
+        ens = _ensemble(tau_relax=10 ** rng.uniform(-7, -5),
+                        rho22_target=rng.uniform(0.0, 0.5))
         rho = rydberg_population(drive, ens)
         assert np.all(rho >= 0.0) and np.all(rho <= 0.5)
 
@@ -121,12 +125,6 @@ def test_population_matches_dense_integration():
     np.testing.assert_allclose(sol.y[0][:-1], rho, rtol=1e-6, atol=1e-9)
     # periodic fixed point: one full period returns to the start
     assert sol.y[0][-1] == pytest.approx(rho[0], rel=1e-6)
-
-
-def test_population_periodicity():
-    rho = rydberg_population(DriveWaveform(f_m=250e3, duty=0.5), _ensemble(),
-                             n_periods=3, samples_per_period=64)
-    np.testing.assert_allclose(rho[:64], rho[64:128], rtol=1e-9)
 
 
 def test_fundamental_crossover():
