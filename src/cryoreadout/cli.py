@@ -10,7 +10,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 device classified unusable (fit-iv), 2
 input/config error, 3 numerical failure.  A grid of more than
-``MAX_GRID_POINTS`` points is an input error.
+``config.MAX_GRID_POINTS`` points is an input error.  A flag that sets a
+config value (``--seed``, ``--stage``, ``--axis``, ``--grid``) overrides
+that key, so a sweep's manifest records the whole setup.
 """
 
 from __future__ import annotations
@@ -24,18 +26,13 @@ import sys
 import numpy as np
 
 from . import __version__, chain as chain_mod, device, ivfit
-from .config import ConfigError, load_config
+from .config import ConfigError, grid_points, load_config
 from .lockin import sweep_fm, sweep_vbc
-from .source import DriveWaveform
 
 EXIT_OK = 0
 EXIT_UNUSABLE = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
-
-# points of an s21 or sweep grid: far more than a readout needs, and far
-# below the 1e9 that would take 7.45 GiB per array
-MAX_GRID_POINTS = 10 ** 6
 
 
 def _fmt(x):
@@ -48,41 +45,6 @@ def _write_csv(path, header, rows):
         w.writerow(header)
         for row in rows:
             w.writerow([c if isinstance(c, str) else _fmt(c) for c in row])
-
-
-def _parse_grid(spec, default_start, default_stop, default_points,
-                default_spacing):
-    """Grid spec START:STOP:POINTS[:log|lin]."""
-    if spec is None:
-        start, stop, points, spacing = (default_start, default_stop,
-                                        default_points, default_spacing)
-    else:
-        parts = spec.split(":")
-        if len(parts) not in (3, 4):
-            raise ConfigError(f"bad grid spec {spec!r} (START:STOP:POINTS[:log|lin])")
-        try:
-            start, stop, points = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError:
-            raise ConfigError(f"bad grid spec {spec!r}") from None
-        spacing = parts[3] if len(parts) == 4 else default_spacing
-        if spacing not in ("log", "lin"):
-            raise ConfigError(f"grid spacing must be log or lin, got {spacing!r}")
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ConfigError(f"grid bounds must be finite, got {start:g}:{stop:g}")
-    if points < 1 or stop < start:
-        raise ConfigError("grid needs stop >= start and points >= 1")
-    if points > MAX_GRID_POINTS:
-        raise ConfigError(f"grid needs at most {MAX_GRID_POINTS} points, "
-                          f"got {points}")
-    if points == 1:
-        return np.array([start]), (start, stop, points, spacing)
-    if spacing == "log":
-        if start <= 0:
-            raise ConfigError("log grid needs positive start")
-        grid = np.geomspace(start, stop, points)
-    else:
-        grid = np.linspace(start, stop, points)
-    return grid, (start, stop, points, spacing)
 
 
 def cmd_opp(args):
@@ -112,40 +74,31 @@ def cmd_s21(args):
     cfg = load_config(args.config, overrides=_overrides(args))
     # f_min == f_max asks for that one frequency, whatever --points says
     points = min(args.points, 1) if args.f_min == args.f_max else args.points
-    freqs, _ = _parse_grid(None, args.f_min, args.f_max, points, "log")
-    stage = args.stage or cfg[("chain", "stage")]
-    resp = cfg.amplifier_chain(stage=stage)
-    rows = chain_mod.s21_db(resp, freqs)
+    freqs = grid_points(args.f_min, args.f_max, points, "log")
+    rows = chain_mod.s21_db(cfg.amplifier_chain(), freqs)
     out_dir = args.out or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"s21_{stage}.csv")
+    path = os.path.join(out_dir, f"s21_{cfg[('chain', 'stage')]}.csv")
     _write_csv(path, ["f_Hz", "s21_dB"], rows)
     print(path)
     return EXIT_OK
 
 
 def cmd_sweep(args):
-    cfg, extras = load_config(args.config, overrides=_overrides(args),
-                              extra_ok=("sweep",))
-    manifest_sweep = extras.get("sweep", {})
-    axis = args.axis or manifest_sweep.get("axis")
-    if axis not in ("vbc", "fm"):
-        raise ConfigError("sweep needs --axis vbc|fm (or a manifest config)")
-    grid_spec = args.grid or manifest_sweep.get("grid")
+    cfg = load_config(args.config, overrides=_overrides(args))
+    axis = cfg[("sweep", "axis")]
+    grid = cfg.sweep_grid()
 
     # check the inputs before the chain's DC solve starts
     ens = cfg.ensemble()
     geom = cfg.geometry()
     syn = cfg.synthesis()
-    duty = cfg[("synthesis", "duty")]
     if axis == "vbc":
-        grid, grid_parts = _parse_grid(grid_spec, 10.0, 12.5, 51, "lin")
-        drive = DriveWaveform(f_m=cfg[("synthesis", "f_m_kHz")], duty=duty)
-        results = sweep_vbc(grid, drive, ens, geom, cfg.amplifier_chain(), syn)
+        results = sweep_vbc(grid, cfg.drive(), ens, geom,
+                            cfg.amplifier_chain(), syn)
     else:
-        grid, grid_parts = _parse_grid(grid_spec, 100e3, 10e6, 25, "log")
         results = sweep_fm(grid, ens, geom, cfg.amplifier_chain(), syn,
-                           duty=duty)
+                           duty=cfg[("synthesis", "duty")])
 
     out_dir = args.out or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -153,15 +106,10 @@ def cmd_sweep(args):
     _write_csv(csv_path, ["x_value", "R_V", "phase_rad"],
                [(x, r.amplitude_r, r.phase) for x, r in results])
 
-    start, stop, points, spacing = grid_parts
     manifest_path = os.path.join(out_dir, f"sweep_{axis}_manifest.ini")
-    manifest = cfg.as_text(extra_sections={"sweep": {
-        "axis": axis,
-        "grid": f"{start:.17g}:{stop:.17g}:{points}:{spacing}",
-        "version": __version__,
-    }})
     with open(manifest_path, "w", encoding="utf-8") as fh:
-        fh.write(manifest)
+        # configparser skips the comment: the version is not a config key
+        fh.write(f"# cryoreadout {__version__}\n{cfg.as_text()}")
     print(csv_path)
     print(manifest_path)
     return EXIT_OK
@@ -170,6 +118,8 @@ def cmd_sweep(args):
 def cmd_fit_iv(args):
     if args.input is None and args.output_chars is None:
         raise ConfigError("fit-iv needs --input and/or --output-chars")
+    if args.backward is not None and args.output_chars is None:
+        raise ConfigError("fit-iv --backward needs --output-chars")
     cfg = load_config(args.config, overrides=_overrides(args))
     beta_cfg = cfg[("device", "beta_f")]
     report = []
@@ -177,7 +127,8 @@ def cmd_fit_iv(args):
     beta_fit = early = verdict = None
     if args.output_chars is not None:
         ds = ivfit.load_iv_dataset(args.output_chars)
-        ds_b = ivfit.load_iv_dataset(args.backward) if args.backward else None
+        ds_b = ivfit.load_iv_dataset(args.backward) \
+            if args.backward is not None else None
         early = ivfit.fit_early_voltage(ds)
         report.append(("v_early_V", early.v_early))
         report.append(("early_fit_r_squared", early.r_squared))
@@ -229,11 +180,15 @@ def cmd_gen_iv(args):
     return EXIT_OK
 
 
+# flag (argparse dest) -> the config key it overrides
+_OVERRIDES = {"seed": ("run", "seed"), "stage": ("chain", "stage"),
+              "axis": ("sweep", "axis"), "grid": ("sweep", "grid")}
+
+
 def _overrides(args):
-    ov = {}
-    if args.seed is not None:
-        ov[("run", "seed")] = str(args.seed)
-    return ov
+    return {key: str(getattr(args, dest))
+            for dest, key in _OVERRIDES.items()
+            if getattr(args, dest, None) is not None}
 
 
 def _beta_at(text):
@@ -294,10 +249,10 @@ def build_parser():
 
     sp = sub.add_parser("sweep", help="lock-in sweep (CSV + manifest)")
     sp.add_argument("--axis", choices=("vbc", "fm"),
-                    help="sweep axis: V_BC (V) or modulation frequency (Hz)")
+                    help="sweep axis: V_BC (V) or modulation frequency (Hz) "
+                         "(default: [sweep] axis)")
     sp.add_argument("--grid", metavar="START:STOP:POINTS[:log|lin]",
-                    help="grid spec; defaults: vbc 10:12.5:51:lin, "
-                         "fm 1e5:1e7:25:log")
+                    help="grid spec (default: [sweep] grid)")
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("gen-iv", help="generate a synthetic IV dataset")

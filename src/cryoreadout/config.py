@@ -6,7 +6,7 @@ defaults of their own, so library callers get reference objects from
 ``load_config()``, which resolves an empty config to the reference setup.
 Unknown sections or keys are rejected.  A resolved config can be written
 back out as a manifest; re-running from the manifest reproduces the run
-bit-for-bit.
+bit-for-bit.  A command-line flag that sets a value overrides its key.
 """
 
 from __future__ import annotations
@@ -14,10 +14,13 @@ from __future__ import annotations
 import configparser
 import math
 
+import numpy as np
+
 from . import device, chain as chain_mod, source
 from .lockin import SynthesisConfig
 
-__all__ = ["ConfigError", "RunConfig", "load_config"]
+__all__ = ["ConfigError", "RunConfig", "load_config", "grid_points",
+           "MAX_GRID_POINTS"]
 
 
 class ConfigError(ValueError):
@@ -28,8 +31,8 @@ def _num(scale):
     return ("num", scale)
 
 
-# section -> key -> ((kind, SI scale | allowed strings | None), default in
-# file units)
+# section -> key -> ((kind, SI scale | allowed strings | least integer |
+# None), default in file units)
 _SCHEMA = {
     "device": {
         "i_sat_A": (("auto_num", 1.0), "auto"),
@@ -80,10 +83,44 @@ _SCHEMA = {
         "f_m_kHz": (_num(1e3), "250"),
     },
     "run": {
-        "seed": (("int", None), "0"),
+        # numpy seeds its generators from non-negative integers only
+        "seed": (("int", 0), "0"),
         "output_dir": (("str", None), "."),
     },
+    "sweep": {
+        "axis": (("str", ("vbc", "fm")), "vbc"),
+        "grid": (("str", None), "auto"),
+    },
 }
+
+# [sweep] grid = auto: the axis's reference grid, START:STOP:POINTS:SPACING
+# (V_BC in V, f_m in Hz); a grid given without a spacing takes the axis's
+_REFERENCE_GRIDS = {"vbc": "10:12.5:51:lin", "fm": "1e5:1e7:25:log"}
+
+# points of an s21 or sweep grid: far more than a readout needs, and far
+# below the 1e9 that would take 7.45 GiB per array
+MAX_GRID_POINTS = 10 ** 6
+
+
+def grid_points(start, stop, points, spacing):
+    """``points`` values from ``start`` to ``stop``, evenly spaced on a
+    ``lin`` or ``log`` scale; out-of-range specs raise ConfigError."""
+    if spacing not in ("log", "lin"):
+        raise ConfigError(f"grid spacing must be log or lin, got {spacing!r}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"grid bounds must be finite, got {start:g}:{stop:g}")
+    if points < 1 or stop < start:
+        raise ConfigError("grid needs stop >= start and points >= 1")
+    if points > MAX_GRID_POINTS:
+        raise ConfigError(f"grid needs at most {MAX_GRID_POINTS} points, "
+                          f"got {points}")
+    if points == 1:
+        return np.array([start])
+    if spacing == "log":
+        if start <= 0:
+            raise ConfigError("log grid needs positive start")
+        return np.geomspace(start, stop, points)
+    return np.linspace(start, stop, points)
 
 
 class RunConfig:
@@ -143,7 +180,7 @@ class RunConfig:
             f_mw=g[("ensemble", "f_mw_GHz")],
         )
 
-    def amplifier_chain(self, stage: str | None = None) -> chain_mod.ChainResponse:
+    def amplifier_chain(self) -> chain_mod.ChainResponse:
         g = self._values
         net = self.network()
         params = self.transistor()
@@ -154,12 +191,8 @@ class RunConfig:
         first = chain_mod.hbt_stage_response(
             ss, net, r_load, r_src,
             noise_temperature=g[("chain", "first_stage_noise_K")])
-        if stage is None:
-            stage = g[("chain", "stage")]
-        if stage == "first":
+        if g[("chain", "stage")] == "first":
             return chain_mod.cascade([first])
-        if stage != "both":
-            raise ConfigError(f"stage must be 'first' or 'both', got {stage!r}")
         second = chain_mod.fixed_gain_stage(
             g[("chain", "second_stage_gain_dB")],
             g[("chain", "second_stage_f_low_kHz")],
@@ -176,6 +209,28 @@ class RunConfig:
             filter_order=g[("synthesis", "filter_order")],
         )
 
+    def drive(self) -> source.DriveWaveform:
+        g = self._values
+        return source.DriveWaveform(f_m=g[("synthesis", "f_m_kHz")],
+                                    duty=g[("synthesis", "duty")])
+
+    def sweep_grid(self):
+        """Points of the ``[sweep] grid`` spec START:STOP:POINTS[:log|lin]
+        on the ``[sweep] axis``; ``auto`` is the axis's reference grid."""
+        spec = self._values[("sweep", "grid")]
+        reference = _REFERENCE_GRIDS[self._values[("sweep", "axis")]]
+        parts = (reference if spec == "auto" else spec).split(":")
+        if len(parts) == 3:
+            parts.append(reference.rsplit(":", 1)[1])
+        if len(parts) != 4:
+            raise ConfigError(f"bad grid spec {spec!r} "
+                              "(START:STOP:POINTS[:log|lin])")
+        try:
+            start, stop, points = float(parts[0]), float(parts[1]), int(parts[2])
+        except ValueError:
+            raise ConfigError(f"bad grid spec {spec!r}") from None
+        return grid_points(start, stop, points, parts[3])
+
     @property
     def seed(self) -> int:
         return self._values[("run", "seed")]
@@ -186,7 +241,7 @@ class RunConfig:
 
     # -- serialization ------------------------------------------------------
 
-    def as_text(self, extra_sections=None) -> str:
+    def as_text(self) -> str:
         """Render the resolved config (file units) as INI text."""
         lines = []
         for section, keys in _SCHEMA.items():
@@ -199,11 +254,6 @@ class RunConfig:
                     lines.append(f"{key} = {val:d}")
                 else:
                     lines.append(f"{key} = {_file_units(val, scale):.17g}")
-            lines.append("")
-        for name, mapping in (extra_sections or {}).items():
-            lines.append(f"[{name}]")
-            for k, v in mapping.items():
-                lines.append(f"{k} = {v}")
             lines.append("")
         return "\n".join(lines)
 
@@ -228,9 +278,13 @@ def _parse_value(section, key, raw):
         return raw
     if kind == "int":
         try:
-            return int(raw)
+            value = int(raw)
         except ValueError:
             raise ConfigError(f"[{section}] {key}: expected integer, got {raw!r}")
+        if scale is not None and value < scale:
+            raise ConfigError(f"[{section}] {key}: expected an integer >= "
+                              f"{scale}, got {raw!r}")
+        return value
     if kind == "auto_num" and raw == "auto":
         return "auto"
     try:
@@ -243,12 +297,13 @@ def _parse_value(section, key, raw):
     return value * scale
 
 
-def load_config(path=None, overrides=None, extra_ok=()):
+def load_config(path=None, overrides=None) -> RunConfig:
     """Load a RunConfig from an INI file (or defaults when path is None).
 
     ``overrides`` is a {(section, key): raw-string} mapping applied on top
-    (used for CLI flags).  Sections named in ``extra_ok`` are tolerated and
-    returned verbatim as a dict (manifests carry a [sweep] section).
+    (used for CLI flags).  The seed, the synthesis and drive settings and
+    the sweep grid are checked here, so every command rejects them before
+    it starts work; the builders check the other values.
     """
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str   # unit suffixes are case-sensitive
@@ -261,11 +316,7 @@ def load_config(path=None, overrides=None, extra_ok=()):
         except configparser.Error as exc:
             raise ConfigError(f"malformed config {path}: {exc}") from exc
 
-    extras = {}
     for section in parser.sections():
-        if section in extra_ok:
-            extras[section] = dict(parser.items(section))
-            continue
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
         for key in parser.options(section):
@@ -283,4 +334,10 @@ def load_config(path=None, overrides=None, extra_ok=()):
             raise ConfigError(f"unknown override [{section}] {key}")
         values[(section, key)] = _parse_value(section, key, raw)
     cfg = RunConfig(values)
-    return (cfg, extras) if extra_ok else cfg
+    try:
+        cfg.synthesis()
+        cfg.drive()
+    except ValueError as exc:
+        raise ConfigError(f"[synthesis] {exc}") from None
+    cfg.sweep_grid()
+    return cfg

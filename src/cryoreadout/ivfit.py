@@ -167,8 +167,11 @@ def load_iv_dataset(source) -> IVDataset:
     * output characteristics: ``i_b_A,v_ce_V,i_c_A`` with an optional
       ``direction`` column in {fwd, bwd}
 
-    Rows are sorted by sweep label then voltage; a voltage reversal within
-    one label splits forward and backward branches.
+    Rows are grouped by sweep label and direction (``fwd`` when the column
+    is absent); the ``direction`` column is the only way to mark a
+    backward branch.  Each group's voltages must be strictly monotone, so a
+    voltage reversal within one label and direction is a parse error, not
+    a branch split.
     """
     if isinstance(source, str) or hasattr(source, "__fspath__"):
         stream = open(source, newline="", encoding="utf-8")

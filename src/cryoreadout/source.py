@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import e as ELEMENTARY_CHARGE, epsilon_0
 
 __all__ = [
     "CellGeometry",
@@ -32,6 +31,10 @@ __all__ = [
     "rms_image_current",
     "cw_rate_for_occupancy",
 ]
+
+# CODATA 2022, as in scipy.constants
+ELEMENTARY_CHARGE = 1.602176634e-19   # C, exact
+epsilon_0 = 8.8541878188e-12          # F/m
 
 
 @dataclass(frozen=True)

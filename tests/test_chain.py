@@ -125,7 +125,8 @@ def test_unity_gain_load():
 
 
 def test_first_stage_flat_at_unity():
-    resp = load_config().amplifier_chain(stage="first")
+    resp = load_config(overrides={("chain", "stage"): "first"}) \
+        .amplifier_chain()
     db = np.array([d for _, d in s21_db(resp, np.geomspace(1e5, 1e8, 200))])
     assert np.all(np.abs(db) <= 1.0)
 
@@ -135,7 +136,7 @@ def test_two_stage_flat_at_40db():
     db = np.array([d for _, d in s21_db(resp, np.geomspace(1e5, 1e8, 200))])
     assert np.all(np.abs(db - 40.0) <= 1.0)
     with pytest.raises(ValueError):
-        load_config().amplifier_chain(stage="third")
+        load_config(overrides={("chain", "stage"): "third"})
 
 
 def test_s21_db():

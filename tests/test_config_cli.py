@@ -10,9 +10,11 @@ import pytest
 from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
-from cryoreadout import chain as chain_mod, device, ivfit, lockin, source
-from cryoreadout.cli import MAX_GRID_POINTS, main
-from cryoreadout.config import _SCHEMA, ConfigError, load_config
+from cryoreadout import (__version__, chain as chain_mod, device, ivfit,
+                         lockin, source)
+from cryoreadout.cli import main
+from cryoreadout.config import (_SCHEMA, MAX_GRID_POINTS, ConfigError,
+                                load_config)
 
 from conftest import iv_csv_text, reference
 
@@ -60,6 +62,13 @@ def test_unit_suffix_scaling(tmp_path):
     "[mystery]\nx = 1\n",
     "[network]\nr_upper_kohm = abc\n",
     "[run]\nseed = 1.5\n",
+    "[run]\nseed = -1\n",
+    "[synthesis]\nduty = 1.5\n",
+    "[sweep]\nbogus = 1\n",
+    "[sweep]\naxis = x\n",
+    "[sweep]\ngrid = 1:2\n",
+    # the [sweep] section of a manifest that kept the version as a key
+    "[sweep]\naxis = vbc\ngrid = 10:12.5:51:lin\nversion = 0.1.0\n",
 ])
 def test_config_rejects_bad_input(tmp_path, text):
     p = tmp_path / "bad.ini"
@@ -102,17 +111,36 @@ def test_config_roundtrip(tmp_path):
     assert cfg2._values == cfg._values
 
 
-# keys that CellGeometry checks for > 0; any finite value elsewhere
+# keys that load_config or CellGeometry checks for > 0; any finite value
+# elsewhere, but for the ranges _numeric_value draws
 _POSITIVE_KEYS = {("geometry", "c_cell_pF"), ("geometry", "s_over_d_mm"),
-                  ("geometry", "delta_z_nm"), ("chain", "c_parasitic_pF")}
+                  ("geometry", "delta_z_nm"), ("chain", "c_parasitic_pF"),
+                  ("synthesis", "input_noise_density_pV_rtHz"),
+                  ("synthesis", "time_constant_ms"), ("synthesis", "f_m_kHz")}
 
 
 def _numeric_value(section, key):
-    kind = _SCHEMA[section][key][0][0]
-    if kind == "int":
-        return st.integers(-10 ** 6, 10 ** 6).map(str)
+    if key == "duty":
+        return st.floats(0.0, 1.0, exclude_min=True,
+                         exclude_max=True).map(repr)
+    if key == "filter_order":
+        return st.integers(1, lockin.MAX_FILTER_ORDER).map(str)
+    if key == "seed":
+        return st.integers(0, 10 ** 6).map(str)
     lo = 1e-200 if (section, key) in _POSITIVE_KEYS else -1e200
     return st.floats(lo, 1e200).map(repr)
+
+
+@st.composite
+def _sweep_keys(draw):
+    """[sweep] axis and grid: ``auto`` or START:STOP:POINTS[:log|lin]."""
+    grid = "auto"
+    if draw(st.booleans()):
+        start, stop = draw(_ENDS)
+        spacing = draw(st.sampled_from(["", ":lin", ":log"]))
+        grid = f"{start!r}:{stop!r}:{draw(st.integers(1, 20))}{spacing}"
+    return {("sweep", "axis"): draw(st.sampled_from(["vbc", "fm"])),
+            ("sweep", "grid"): grid}
 
 
 _NUMERIC_KEYS = [(section, key) for section, keys in _SCHEMA.items()
@@ -122,18 +150,21 @@ _NUMERIC_KEYS = [(section, key) for section, keys in _SCHEMA.items()
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(raw=st.fixed_dictionaries(
-    {sk: _numeric_value(*sk) for sk in _NUMERIC_KEYS}))
+    {sk: _numeric_value(*sk) for sk in _NUMERIC_KEYS}), sweep=_sweep_keys())
 # 1953125 nF is stored as 2**-9 F, and 2**-9 / 1e-9 * 1e-9 != 2**-9
 @example(raw={**{sk: "1" for sk in _NUMERIC_KEYS},
-              ("network", "c_bypass_nF"): "1953125"})
-def test_config_manifest_roundtrip_property(tmp_path, raw):
-    # load -> as_text -> load is exact for every numeric key
-    cfg = load_config(None, overrides=raw)
+              ("network", "c_bypass_nF"): "1953125",
+              ("synthesis", "duty"): "0.5"},
+         sweep={("sweep", "axis"): "fm", ("sweep", "grid"): "1e5:1e6:3"})
+def test_config_manifest_roundtrip_property(tmp_path, raw, sweep):
+    # load -> as_text -> load is exact for every numeric key and the sweep
+    cfg = load_config(None, overrides={**raw, **sweep})
     p = tmp_path / "manifest.ini"
     p.write_text(cfg.as_text())
     cfg2 = load_config(p)
     assert cfg2._values == cfg._values
     assert cfg2.as_text() == cfg.as_text()
+    assert np.array_equal(cfg2.sweep_grid(), cfg.sweep_grid())
     assert cfg2.geometry().c_parasitic == \
         float(raw[("chain", "c_parasitic_pF")]) * 1e-12
 
@@ -381,13 +412,18 @@ def test_cli_bad_grid_spec(tmp_path):
      "[synthesis]\nfilter_order = 2000\n"),
     (["sweep", "--axis", "vbc", "--grid", "11.5:11.7:3:lin"],
      "[synthesis]\nfilter_order = 100000\n"),
+    (["--seed=-1", "sweep", "--axis", "vbc", "--grid", "11.5:11.7:3:lin"],
+     ""),
+    (["sweep", "--axis", "fm", "--grid", "1e5:1e6:3:log"],
+     "[synthesis]\nduty = 1.5\n"),
 ], ids=["s21-1e9", "s21-limit", "vbc-1e9", "fm-manifest-1e9", "order-9",
-        "order-2000", "order-100000"])
+        "order-2000", "order-100000", "seed--1", "duty-1.5"])
 def test_cli_size_limits(tmp_path, monkeypatch, args, setting):
     # grids above MAX_GRID_POINTS and filter orders above 8 are input
     # errors (exit 2) found before the chain is built; they used to exhaust
     # memory (7.45 GiB for 1e9 points, 74.5 GiB at order 100000) or run on
-    # (order 2000: about 10 s, then exit 3)
+    # (order 2000: about 10 s, then exit 3).  So are a negative seed and a
+    # duty outside (0, 1), which used to fail only after the DC solve
     def no_chain(*_, **__):
         raise AssertionError("chain built")
 
@@ -397,6 +433,13 @@ def test_cli_size_limits(tmp_path, monkeypatch, args, setting):
     out = tmp_path / "out"
     assert main(["--config", str(p), "--out", str(out), *args]) == 2
     assert not out.exists()
+
+
+def test_cli_negative_seed(capsys):
+    # a negative seed is an input error for every command, and the message
+    # names the key
+    assert main(["--seed=-1", "opp"]) == 2
+    assert "[run] seed" in capsys.readouterr().err
 
 
 def test_cli_bad_config_exit_code(tmp_path):
@@ -503,6 +546,34 @@ def test_cli_sweep_and_manifest_rerun(tmp_path):
     header, rows = _read_csv(out1 / "sweep_vbc.csv")
     assert header == ["x_value", "R_V", "phase_rad"]
     assert len(rows) == 3
+
+
+def test_cli_manifest_config_for_every_command(tmp_path):
+    # a manifest is a whole config: every command runs from it
+    sweep = tmp_path / "sweep"
+    assert main(["--out", str(sweep), "sweep", "--grid", "11.5:11.7:3"]) == 0
+    manifest = sweep / "sweep_vbc_manifest.ini"
+    assert manifest.read_text().splitlines()[0] == \
+        f"# cryoreadout {__version__}"
+    diode = tmp_path / "diode.csv"
+    for args in (["opp"], ["s21", "--points", "3"],
+                 ["gen-iv", "--kind", "input", "--path", str(diode)],
+                 ["fit-iv", "--input", str(diode)]):
+        assert main(["--config", str(manifest), "--out", str(tmp_path),
+                     *args]) == 0, args
+
+
+def test_cli_fit_iv_backward_needs_output_chars(tmp_path, capsys):
+    # --backward classifies the output family: alone it is an input error,
+    # raised before any file is read
+    diode = tmp_path / "diode.csv"
+    assert main(["gen-iv", "--kind", "input", "--path", str(diode)]) == 0
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["--out", str(out), "fit-iv", "--input", str(diode),
+                 "--backward", str(tmp_path / "missing.csv")]) == 2
+    assert "--backward needs --output-chars" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_sweep_fm_small_grid(tmp_path):

@@ -3,9 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.constants
 from scipy.constants import e as Q_E, epsilon_0
 from scipy.integrate import solve_ivp
 
+from cryoreadout import source
 from cryoreadout.source import (DriveWaveform, cw_rate_for_occupancy,
                                 image_charge_waveform, rms_image_current,
                                 rydberg_population, stark_excitation_fraction)
@@ -173,6 +175,12 @@ def test_image_charge_linearity():
     np.testing.assert_allclose(dq2, 2.0 * dq1, rtol=1e-15)
     np.testing.assert_allclose(v2, 2.0 * v1, rtol=1e-15)
     np.testing.assert_allclose(dq3, 2.0 * dq1, rtol=1e-15)
+
+
+def test_constants_match_scipy():
+    # source writes them as literals; scipy.constants is the reference
+    assert source.ELEMENTARY_CHARGE == scipy.constants.e
+    assert source.epsilon_0 == scipy.constants.epsilon_0
 
 
 def test_rms_image_current():
