@@ -93,12 +93,8 @@ def cmd_sweep(args):
     ens = cfg.ensemble()
     geom = cfg.geometry()
     syn = cfg.synthesis()
-    if axis == "vbc":
-        results = sweep_vbc(grid, cfg.drive(), ens, geom,
-                            cfg.amplifier_chain(), syn)
-    else:
-        results = sweep_fm(grid, ens, geom, cfg.amplifier_chain(), syn,
-                           duty=cfg[("synthesis", "duty")])
+    sweep = sweep_vbc if axis == "vbc" else sweep_fm
+    results = sweep(grid, ens, geom, cfg.amplifier_chain(), syn)
 
     out_dir = args.out or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)

@@ -62,7 +62,6 @@ _SCHEMA = {
         "tau_relax_us": (_num(1e-6), "1"),
         "v_resonance_V": (_num(1.0), "11.6"),
         "linewidth_V": (_num(1.0), "0.1"),
-        "f_mw_GHz": (_num(1e9), "110"),
     },
     "chain": {
         "c_parasitic_pF": (_num(1e-12), "10"),
@@ -177,7 +176,6 @@ class RunConfig:
             tau_relax=g[("ensemble", "tau_relax_us")],
             v_resonance=g[("ensemble", "v_resonance_V")],
             linewidth_v=g[("ensemble", "linewidth_V")],
-            f_mw=g[("ensemble", "f_mw_GHz")],
         )
 
     def amplifier_chain(self) -> chain_mod.ChainResponse:
@@ -207,18 +205,16 @@ class RunConfig:
             input_noise_density=g[("synthesis", "input_noise_density_pV_rtHz")],
             time_constant=g[("synthesis", "time_constant_ms")],
             filter_order=g[("synthesis", "filter_order")],
+            f_m=g[("synthesis", "f_m_kHz")],
+            duty=g[("synthesis", "duty")],
         )
-
-    def drive(self) -> source.DriveWaveform:
-        g = self._values
-        return source.DriveWaveform(f_m=g[("synthesis", "f_m_kHz")],
-                                    duty=g[("synthesis", "duty")])
 
     def sweep_grid(self):
         """Points of the ``[sweep] grid`` spec START:STOP:POINTS[:log|lin]
         on the ``[sweep] axis``; ``auto`` is the axis's reference grid."""
         spec = self._values[("sweep", "grid")]
-        reference = _REFERENCE_GRIDS[self._values[("sweep", "axis")]]
+        axis = self._values[("sweep", "axis")]
+        reference = _REFERENCE_GRIDS[axis]
         parts = (reference if spec == "auto" else spec).split(":")
         if len(parts) == 3:
             parts.append(reference.rsplit(":", 1)[1])
@@ -229,7 +225,11 @@ class RunConfig:
             start, stop, points = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
             raise ConfigError(f"bad grid spec {spec!r}") from None
-        return grid_points(start, stop, points, parts[3])
+        grid = grid_points(start, stop, points, parts[3])
+        if axis == "fm" and grid[0] <= 0:
+            raise ConfigError(f"[sweep] grid: modulation frequencies must be "
+                              f"positive, got {spec!r}")
+        return grid
 
     @property
     def seed(self) -> int:
@@ -272,6 +272,10 @@ def _parse_value(section, key, raw):
     (kind, scale), _default = _SCHEMA[section][key]
     raw = raw.strip()
     if kind == "str":
+        # a manifest writes the value on one line
+        if "\n" in raw or "\r" in raw:
+            raise ConfigError(f"[{section}] {key}: expected one line, "
+                              f"got {raw!r}")
         if scale is not None and raw not in scale:
             raise ConfigError(f"[{section}] {key}: expected one of "
                               f"{', '.join(scale)}, got {raw!r}")
@@ -301,8 +305,8 @@ def load_config(path=None, overrides=None) -> RunConfig:
     """Load a RunConfig from an INI file (or defaults when path is None).
 
     ``overrides`` is a {(section, key): raw-string} mapping applied on top
-    (used for CLI flags).  The seed, the synthesis and drive settings and
-    the sweep grid are checked here, so every command rejects them before
+    (used for CLI flags).  The seed, the ``[synthesis]`` settings and the
+    sweep grid are checked here, so every command rejects them before
     it starts work; the builders check the other values.
     """
     parser = configparser.ConfigParser(interpolation=None)
@@ -336,7 +340,6 @@ def load_config(path=None, overrides=None) -> RunConfig:
     cfg = RunConfig(values)
     try:
         cfg.synthesis()
-        cfg.drive()
     except ValueError as exc:
         raise ConfigError(f"[synthesis] {exc}") from None
     cfg.sweep_grid()

@@ -24,9 +24,8 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .chain import ChainResponse
-from .source import (CellGeometry, DriveWaveform, EnsembleParams,
-                     image_charge_waveform, rydberg_population,
-                     stark_excitation_fraction)
+from .source import (CellGeometry, EnsembleParams, image_charge_waveform,
+                     rydberg_population, stark_excitation_fraction)
 
 __all__ = [
     "SynthesisConfig",
@@ -46,12 +45,15 @@ MAX_FILTER_ORDER = 8
 
 @dataclass(frozen=True)
 class SynthesisConfig:
-    """Per-run synthesis/demodulation settings."""
+    """The ``[synthesis]`` section: drive modulation, input noise and
+    lock-in settings of a run."""
 
     noise_seed: int
     input_noise_density: float   # V/sqrt(Hz), referred to chain input
     time_constant: float         # lock-in time constant, s
     filter_order: int
+    f_m: float                   # modulation frequency of a vbc sweep, Hz
+    duty: float                  # MW-on fraction of the modulation period
 
     def __post_init__(self):
         if not self.time_constant > 0:
@@ -62,6 +64,10 @@ class SynthesisConfig:
                 f"got {self.filter_order}")
         if not self.input_noise_density >= 0:
             raise ValueError("input_noise_density must be non-negative")
+        if not self.f_m > 0:
+            raise ValueError("f_m must be positive")
+        if not 0.0 < self.duty < 1.0:
+            raise ValueError("duty must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -207,7 +213,7 @@ def _noise_std(cfg: SynthesisConfig, fs, gain):
         fs / 2.0 * _cascade_energy(a, cfg.filter_order))
 
 
-def _run_point(index, f_m, duty, scale, ens, geom, chain, cfg):
+def _run_point(index, f_m, scale, ens, geom, chain, cfg):
     """Lock-in output of one sweep point in closed form.
 
     The record ``synthesize`` + ``demodulate`` would process is one period
@@ -217,11 +223,9 @@ def _run_point(index, f_m, duty, scale, ens, geom, chain, cfg):
     from N(0, s^2), s from ``_noise_std``, from the RNG stream keyed by
     (seed, index), X first.
     """
-    drive = DriveWaveform(f_m=f_m, duty=duty)
     spp, n_per = _resolve_sampling(cfg, f_m)
     fs = spp * f_m
-    rho = rydberg_population(drive, ens, excitation_scale=scale,
-                             samples_per_period=spp)
+    rho = rydberg_population(f_m, cfg.duty, ens, scale, spp)
     _, v_ac = image_charge_waveform(rho, geom, ens.n_s)
     spectrum = np.fft.rfft(v_ac)
     gain = 1.0
@@ -245,32 +249,30 @@ def _run_point(index, f_m, duty, scale, ens, geom, chain, cfg):
     return res
 
 
-def sweep_vbc(v_bc_grid, drive: DriveWaveform, ens: EnsembleParams,
-              geom: CellGeometry, chain: ChainResponse | None,
-              cfg: SynthesisConfig):
-    """Resonance sweep: lock-in amplitude versus bottom-plate voltage."""
-    v_bc_grid = list(v_bc_grid)
-    if any(b < a for a, b in zip(v_bc_grid, v_bc_grid[1:])):
+def sweep_vbc(grid, ens: EnsembleParams, geom: CellGeometry,
+              chain: ChainResponse | None, syn: SynthesisConfig):
+    """Resonance sweep: lock-in amplitude versus bottom-plate voltage, at
+    the modulation frequency ``syn.f_m``."""
+    grid = list(grid)
+    if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("v_bc grid must be sorted ascending")
     out = []
-    for k, v_bc in enumerate(v_bc_grid):
+    for k, v_bc in enumerate(grid):
         scale = stark_excitation_fraction(v_bc, ens)
-        res = _run_point(k, drive.f_m, drive.duty, scale, ens, geom, chain,
-                         cfg)
+        res = _run_point(k, syn.f_m, scale, ens, geom, chain, syn)
         out.append((v_bc, res))
     return out
 
 
-def sweep_fm(f_m_grid, ens: EnsembleParams, geom: CellGeometry,
-             chain: ChainResponse | None, cfg: SynthesisConfig,
-             duty: float):
+def sweep_fm(grid, ens: EnsembleParams, geom: CellGeometry,
+             chain: ChainResponse | None, syn: SynthesisConfig):
     """Modulation-frequency sweep on resonance, at the ensemble's
-    CW-calibrated drive rate."""
-    f_m_grid = list(f_m_grid)
-    if any(b < a for a, b in zip(f_m_grid, f_m_grid[1:])):
+    CW-calibrated drive rate; ``syn.f_m`` is not used."""
+    grid = list(grid)
+    if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("f_m grid must be sorted ascending")
     out = []
-    for k, f_m in enumerate(f_m_grid):
-        res = _run_point(k, f_m, duty, 1.0, ens, geom, chain, cfg)
+    for k, f_m in enumerate(grid):
+        res = _run_point(k, f_m, 1.0, ens, geom, chain, syn)
         out.append((f_m, res))
     return out

@@ -24,7 +24,6 @@ import numpy as np
 __all__ = [
     "CellGeometry",
     "EnsembleParams",
-    "DriveWaveform",
     "stark_excitation_fraction",
     "rydberg_population",
     "image_charge_waveform",
@@ -61,7 +60,6 @@ class EnsembleParams:
     tau_relax: float      # excited-state relaxation time, s
     v_resonance: float    # bottom-plate voltage at resonance, V
     linewidth_v: float    # resonance FWHM in V_BC units, V
-    f_mw: float           # microwave frequency, Hz (bookkeeping)
 
     def __post_init__(self):
         # the drive rate is cw_rate_for_occupancy(rho22_target, tau_relax),
@@ -72,20 +70,6 @@ class EnsembleParams:
             raise ValueError("tau_relax must be positive")
         if not self.linewidth_v > 0:
             raise ValueError("linewidth_v must be positive")
-
-
-@dataclass(frozen=True)
-class DriveWaveform:
-    """Pulse-modulated microwave drive."""
-
-    f_m: float        # modulation frequency, Hz
-    duty: float       # MW-on fraction of the period
-
-    def __post_init__(self):
-        if not self.f_m > 0:
-            raise ValueError("f_m must be positive")
-        if not 0.0 < self.duty < 1.0:
-            raise ValueError("duty must lie in (0, 1)")
 
 
 def cw_rate_for_occupancy(rho22: float, tau: float) -> float:
@@ -101,10 +85,10 @@ def stark_excitation_fraction(v_bc: float, ens: EnsembleParams) -> float:
     return 1.0 / (1.0 + x * x)
 
 
-def rydberg_population(drive: DriveWaveform, ens: EnsembleParams,
-                       excitation_scale: float = 1.0,
-                       samples_per_period: int = 64):
-    """Periodic steady-state excited-state occupancy over one period.
+def rydberg_population(f_m: float, duty: float, ens: EnsembleParams,
+                       excitation_scale: float, samples_per_period: int):
+    """Periodic steady-state excited-state occupancy over one period of
+    the microwave drive, pulsed at ``f_m`` with MW-on fraction ``duty``.
 
     Returns ``rho22`` for one modulation period, sample k at
     t = k / (samples_per_period * f_m) with the MW-on edge at t = 0; the
@@ -113,6 +97,10 @@ def rydberg_population(drive: DriveWaveform, ens: EnsembleParams,
     ``cw_rate_for_occupancy(ens.rho22_target, ens.tau_relax)``, scaled by
     ``excitation_scale``.
     """
+    if not f_m > 0:
+        raise ValueError("f_m must be positive")
+    if not 0.0 < duty < 1.0:
+        raise ValueError("duty must lie in (0, 1)")
     if samples_per_period < 16:
         raise ValueError("need at least 16 samples per period")
     tau = ens.tau_relax
@@ -120,8 +108,8 @@ def rydberg_population(drive: DriveWaveform, ens: EnsembleParams,
     if r < 0:
         raise ValueError("excitation rate must be non-negative")
 
-    period = 1.0 / drive.f_m
-    t_on = drive.duty * period
+    period = 1.0 / f_m
+    t_on = duty * period
     t_off = period - t_on
     t = np.arange(samples_per_period) * (period / samples_per_period)
 

@@ -11,8 +11,7 @@ from scipy.signal import lfilter
 from cryoreadout.config import load_config
 from cryoreadout.device import EXP_CAP
 from cryoreadout.lockin import _resolve_sampling, demodulate, synthesize
-from cryoreadout.source import (DriveWaveform, image_charge_waveform,
-                                rydberg_population)
+from cryoreadout.source import image_charge_waveform, rydberg_population
 
 # one "[ACCEPTANCE nn] PASS/FAIL - ..." line per criterion, filled in by
 # tests/test_acceptance.py and printed after capture ends
@@ -93,16 +92,14 @@ def dft_fundamental_rms(x, samples_per_period):
     return abs(c) / np.sqrt(2.0)
 
 
-def time_domain_point(index, f_m, duty, scale, ens, geom, chain, cfg):
+def time_domain_point(index, f_m, scale, ens, geom, chain, cfg):
     """One sweep point by the full-record path the closed form replaced:
     the source period tiled over the whole record, ``synthesize`` (FFT
     filtering plus white noise from the (seed, index) stream) and
     ``demodulate`` (mixing plus the IIR cascade, sample by sample)."""
-    drive = DriveWaveform(f_m=f_m, duty=duty)
     spp, n_per = _resolve_sampling(cfg, f_m)
     fs = spp * f_m
-    rho = np.tile(rydberg_population(drive, ens, excitation_scale=scale,
-                                     samples_per_period=spp), n_per)
+    rho = np.tile(rydberg_population(f_m, cfg.duty, ens, scale, spp), n_per)
     _, v_ac = image_charge_waveform(rho, geom, ens.n_s)
     rng = np.random.default_rng((cfg.noise_seed, index))
     v_out = synthesize(v_ac, chain, cfg, sample_rate=fs, rng=rng)

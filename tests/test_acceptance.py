@@ -19,8 +19,8 @@ from cryoreadout.config import load_config
 from cryoreadout.device import (TransistorParams, calibrated_i_sat,
                                 power_dissipation, solve_operating_point)
 from cryoreadout.lockin import demodulate, sweep_fm, sweep_vbc
-from cryoreadout.source import (DriveWaveform, image_charge_waveform,
-                                rms_image_current, rydberg_population)
+from cryoreadout.source import (image_charge_waveform, rms_image_current,
+                                rydberg_population)
 
 import conftest
 from conftest import (dft_fundamental_rms, grid_search_operating_point,
@@ -160,9 +160,8 @@ def test_c09_lockin_vs_dft_oracle():
 
     sine = 0.7 * np.sin(2 * math.pi * f_ref * t + 0.4)
     square = (np.sin(2 * math.pi * f_ref * t) >= 0).astype(float)
-    rho = np.tile(rydberg_population(DriveWaveform(f_m=f_ref, duty=0.5),
-                                     reference().ensemble(),
-                                     samples_per_period=spp), n // spp)
+    rho = np.tile(rydberg_population(f_ref, 0.5, reference().ensemble(),
+                                     1.0, spp), n // spp)
     order = reference().synthesis().filter_order
     for name, x in (("sine", sine), ("square", square), ("population", rho)):
         r = demodulate(x, f_ref, tau, order, fs).amplitude_r
@@ -178,9 +177,9 @@ def _fm_sweep(second_stage_f_low_khz=None, noise=35e-12):
     overrides = {} if second_stage_f_low_khz is None else \
         {("chain", "second_stage_f_low_kHz"): second_stage_f_low_khz}
     resp = load_config(overrides=overrides).amplifier_chain()
-    cfg = replace(ref.synthesis(), input_noise_density=noise)
+    cfg = replace(ref.synthesis(), input_noise_density=noise, duty=0.5)
     grid = np.geomspace(1e5, 1e7, 25)
-    out = sweep_fm(grid, ref.ensemble(), ref.geometry(), resp, cfg, 0.5)
+    out = sweep_fm(grid, ref.ensemble(), ref.geometry(), resp, cfg)
     return grid, np.array([r.amplitude_r for _, r in out])
 
 
@@ -215,10 +214,10 @@ def test_c10_fm_sweep_shape():
 def _vbc_sweep(v_resonance, noise):
     ref = reference()
     ens = replace(ref.ensemble(), v_resonance=v_resonance)
-    cfg = replace(ref.synthesis(), input_noise_density=noise)
+    cfg = replace(ref.synthesis(), input_noise_density=noise, f_m=250e3,
+                  duty=0.5)
     grid = np.linspace(10.0, 12.5, 51)
-    out = sweep_vbc(grid, DriveWaveform(f_m=250e3, duty=0.5), ens,
-                    ref.geometry(), ref.amplifier_chain(), cfg)
+    out = sweep_vbc(grid, ens, ref.geometry(), ref.amplifier_chain(), cfg)
     return grid, np.array([r.amplitude_r for _, r in out])
 
 

@@ -10,8 +10,7 @@ import pytest
 from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
-from cryoreadout import (__version__, chain as chain_mod, device, ivfit,
-                         lockin, source)
+from cryoreadout import __version__, chain as chain_mod, device, ivfit, lockin
 from cryoreadout.cli import main
 from cryoreadout.config import (_SCHEMA, MAX_GRID_POINTS, ConfigError,
                                 load_config)
@@ -69,6 +68,8 @@ def test_unit_suffix_scaling(tmp_path):
     "[sweep]\ngrid = 1:2\n",
     # the [sweep] section of a manifest that kept the version as a key
     "[sweep]\naxis = vbc\ngrid = 10:12.5:51:lin\nversion = 0.1.0\n",
+    # a manifest written while the config still had a microwave frequency
+    "[ensemble]\nf_mw_GHz = 110\n",
 ])
 def test_config_rejects_bad_input(tmp_path, text):
     p = tmp_path / "bad.ini"
@@ -80,7 +81,8 @@ def test_config_rejects_bad_input(tmp_path, text):
 @pytest.mark.parametrize("build", [
     lambda: replace(reference().ensemble(), tau_relax=math.nan),
     lambda: replace(reference().ensemble(), linewidth_v=math.nan),
-    lambda: source.DriveWaveform(f_m=math.nan, duty=0.5),
+    lambda: replace(reference().synthesis(), f_m=math.nan),
+    lambda: replace(reference().synthesis(), duty=math.nan),
     lambda: replace(reference().geometry(), c_parasitic=math.nan),
     lambda: chain_mod.StageResponse(gain_factor=1.0, poles=(math.nan,)),
     lambda: replace(reference().synthesis(), time_constant=math.nan),
@@ -416,14 +418,16 @@ def test_cli_bad_grid_spec(tmp_path):
      ""),
     (["sweep", "--axis", "fm", "--grid", "1e5:1e6:3:log"],
      "[synthesis]\nduty = 1.5\n"),
+    (["sweep", "--axis", "fm", "--grid", "0:1e6:5:lin"], ""),
 ], ids=["s21-1e9", "s21-limit", "vbc-1e9", "fm-manifest-1e9", "order-9",
-        "order-2000", "order-100000", "seed--1", "duty-1.5"])
+        "order-2000", "order-100000", "seed--1", "duty-1.5", "fm-zero"])
 def test_cli_size_limits(tmp_path, monkeypatch, args, setting):
     # grids above MAX_GRID_POINTS and filter orders above 8 are input
     # errors (exit 2) found before the chain is built; they used to exhaust
     # memory (7.45 GiB for 1e9 points, 74.5 GiB at order 100000) or run on
-    # (order 2000: about 10 s, then exit 3).  So are a negative seed and a
-    # duty outside (0, 1), which used to fail only after the DC solve
+    # (order 2000: about 10 s, then exit 3).  So are a negative seed, a
+    # duty outside (0, 1) and an f_m grid point <= 0, which used to fail
+    # only after the DC solve
     def no_chain(*_, **__):
         raise AssertionError("chain built")
 
@@ -433,6 +437,28 @@ def test_cli_size_limits(tmp_path, monkeypatch, args, setting):
     out = tmp_path / "out"
     assert main(["--config", str(p), "--out", str(out), *args]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("setting, args, key", [
+    # configparser joins an indented line onto the value above it; the
+    # manifest would write that value over two lines and not replay
+    ("[run]\noutput_dir = a\n  b\n", ["--axis", "vbc"], "[run] output_dir"),
+    ("[sweep]\ngrid = 11:12:\n  3\n", ["--axis", "vbc"], "[sweep] grid"),
+    ("", ["--axis", "vbc", "--grid", "11:12:\n3"], "[sweep] grid"),
+    ("", ["--axis", "fm", "--grid", "0:1e6:5:lin"], "[sweep] grid"),
+], ids=["multiline-output_dir", "multiline-grid", "multiline-grid-flag",
+        "fm-zero"])
+def test_cli_sweep_error_names_key(tmp_path, monkeypatch, capsys, setting,
+                                   args, key):
+    # exit 2 with the key named, and nothing written
+    p = tmp_path / "run.ini"
+    p.write_text(setting)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(["--config", str(p), "sweep", *args]) == 2
+    assert key in capsys.readouterr().err
+    assert list(work.iterdir()) == []
 
 
 def test_cli_negative_seed(capsys):

@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 from cryoreadout import lockin
 from cryoreadout.chain import StageResponse, cascade
 from cryoreadout.lockin import demodulate, sweep_fm, sweep_vbc, synthesize
-from cryoreadout.source import (DriveWaveform, image_charge_waveform,
-                                rydberg_population)
+from cryoreadout.source import image_charge_waveform, rydberg_population
 from conftest import (dft_fundamental_rms, lockin_noise_covariance,
                       reference, time_domain_point)
 
@@ -158,25 +157,24 @@ def test_synthesis_filter_order_range(order):
 def _sweep_fixtures(noise=0.0):
     ens = reference().ensemble()
     geom = reference().geometry()
-    cfg = _synthesis(input_noise_density=noise, time_constant=2e-4)
+    cfg = _synthesis(input_noise_density=noise, time_constant=2e-4,
+                     f_m=250e3, duty=0.5)
     return ens, geom, cfg
 
 
 def test_sweep_vbc_zero_rate_flat_zero():
     ens, geom, cfg = _sweep_fixtures()
-    drive = DriveWaveform(f_m=250e3, duty=0.5)
-    out = sweep_vbc([11.5, 11.6, 11.7], drive,
-                    replace(ens, rho22_target=0.0), geom, None, cfg)
+    out = sweep_vbc([11.5, 11.6, 11.7], replace(ens, rho22_target=0.0),
+                    geom, None, cfg)
     assert all(r.amplitude_r < 1e-15 for _, r in out)
 
 
 def test_sweep_grid_must_be_sorted():
     ens, geom, cfg = _sweep_fixtures()
-    drive = DriveWaveform(f_m=250e3, duty=0.5)
     with pytest.raises(ValueError):
-        sweep_vbc([11.7, 11.5], drive, ens, geom, None, cfg)
+        sweep_vbc([11.7, 11.5], ens, geom, None, cfg)
     with pytest.raises(ValueError):
-        sweep_fm([1e6, 1e5], ens, geom, None, cfg, 0.5)
+        sweep_fm([1e6, 1e5], ens, geom, None, cfg)
 
 
 def test_sweep_fm_no_mechanism_is_flat():
@@ -187,7 +185,7 @@ def test_sweep_fm_no_mechanism_is_flat():
     ens = replace(reference().ensemble(), tau_relax=tau,
                   rho22_target=r * tau / (1.0 + 2.0 * r * tau))
     _, geom, cfg = _sweep_fixtures()
-    out = sweep_fm([2e5, 5e5, 2e6], ens, geom, None, cfg, 0.5)
+    out = sweep_fm([2e5, 5e5, 2e6], ens, geom, None, cfg)
     # the source sits ~1.4 uV DC; any f_m dependence would appear as a
     # nonzero fundamental
     assert all(r.amplitude_r < 1e-12 for _, r in out)
@@ -195,10 +193,9 @@ def test_sweep_fm_no_mechanism_is_flat():
 
 def test_sweep_reproducibility():
     ens, geom, cfg = _sweep_fixtures(noise=35e-12)
-    drive = DriveWaveform(f_m=250e3, duty=0.5)
     grid = [11.55, 11.6, 11.65]
-    a = sweep_vbc(grid, drive, ens, geom, None, cfg)
-    b = sweep_vbc(grid, drive, ens, geom, None, cfg)
+    a = sweep_vbc(grid, ens, geom, None, cfg)
+    b = sweep_vbc(grid, ens, geom, None, cfg)
     assert [(x, r.amplitude_r, r.phase) for x, r in a] == \
         [(x, r.amplitude_r, r.phase) for x, r in b]
 
@@ -239,9 +236,9 @@ def test_sweep_point_noise_is_one_draw():
     # the (seed, index) stream, X first
     resp = _reference_chain()
     f_m, seed, index = 1e6, 5, 7
-    point = (index, f_m, 0.5, 1.0, reference().ensemble(),
+    point = (index, f_m, 1.0, reference().ensemble(),
              reference().geometry(), resp)
-    cfg = _synthesis(noise_seed=seed)
+    cfg = _synthesis(noise_seed=seed, duty=0.5)
     x0, y0 = _xy(lockin._run_point(
         *point, replace(cfg, input_noise_density=0.0)))
     x, y = _xy(lockin._run_point(*point, cfg))
@@ -256,8 +253,8 @@ def test_noise_statistics_match_time_domain():
     ens, geom = reference().ensemble(), reference().geometry()
     resp = _reference_chain()
     f_m, n = 250e3, 1000
-    point = (0, f_m, 0.5, 1.0, ens, geom, resp)
-    cfg = _synthesis(time_constant=2e-4)
+    point = (0, f_m, 1.0, ens, geom, resp)
+    cfg = _synthesis(time_constant=2e-4, duty=0.5)
     x0, y0 = _xy(lockin._run_point(*point,
                                    replace(cfg, input_noise_density=0.0)))
     xy = np.array([
@@ -285,9 +282,9 @@ def test_closed_form_matches_time_domain(f_m, tau_periods, order, duty, scale,
     # 16 * 1001 samples
     tau = tau_periods / f_m
     cfg = _synthesis(input_noise_density=0.0, time_constant=tau,
-                     filter_order=order)
+                     filter_order=order, duty=duty)
     resp = _reference_chain() if with_chain else None
-    point = (3, f_m, duty, scale, reference().ensemble(),
+    point = (3, f_m, scale, reference().ensemble(),
              reference().geometry(), resp, cfg)
     fast = lockin._run_point(*point)
     slow = time_domain_point(*point)
@@ -303,18 +300,17 @@ def test_closed_form_extreme_record():
     ens, geom = reference().ensemble(), reference().geometry()
     resp = _reference_chain()
     f_m = 10e6
-    cfg = _synthesis(time_constant=1.0, input_noise_density=0.0)
+    cfg = _synthesis(time_constant=1.0, input_noise_density=0.0, duty=0.5)
     spp, n_per = lockin._resolve_sampling(cfg, f_m)
     assert spp * n_per == 3_200_000_000
     tracemalloc.start()
     try:
-        res = lockin._run_point(0, f_m, 0.5, 1.0, ens, geom, resp, cfg)
+        res = lockin._run_point(0, f_m, 1.0, ens, geom, resp, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 10e6
-    rho = rydberg_population(DriveWaveform(f_m=f_m, duty=0.5), ens,
-                             samples_per_period=spp)
+    rho = rydberg_population(f_m, 0.5, ens, 1.0, spp)
     _, v_ac = image_charge_waveform(rho, geom, ens.n_s)
     want = abs(resp.evaluate(f_m)) * dft_fundamental_rms(v_ac, spp)
     assert math.isfinite(res.amplitude_r)

@@ -8,9 +8,9 @@ from scipy.constants import e as Q_E, epsilon_0
 from scipy.integrate import solve_ivp
 
 from cryoreadout import source
-from cryoreadout.source import (DriveWaveform, cw_rate_for_occupancy,
-                                image_charge_waveform, rms_image_current,
-                                rydberg_population, stark_excitation_fraction)
+from cryoreadout.source import (cw_rate_for_occupancy, image_charge_waveform,
+                                rms_image_current, rydberg_population,
+                                stark_excitation_fraction)
 
 from conftest import dft_fundamental_rms, reference
 
@@ -35,10 +35,16 @@ def test_validation():
         _ensemble(rho22_target=0.5)
     with pytest.raises(ValueError):
         _ensemble(tau_relax=0.0)
-    with pytest.raises(ValueError):
-        DriveWaveform(f_m=0.0, duty=0.5)
-    with pytest.raises(ValueError):
-        DriveWaveform(f_m=1e5, duty=1.0)
+    # the drive is checked by the library function and by the [synthesis]
+    # settings the sweeps read it from
+    with pytest.raises(ValueError, match="f_m"):
+        rydberg_population(0.0, 0.5, _ensemble(), 1.0, 64)
+    with pytest.raises(ValueError, match="duty"):
+        rydberg_population(1e5, 1.0, _ensemble(), 1.0, 64)
+    with pytest.raises(ValueError, match="f_m"):
+        replace(reference().synthesis(), f_m=0.0)
+    with pytest.raises(ValueError, match="duty"):
+        replace(reference().synthesis(), duty=1.0)
 
 
 def test_cw_rate_back_solve():
@@ -66,8 +72,7 @@ def test_stark_rigid_shift():
 
 
 def test_population_zero_rate():
-    drive = DriveWaveform(f_m=250e3, duty=0.5)
-    rho = rydberg_population(drive, _ensemble(rho22_target=0.0))
+    rho = rydberg_population(250e3, 0.5, _ensemble(rho22_target=0.0), 1.0, 64)
     assert np.all(rho == 0.0)
 
 
@@ -76,9 +81,9 @@ def test_population_saturation_and_free_decay():
     # r tau / (1 + 2 r tau) at tau = 1 us): on-plateau at 0.5, off-segment
     # decays as exp(-t/tau)
     ens = _ensemble(tau_relax=1e-6, rho22_target=1000.0 / 2001.0)
-    drive = DriveWaveform(f_m=1e3, duty=0.5)
-    rho = rydberg_population(drive, ens, samples_per_period=1024)
-    t = np.arange(rho.size) / (1024 * drive.f_m)
+    f_m = 1e3
+    rho = rydberg_population(f_m, 0.5, ens, 1.0, 1024)
+    t = np.arange(rho.size) / (1024 * f_m)
     on = t < 0.5e-3
     assert rho[on][-1] == pytest.approx(0.5, rel=1e-3)
     off = np.flatnonzero(~on)[10:50]
@@ -90,32 +95,29 @@ def test_population_saturation_and_free_decay():
 def test_population_bounds():
     rng = np.random.default_rng(5)
     for _ in range(20):
-        drive = DriveWaveform(f_m=10 ** rng.uniform(4, 7),
-                              duty=rng.uniform(0.1, 0.9))
+        f_m, duty = 10 ** rng.uniform(4, 7), rng.uniform(0.1, 0.9)
         ens = _ensemble(tau_relax=10 ** rng.uniform(-7, -5),
                         rho22_target=rng.uniform(0.0, 0.5))
-        rho = rydberg_population(drive, ens)
+        rho = rydberg_population(f_m, duty, ens, 1.0, 64)
         assert np.all(rho >= 0.0) and np.all(rho <= 0.5)
 
 
 def test_population_high_frequency_ripple():
     ens = _ensemble()
-    rho_lo = rydberg_population(DriveWaveform(f_m=250e3, duty=0.5), ens,
-                                samples_per_period=256)
-    rho_hi = rydberg_population(DriveWaveform(f_m=10e6, duty=0.5), ens,
-                                samples_per_period=256)
+    rho_lo = rydberg_population(250e3, 0.5, ens, 1.0, 256)
+    rho_hi = rydberg_population(10e6, 0.5, ens, 1.0, 256)
     assert np.ptp(rho_hi) < 0.1 * np.ptp(rho_lo)
 
 
 def test_population_matches_dense_integration():
     ens = _ensemble()
-    drive = DriveWaveform(f_m=250e3, duty=0.5)
+    f_m, duty = 250e3, 0.5
     r = cw_rate_for_occupancy(ens.rho22_target, ens.tau_relax)
     spp = 64
-    rho = rydberg_population(drive, ens, samples_per_period=spp)
-    t = np.arange(spp) / (spp * drive.f_m)
-    period = 1.0 / drive.f_m
-    t_on = drive.duty * period
+    rho = rydberg_population(f_m, duty, ens, 1.0, spp)
+    t = np.arange(spp) / (spp * f_m)
+    period = 1.0 / f_m
+    t_on = duty * period
 
     def ode(t_, y):
         rate = r if (t_ % period) < t_on else 0.0
@@ -135,8 +137,7 @@ def test_fundamental_crossover():
     spp = 128
 
     def fundamental(f_m):
-        rho = rydberg_population(DriveWaveform(f_m=f_m, duty=0.5), ens,
-                                 samples_per_period=spp)
+        rho = rydberg_population(f_m, 0.5, ens, 1.0, spp)
         return dft_fundamental_rms(rho, spp)
 
     # flat at low f_m, 1/f decay at high f_m
