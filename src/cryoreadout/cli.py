@@ -114,8 +114,6 @@ def cmd_sweep(args):
 def cmd_fit_iv(args):
     if args.input is None and args.output_chars is None:
         raise ConfigError("fit-iv needs --input and/or --output-chars")
-    if args.backward is not None and args.output_chars is None:
-        raise ConfigError("fit-iv --backward needs --output-chars")
     cfg = load_config(args.config, overrides=_overrides(args))
     beta_cfg = cfg[("device", "beta_f")]
     report = []
@@ -123,15 +121,13 @@ def cmd_fit_iv(args):
     beta_fit = early = verdict = None
     if args.output_chars is not None:
         ds = ivfit.load_iv_dataset(args.output_chars)
-        ds_b = ivfit.load_iv_dataset(args.backward) \
-            if args.backward is not None else None
         early = ivfit.fit_early_voltage(ds)
         report.append(("v_early_V", early.v_early))
         report.append(("early_fit_r_squared", early.r_squared))
         ic_t, vce_t = args.beta_at
         beta_fit = ivfit.fit_beta(ds, ic_t, vce_t)
         report.append(("beta_f", beta_fit))
-        cls = ivfit.classify_transistor(ds, ds_b)
+        cls = ivfit.classify_transistor(ds)
         verdict = cls.verdict
         report.append(("classification", cls.verdict))
         for kind, label, (vlo, vhi), metric in cls.evidence:
@@ -225,8 +221,6 @@ def build_parser():
                     help="input characteristics (v_be_V,i_b_A)")
     sp.add_argument("--output-chars", metavar="CSV",
                     help="output characteristics (i_b_A,v_ce_V,i_c_A[,direction])")
-    sp.add_argument("--backward", metavar="CSV",
-                    help="backward-direction output characteristics")
     sp.add_argument("--beta-at", type=_beta_at, default=(1e-4, 0.9),
                     metavar="IC_A,VCE_V",
                     help="target point for the beta fit (default 1e-4,0.9)")

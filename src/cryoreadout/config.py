@@ -219,13 +219,16 @@ class RunConfig:
         if len(parts) == 3:
             parts.append(reference.rsplit(":", 1)[1])
         if len(parts) != 4:
-            raise ConfigError(f"bad grid spec {spec!r} "
+            raise ConfigError(f"[sweep] grid: bad spec {spec!r} "
                               "(START:STOP:POINTS[:log|lin])")
         try:
             start, stop, points = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
-            raise ConfigError(f"bad grid spec {spec!r}") from None
-        grid = grid_points(start, stop, points, parts[3])
+            raise ConfigError(f"[sweep] grid: bad spec {spec!r}") from None
+        try:
+            grid = grid_points(start, stop, points, parts[3])
+        except ConfigError as exc:
+            raise ConfigError(f"[sweep] grid: {exc}") from None
         if axis == "fm" and grid[0] <= 0:
             raise ConfigError(f"[sweep] grid: modulation frequencies must be "
                               f"positive, got {spec!r}")

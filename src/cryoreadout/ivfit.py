@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,11 +39,17 @@ OUTPUT_HEADER = ["i_b_A", "v_ce_V", "i_c_A"]
 EARLY_FIT_IB_RANGE = (200e-9, 800e-9)
 # lower edge of the Early fit's v_ce window, V; the upper edge is the data max
 EARLY_FIT_V_CE_MIN = 0.5
+# a curve whose fitted rise across that window is at most this fraction of
+# its largest current is flat (V_A above about 1e9 V): a least-squares line
+# through constant data has a slope of rounding size, either sign
+EARLY_FIT_MIN_RISE = 1e-9
 # a diode fit whose v_teff would exceed this (V) has no usable slope
 V_TEFF_MAX = 10.0
-# classification: NDR below this smoothed slope (-S); hysteresis above this
+# classification: NDR below this smoothed slope (-S), the current first
+# smoothed by a moving average of this many points; hysteresis above this
 # |I_fwd - I_bwd| / max|I|
 NDR_THRESHOLD = 1e-6
+NDR_SMOOTH_WIDTH = 5
 HYSTERESIS_THRESHOLD = 0.02
 # synthetic datasets: output-family base-current labels (A) and v_ce grid (V),
 # input-curve v_be grid (V)
@@ -113,10 +119,7 @@ class IVDataset:
 @dataclass(frozen=True)
 class EarlyFit:
     v_early: float
-    per_curve_intercepts: tuple[float, ...]
-    fit_window: tuple[float, float]
     r_squared: float
-    excluded_labels: tuple[float, ...] = field(default=())
 
 
 @dataclass(frozen=True)
@@ -281,27 +284,24 @@ def fit_early_voltage(ds: IVDataset) -> EarlyFit:
     fitted with a least-squares line over the window
     [``EARLY_FIT_V_CE_MIN``, data max]; a line's v_ce-axis intercept is
     -b/m.  The reported Early voltage is the slope-weighted mean of the
-    intercept magnitudes.  Curves with non-positive slope are excluded with
-    a warning entry; an all-excluded family is a fit error.
+    intercept magnitudes.  Curves with fewer than 2 points in the window or
+    a rise across it of at most ``EARLY_FIT_MIN_RISE`` are left out; a
+    family with none left is a fit error.
     """
     _require_kind(ds, "output_characteristics", "Early fit")
     ib_lo, ib_hi = EARLY_FIT_IB_RANGE
     sweeps = [s for s in ds.forward_sweeps() if ib_lo <= s.label <= ib_hi]
     if not sweeps:
         raise FitError("no curves inside the base-current range")
-    lo = EARLY_FIT_V_CE_MIN
-    hi = max(s.voltage.max() for s in sweeps)
 
-    intercepts, slopes, r2s, excluded = [], [], [], []
+    intercepts, slopes, r2s = [], [], []
     for s in sweeps:
-        m_sel = (s.voltage >= lo) & (s.voltage <= hi)
+        m_sel = s.voltage >= EARLY_FIT_V_CE_MIN
         if m_sel.sum() < 2:
-            excluded.append(s.label)
             continue
         x, y = s.voltage[m_sel], s.current[m_sel]
         m, b = np.polyfit(x, y, 1)
-        if m <= 0:
-            excluded.append(s.label)
+        if m * np.ptp(x) <= EARLY_FIT_MIN_RISE * np.abs(y).max():
             continue
         resid = y - (m * x + b)
         ss_tot = np.sum((y - y.mean()) ** 2)
@@ -316,9 +316,7 @@ def fit_early_voltage(ds: IVDataset) -> EarlyFit:
                       float(np.sum(w * np.abs(intercepts)) / np.sum(w)))
     r_squared = _finite("Early fit r^2", float(
         np.clip(np.sum(w * np.asarray(r2s)) / np.sum(w), 0.0, 1.0)))
-    return EarlyFit(v_early=v_early, per_curve_intercepts=tuple(intercepts),
-                    fit_window=(lo, hi), r_squared=r_squared,
-                    excluded_labels=tuple(excluded))
+    return EarlyFit(v_early=v_early, r_squared=r_squared)
 
 
 def _interp_ic(sweep: IVSweep, v_ce: float) -> float:
@@ -380,30 +378,29 @@ def fit_diode_params(ds: IVDataset, beta_f: float) -> DiodeFit:
                     residual=float(np.sqrt(np.mean(resid ** 2))))
 
 
-def _smoothed_slope(v, i, width=5):
+def _smoothed_slope(v, i):
     """Local dI/dV after a moving-average smooth of the current."""
-    kernel = np.ones(width) / width
-    pad = width // 2
+    kernel = np.ones(NDR_SMOOTH_WIDTH) / NDR_SMOOTH_WIDTH
+    pad = NDR_SMOOTH_WIDTH // 2
     ipad = np.concatenate([np.full(pad, i[0]), i, np.full(pad, i[-1])])
     ism = np.convolve(ipad, kernel, mode="valid")
     return np.gradient(ism, v)
 
 
-def classify_transistor(ds_forward: IVDataset,
-                        ds_backward: IVDataset | None = None
-                        ) -> DeviceClassification:
+def classify_transistor(ds: IVDataset) -> DeviceClassification:
     """Flag negative differential resistance and forward/backward hysteresis.
 
-    NDR: smoothed local slope below -NDR_THRESHOLD (S).  Hysteresis:
-    |I_fwd - I_bwd| / max|I| above HYSTERESIS_THRESHOLD.  The backward
-    branches are those of ``ds_backward`` if given, else the backward
-    sweeps of ``ds_forward``.  The verdict is "usable" iff no evidence is
-    found.
+    NDR: smoothed local slope of a forward sweep below -NDR_THRESHOLD (S).
+    Hysteresis: each backward sweep against the forward sweep of the same
+    label, |I_fwd - I_bwd| / max|I| above HYSTERESIS_THRESHOLD, over the
+    forward points inside the backward sweep's voltage range; fewer than 2
+    such points is a ValueError.  The verdict is "usable" iff no evidence
+    is found.
     """
-    _require_kind(ds_forward, "output_characteristics", "classification")
+    _require_kind(ds, "output_characteristics", "classification")
     evidence = []
 
-    for s in ds_forward.forward_sweeps():
+    for s in ds.forward_sweeps():
         slope = _smoothed_slope(s.voltage, s.current)
         bad = slope < -NDR_THRESHOLD
         if np.any(bad):
@@ -411,32 +408,32 @@ def classify_transistor(ds_forward: IVDataset,
             evidence.append(("ndr", s.label, (float(v_bad.min()), float(v_bad.max())),
                              _finite("NDR slope", float(slope[bad].min()))))
 
-    if ds_backward is not None:
-        _require_kind(ds_backward, "output_characteristics",
-                      "backward classification")
-        bwd_sweeps = ds_backward.forward_sweeps() + ds_backward.backward_sweeps()
-    else:
-        bwd_sweeps = ds_forward.backward_sweeps()
-    if bwd_sweeps:
-        fwd_by_label = {s.label: s for s in ds_forward.forward_sweeps()}
-        for sb in bwd_sweeps:
-            if sb.label not in fwd_by_label:
-                raise ValueError(f"backward sweep label {sb.label:g} has no "
-                                 "forward counterpart")
-            sf = fwd_by_label[sb.label]
-            vb, ib = sb.voltage, sb.current
-            if vb[0] > vb[-1]:
-                vb, ib = vb[::-1], ib[::-1]
-            i_b_on_f = np.interp(sf.voltage, vb, ib)
-            scale = max(np.abs(sf.current).max(), np.abs(ib).max())
-            rel = np.abs(sf.current - i_b_on_f) / scale if scale > 0 else \
-                np.zeros_like(sf.current)
-            bad = rel > HYSTERESIS_THRESHOLD
-            if np.any(bad):
-                v_bad = sf.voltage[bad]
-                evidence.append(("hysteresis", sb.label,
-                                 (float(v_bad.min()), float(v_bad.max())),
-                                 _finite("hysteresis", float(rel[bad].max()))))
+    fwd_by_label = {s.label: s for s in ds.forward_sweeps()}
+    for sb in ds.backward_sweeps():
+        if sb.label not in fwd_by_label:
+            raise ValueError(f"backward sweep label {sb.label:g} has no "
+                             "forward counterpart")
+        sf = fwd_by_label[sb.label]
+        vb, ib = sb.voltage, sb.current
+        if vb[0] > vb[-1]:
+            vb, ib = vb[::-1], ib[::-1]
+        # np.interp would hold the backward sweep's end values beyond its
+        # range, so compare only where both branches have data
+        on = (sf.voltage >= vb[0]) & (sf.voltage <= vb[-1])
+        if on.sum() < 2:
+            raise ValueError(f"backward sweep label {sb.label:g} overlaps its "
+                             "forward sweep at fewer than 2 points")
+        v_f, i_f = sf.voltage[on], sf.current[on]
+        i_b_on_f = np.interp(v_f, vb, ib)
+        scale = max(np.abs(i_f).max(), np.abs(i_b_on_f).max())
+        rel = np.abs(i_f - i_b_on_f) / scale if scale > 0 else \
+            np.zeros_like(i_f)
+        bad = rel > HYSTERESIS_THRESHOLD
+        if np.any(bad):
+            v_bad = v_f[bad]
+            evidence.append(("hysteresis", sb.label,
+                             (float(v_bad.min()), float(v_bad.max())),
+                             _finite("hysteresis", float(rel[bad].max()))))
 
     kinds = {e[0] for e in evidence}
     if not kinds:

@@ -349,20 +349,15 @@ def test_cli_fit_iv_exit_contract(tmp_path, text, option):
 @pytest.mark.parametrize("option, kind, header", [
     ("--input", "output", "v_be_V,i_b_A"),
     ("--output-chars", "input", "i_b_A,v_ce_V,i_c_A"),
-    ("--backward", "input", "i_b_A,v_ce_V,i_c_A"),
 ])
 def test_cli_fit_iv_wrong_kind(tmp_path, capsys, option, kind, header):
     # an IV file of the wrong kind is an input error: exit 2, a message
     # naming the expected header, no report
-    wrong, family = tmp_path / "wrong.csv", tmp_path / "family.csv"
+    wrong = tmp_path / "wrong.csv"
     assert main(["gen-iv", "--kind", kind, "--path", str(wrong)]) == 0
-    assert main(["gen-iv", "--kind", "output", "--path", str(family)]) == 0
-    args = [option, str(wrong)]
-    if option == "--backward":
-        args += ["--output-chars", str(family)]
     out = tmp_path / "out"
     capsys.readouterr()
-    assert main(["--out", str(out), "fit-iv", *args]) == 2
+    assert main(["--out", str(out), "fit-iv", option, str(wrong)]) == 2
     assert header in capsys.readouterr().err
     assert not out.exists()
 
@@ -446,8 +441,12 @@ def test_cli_size_limits(tmp_path, monkeypatch, args, setting):
     ("[sweep]\ngrid = 11:12:\n  3\n", ["--axis", "vbc"], "[sweep] grid"),
     ("", ["--axis", "vbc", "--grid", "11:12:\n3"], "[sweep] grid"),
     ("", ["--axis", "fm", "--grid", "0:1e6:5:lin"], "[sweep] grid"),
+    # grid_points' own checks, shared with s21's flags
+    ("", ["--axis", "fm", "--grid", "0:1e6:5:log"], "[sweep] grid"),
+    ("", ["--axis", "vbc", "--grid", "2:1:5"], "[sweep] grid"),
+    ("", ["--axis", "vbc", "--grid", "11:12:0"], "[sweep] grid"),
 ], ids=["multiline-output_dir", "multiline-grid", "multiline-grid-flag",
-        "fm-zero"])
+        "fm-zero", "log-zero-start", "descending", "zero-points"])
 def test_cli_sweep_error_names_key(tmp_path, monkeypatch, capsys, setting,
                                    args, key):
     # exit 2 with the key named, and nothing written
@@ -589,16 +588,50 @@ def test_cli_manifest_config_for_every_command(tmp_path):
                      *args]) == 0, args
 
 
-def test_cli_fit_iv_backward_needs_output_chars(tmp_path, capsys):
-    # --backward classifies the output family: alone it is an input error,
-    # raised before any file is read
-    diode = tmp_path / "diode.csv"
-    assert main(["gen-iv", "--kind", "input", "--path", str(diode)]) == 0
+def _save_with_backward(path, backward):
+    # the synthetic family plus ``backward`` sweeps in its direction column
+    ds = ivfit.synth_output_family(160.0, 124.0)
+    ivfit.save_iv_dataset(ivfit.IVDataset(
+        kind="output_characteristics", sweeps=(*ds.sweeps, *backward)), path)
+
+
+def test_cli_fit_iv_backward_flag_removed(tmp_path, capsys):
+    # backward branches come from the direction column alone: this family
+    # is hysteretic, and --backward, which would add a second source, is
+    # an unknown flag (exit 2, nothing written)
+    path, copy = tmp_path / "family.csv", tmp_path / "copy.csv"
+    ds = ivfit.synth_output_family(160.0, 124.0)
+    _save_with_backward(path, [
+        ivfit.IVSweep(label=s.label, voltage=s.voltage[::-1],
+                      current=1.1 * s.current[::-1], direction="bwd")
+        for s in ds.sweeps])
+    ivfit.save_iv_dataset(ds, copy)
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "fit-iv", "--output-chars",
+                 str(path)]) == 1
+    _, rows = _read_csv(out / "fit_iv_report.csv")
+    assert dict(rows)["classification"] == "hysteretic"
+    out = tmp_path / "out2"
+    with pytest.raises(SystemExit) as info:
+        main(["--out", str(out), "fit-iv", "--output-chars", str(path),
+              "--backward", str(copy)])
+    assert info.value.code == 2
+    assert "--backward" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_fit_iv_backward_without_overlap(tmp_path, capsys):
+    # a backward sweep that meets its 0..2 V forward sweep only at 2 V is
+    # an input error naming its label: exit 2, no report
+    path = tmp_path / "family.csv"
+    _save_with_backward(path, [ivfit.IVSweep(
+        label=200e-9, voltage=np.array([3.0, 2.5, 2.0]),
+        current=np.full(3, 3.3e-5), direction="bwd")])
     out = tmp_path / "out"
     capsys.readouterr()
-    assert main(["--out", str(out), "fit-iv", "--input", str(diode),
-                 "--backward", str(tmp_path / "missing.csv")]) == 2
-    assert "--backward needs --output-chars" in capsys.readouterr().err
+    assert main(["--out", str(out), "fit-iv", "--output-chars",
+                 str(path)]) == 2
+    assert "label 2e-07 overlaps" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -738,7 +771,6 @@ def _cli_run(draw):
         bad_files = files | st.just("IVDIR/missing.csv")
         maybe("--input", files, bad_files)
         maybe("--output-chars", files, bad_files)
-        maybe("--backward", files, bad_files)
         maybe("--beta-at", st.just("1e-4,0.9"))
     sections = {}
     for (section, key), text in settings_.items():

@@ -117,16 +117,36 @@ def test_early_fit_noise_free():
     ds = synth_output_family(160.0, 124.0)
     fit = fit_early_voltage(ds)
     assert fit.v_early == pytest.approx(124.0, rel=1e-6)
-    assert fit.fit_window == (0.5, 2.0)
     assert 0.0 <= fit.r_squared <= 1.0
-    assert fit.excluded_labels == ()
 
 
 def test_early_fit_label_range_filter():
+    # only the 200..800 nA curves enter (13 of the 17): tilting the other
+    # four, and a 100 nA curve added below the range, to V_A = 30 V leaves
+    # the fitted 124 V
+    v = ivfit.SYNTH_V_CE
+    sweeps = [IVSweep(label=100e-9, voltage=v,
+                      current=160.0 * 100e-9 * (1.0 + v / 30.0))]
+    for s in synth_output_family(160.0, 124.0).sweeps:
+        if s.label > 800e-9 + 1e-12:
+            s = IVSweep(label=s.label, voltage=v,
+                        current=160.0 * s.label * (1.0 + v / 30.0))
+        sweeps.append(s)
+    ds = IVDataset(kind="output_characteristics", sweeps=tuple(sweeps))
+    assert sum(200e-9 <= s.label <= 800e-9 for s in ds.sweeps) == 13
+    assert fit_early_voltage(ds).v_early == pytest.approx(124.0, rel=1e-6)
+
+
+def test_early_fit_skips_flat_curve():
+    # a flat curve in the range has no Early intercept: it is left out, and
+    # the fit of the rest is unchanged
     ds = synth_output_family(160.0, 124.0)
-    fit = fit_early_voltage(ds)
-    # only 200..800 nA curves enter: 13 of the 17
-    assert len(fit.per_curve_intercepts) == 13
+    flat = IVSweep(label=210e-9, voltage=ivfit.SYNTH_V_CE,
+                   current=np.full(ivfit.SYNTH_V_CE.size, 160.0 * 210e-9))
+    sweeps = sorted((*ds.sweeps, flat), key=lambda s: s.label)
+    with_flat = IVDataset(kind="output_characteristics", sweeps=tuple(sweeps))
+    assert fit_early_voltage(with_flat).v_early == \
+        fit_early_voltage(ds).v_early
 
 
 def test_early_fit_flat_curves_error():
@@ -247,29 +267,66 @@ def test_classify_ndr_dip():
     assert metric < 0
 
 
+def _with_backward(fwd, bwd):
+    # one dataset holding the forward sweeps and the backward ones, each
+    # backward sweep given as (label, voltage, current) and run downward
+    return IVDataset(kind="output_characteristics", sweeps=(*fwd, *(
+        IVSweep(label=ib, voltage=v[::-1], current=i[::-1], direction="bwd")
+        for ib, v, i in bwd)))
+
+
 def test_classify_identical_backward_no_hysteresis():
     ds = synth_output_family(160.0, 124.0)
-    bwd = IVDataset(kind="output_characteristics", sweeps=ds.sweeps)
-    assert classify_transistor(ds, bwd).verdict == "usable"
+    both = _with_backward(ds.sweeps, [(s.label, s.voltage, s.current)
+                                      for s in ds.sweeps])
+    assert classify_transistor(both).verdict == "usable"
 
 
 def test_classify_hysteresis():
     ds = synth_output_family(160.0, 124.0)
-    bwd_sweeps = tuple(IVSweep(label=s.label, voltage=s.voltage,
-                               current=1.1 * s.current) for s in ds.sweeps)
-    bwd = IVDataset(kind="output_characteristics", sweeps=bwd_sweeps)
-    cls = classify_transistor(ds, bwd)
+    both = _with_backward(ds.sweeps, [(s.label, s.voltage, 1.1 * s.current)
+                                      for s in ds.sweeps])
+    cls = classify_transistor(both)
     assert cls.verdict == "hysteretic"
+    assert len(cls.evidence) == len(ds.sweeps)
     assert all(e[0] == "hysteresis" for e in cls.evidence)
 
 
 def test_classify_mismatched_labels():
     ds = synth_output_family(160.0, 124.0)
-    bwd = IVDataset(kind="output_characteristics",
-                    sweeps=(IVSweep(label=123e-9, voltage=ds.sweeps[0].voltage,
-                                    current=ds.sweeps[0].current),))
-    with pytest.raises(ValueError, match="label"):
-        classify_transistor(ds, bwd)
+    s = ds.sweeps[0]
+    both = _with_backward(ds.sweeps, [(123e-9, s.voltage, s.current)])
+    with pytest.raises(ValueError, match="label 1.23e-07"):
+        classify_transistor(both)
+
+
+def _knee(ib, v):
+    return 160.0 * ib * (1.0 + v / 124.0) * (1.0 - np.exp(-v / 0.05))
+
+
+def _knee_family(bwd):
+    # forward sweeps over 0..2 V with a knee; each backward sweep is the
+    # same curve at the voltages ``bwd``
+    v, labels = ivfit.SYNTH_V_CE, (200e-9, 400e-9, 600e-9)
+    return _with_backward(
+        [IVSweep(label=ib, voltage=v, current=_knee(ib, v)) for ib in labels],
+        [(ib, bwd, _knee(ib, bwd)) for ib in labels])
+
+
+def test_classify_compares_only_the_overlap():
+    # a backward sweep that stops short of the knee is the forward curve
+    # where it has data; below 0.5 V there is nothing to compare
+    v = ivfit.SYNTH_V_CE
+    cls = classify_transistor(_knee_family(v[v >= 0.5]))
+    assert cls.verdict == "usable"
+    assert cls.evidence == ()
+
+
+def test_classify_needs_two_overlap_points():
+    # a backward sweep that meets its 0..2 V forward sweep only at 2 V
+    # cannot be compared with it
+    with pytest.raises(ValueError, match="label 2e-07 overlaps"):
+        classify_transistor(_knee_family(np.array([2.0, 2.5, 3.0])))
 
 
 def test_fit_idempotence():
