@@ -176,8 +176,12 @@ def fixed_gain_stage(gain_db: float, f_low: float, f_high: float,
     low-pass pole at ``f_high``, mid-band gain 10^(gain_db/20)."""
     if not f_low < f_high:
         raise ValueError("need f_low < f_high")
+    try:
+        gain = 10.0 ** (gain_db / 20.0)
+    except OverflowError:
+        raise ValueError(f"gain of {gain_db:g} dB overflows") from None
     return StageResponse(
-        gain_factor=10.0 ** (gain_db / 20.0),
+        gain_factor=gain,
         poles=(f_high,),
         hp_corners=(f_low,),
         noise_temperature=noise_temperature,

@@ -49,9 +49,7 @@ def _write_csv(path, header, rows):
 
 def cmd_opp(args):
     cfg = load_config(args.config, overrides=_overrides(args))
-    net = cfg.network()
-    params = cfg.transistor()
-    op = device.solve_operating_point(net, params)
+    op = device.solve_operating_point(cfg.network, cfg.transistor)
     p = device.power_dissipation(op)
     print("operating point")
     print(f"  V_be = {op.v_be * 1e3:.3f} mV")
@@ -87,14 +85,9 @@ def cmd_s21(args):
 def cmd_sweep(args):
     cfg = load_config(args.config, overrides=_overrides(args))
     axis = cfg[("sweep", "axis")]
-    grid = cfg.sweep_grid()
-
-    # check the inputs before the chain's DC solve starts
-    ens = cfg.ensemble()
-    geom = cfg.geometry()
-    syn = cfg.synthesis()
     sweep = sweep_vbc if axis == "vbc" else sweep_fm
-    results = sweep(grid, ens, geom, cfg.amplifier_chain(), syn)
+    results = sweep(cfg.sweep_grid, cfg.ensemble, cfg.geometry,
+                    cfg.amplifier_chain(), cfg.synthesis)
 
     out_dir = args.out or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -124,8 +117,10 @@ def cmd_fit_iv(args):
         early = ivfit.fit_early_voltage(ds)
         report.append(("v_early_V", early.v_early))
         report.append(("early_fit_r_squared", early.r_squared))
-        ic_t, vce_t = args.beta_at
-        beta_fit = ivfit.fit_beta(ds, ic_t, vce_t)
+        try:
+            beta_fit = ivfit.fit_beta(ds, *args.beta_at)
+        except ValueError as exc:
+            raise ConfigError(f"--beta-at: {exc}") from None
         report.append(("beta_f", beta_fit))
         cls = ivfit.classify_transistor(ds)
         verdict = cls.verdict
@@ -158,7 +153,7 @@ def cmd_fit_iv(args):
 
 def cmd_gen_iv(args):
     cfg = load_config(args.config, overrides=_overrides(args))
-    params = cfg.transistor()
+    params = cfg.transistor
     rng = np.random.default_rng(cfg.seed)
     if args.kind == "input":
         ds = ivfit.synth_input_curve(params.i_sat, params.v_teff, params.beta_f,

@@ -4,15 +4,18 @@
 values, in file units): library classes and functions take them with no
 defaults of their own, so library callers get reference objects from
 ``load_config()``, which resolves an empty config to the reference setup.
-Unknown sections or keys are rejected.  A resolved config can be written
-back out as a manifest; re-running from the manifest reproduces the run
-bit-for-bit.  A command-line flag that sets a value overrides its key.
+Unknown sections or keys are rejected, and every module object is built
+once, at load, so a bad value fails there for every command.  A resolved
+config can be written back out as a manifest that keeps each key's text;
+re-running from the manifest reproduces the run bit-for-bit.  A
+command-line flag that sets a value overrides its key.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -123,157 +126,126 @@ def grid_points(start, stop, points, spacing):
 
 
 class RunConfig:
-    """Fully resolved run parameters, queryable as module objects."""
+    """The resolved run: each key's text, as given in the config file, an
+    override or ``_SCHEMA``, and the module objects built once from it.
 
-    def __init__(self, values):
-        self._values = values   # {(section, key): parsed value}
+    ``cfg[section, key]`` is a key's parsed value (SI units).  A value that
+    a builder rejects raises ConfigError naming its section, so every
+    command rejects it before it starts work.
+    """
+
+    def __init__(self, texts):
+        self._texts = {sk: text.strip() for sk, text in texts.items()}
+        self._values = {sk: _parse_value(*sk, text)
+                        for sk, text in self._texts.items()}
+        v = {}
+        for (section, key), value in self._values.items():
+            v.setdefault(section, {})[key] = value
+        dev, net, geo, ens, chn, syn = (
+            v["device"], v["network"], v["geometry"], v["ensemble"],
+            v["chain"], v["synthesis"])
+        self.seed = v["run"]["seed"]
+        self.output_dir = v["run"]["output_dir"]
+        self.network = _build("[network]", lambda: device.BiasNetwork(
+            v_supply=net["v_supply_V"], r_upper=net["r_upper_kohm"],
+            r_lower=net["r_lower_kohm"], r_collector=net["r_collector_kohm"],
+            r_emitter=net["r_emitter_ohm"], c_in=net["c_in_nF"],
+            c_out=net["c_out_nF"], c_bypass=net["c_bypass_nF"]))
+        self.transistor = _build("[device]",
+                                 lambda: _transistor(dev, self.network))
+        self.geometry = _build("[geometry]", lambda: source.CellGeometry(
+            c_cell=geo["c_cell_pF"], s_over_d=geo["s_over_d_mm"],
+            delta_z=geo["delta_z_nm"], c_parasitic=chn["c_parasitic_pF"]))
+        self.ensemble = _build("[ensemble]", lambda: source.EnsembleParams(
+            n_s=ens["n_s_per_cm2"], rho22_target=ens["rho22_target"],
+            tau_relax=ens["tau_relax_us"], v_resonance=ens["v_resonance_V"],
+            linewidth_v=ens["linewidth_V"]))
+        self.second_stage = _build("[chain]", lambda: chain_mod.fixed_gain_stage(
+            chn["second_stage_gain_dB"], chn["second_stage_f_low_kHz"],
+            chn["second_stage_f_high_GHz"],
+            noise_temperature=chn["second_stage_noise_K"]))
+        self.synthesis = _build("[synthesis]", lambda: SynthesisConfig(
+            noise_seed=self.seed,
+            input_noise_density=syn["input_noise_density_pV_rtHz"],
+            time_constant=syn["time_constant_ms"],
+            filter_order=syn["filter_order"], f_m=syn["f_m_kHz"],
+            duty=syn["duty"]))
+        self.sweep_grid = _build("[sweep] grid:", lambda: _sweep_grid(
+            v["sweep"]["axis"], v["sweep"]["grid"]))
 
     def __getitem__(self, section_key):
         return self._values[section_key]
 
-    # -- module object builders -------------------------------------------
-
-    def network(self) -> device.BiasNetwork:
-        g = self._values
-        return device.BiasNetwork(
-            v_supply=g[("network", "v_supply_V")],
-            r_upper=g[("network", "r_upper_kohm")],
-            r_lower=g[("network", "r_lower_kohm")],
-            r_collector=g[("network", "r_collector_kohm")],
-            r_emitter=g[("network", "r_emitter_ohm")],
-            c_in=g[("network", "c_in_nF")],
-            c_out=g[("network", "c_out_nF")],
-            c_bypass=g[("network", "c_bypass_nF")],
-        )
-
-    def transistor(self) -> device.TransistorParams:
-        g = self._values
-        i_sat = g[("device", "i_sat_A")]
-        v_teff = g[("device", "v_teff_mV")]
-        v_early = g[("device", "v_early_V")]
-        beta_f = g[("device", "beta_f")]
-        if i_sat == "auto":
-            i_sat = device.calibrated_i_sat(
-                self.network(), v_teff, v_early, beta_f,
-                g[("device", "i_c_target_mA")])
-        return device.TransistorParams(i_sat=i_sat, v_teff=v_teff,
-                                       v_early=v_early, beta_f=beta_f)
-
-    def geometry(self) -> source.CellGeometry:
-        g = self._values
-        return source.CellGeometry(
-            c_cell=g[("geometry", "c_cell_pF")],
-            s_over_d=g[("geometry", "s_over_d_mm")],
-            delta_z=g[("geometry", "delta_z_nm")],
-            c_parasitic=g[("chain", "c_parasitic_pF")],
-        )
-
-    def ensemble(self) -> source.EnsembleParams:
-        g = self._values
-        return source.EnsembleParams(
-            n_s=g[("ensemble", "n_s_per_cm2")],
-            rho22_target=g[("ensemble", "rho22_target")],
-            tau_relax=g[("ensemble", "tau_relax_us")],
-            v_resonance=g[("ensemble", "v_resonance_V")],
-            linewidth_v=g[("ensemble", "linewidth_V")],
-        )
-
     def amplifier_chain(self) -> chain_mod.ChainResponse:
-        g = self._values
-        net = self.network()
-        params = self.transistor()
-        op = device.solve_operating_point(net, params)
-        ss = device.small_signal(op, params)
-        r_src = g[("chain", "r_source_ohm")]
-        r_load = chain_mod.unity_gain_load(ss, net, r_src)
+        """The configured chain: the HBT first stage at its DC operating
+        point into its unity-gain load, then the second stage unless
+        ``[chain] stage`` is ``first``."""
+        op = device.solve_operating_point(self.network, self.transistor)
+        ss = device.small_signal(op, self.transistor)
+        r_src = self["chain", "r_source_ohm"]
+        r_load = chain_mod.unity_gain_load(ss, self.network, r_src)
         first = chain_mod.hbt_stage_response(
-            ss, net, r_load, r_src,
-            noise_temperature=g[("chain", "first_stage_noise_K")])
-        if g[("chain", "stage")] == "first":
+            ss, self.network, r_load, r_src,
+            noise_temperature=self["chain", "first_stage_noise_K"])
+        if self["chain", "stage"] == "first":
             return chain_mod.cascade([first])
-        second = chain_mod.fixed_gain_stage(
-            g[("chain", "second_stage_gain_dB")],
-            g[("chain", "second_stage_f_low_kHz")],
-            g[("chain", "second_stage_f_high_GHz")],
-            noise_temperature=g[("chain", "second_stage_noise_K")])
-        return chain_mod.cascade([first, second])
-
-    def synthesis(self) -> SynthesisConfig:
-        g = self._values
-        return SynthesisConfig(
-            noise_seed=g[("run", "seed")],
-            input_noise_density=g[("synthesis", "input_noise_density_pV_rtHz")],
-            time_constant=g[("synthesis", "time_constant_ms")],
-            filter_order=g[("synthesis", "filter_order")],
-            f_m=g[("synthesis", "f_m_kHz")],
-            duty=g[("synthesis", "duty")],
-        )
-
-    def sweep_grid(self):
-        """Points of the ``[sweep] grid`` spec START:STOP:POINTS[:log|lin]
-        on the ``[sweep] axis``; ``auto`` is the axis's reference grid."""
-        spec = self._values[("sweep", "grid")]
-        axis = self._values[("sweep", "axis")]
-        reference = _REFERENCE_GRIDS[axis]
-        parts = (reference if spec == "auto" else spec).split(":")
-        if len(parts) == 3:
-            parts.append(reference.rsplit(":", 1)[1])
-        if len(parts) != 4:
-            raise ConfigError(f"[sweep] grid: bad spec {spec!r} "
-                              "(START:STOP:POINTS[:log|lin])")
-        try:
-            start, stop, points = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError:
-            raise ConfigError(f"[sweep] grid: bad spec {spec!r}") from None
-        try:
-            grid = grid_points(start, stop, points, parts[3])
-        except ConfigError as exc:
-            raise ConfigError(f"[sweep] grid: {exc}") from None
-        if axis == "fm" and grid[0] <= 0:
-            raise ConfigError(f"[sweep] grid: modulation frequencies must be "
-                              f"positive, got {spec!r}")
-        return grid
-
-    @property
-    def seed(self) -> int:
-        return self._values[("run", "seed")]
-
-    @property
-    def output_dir(self) -> str:
-        return self._values[("run", "output_dir")]
-
-    # -- serialization ------------------------------------------------------
+        return chain_mod.cascade([first, self.second_stage])
 
     def as_text(self) -> str:
-        """Render the resolved config (file units) as INI text."""
+        """The resolved config as INI text, each key's text as given."""
         lines = []
         for section, keys in _SCHEMA.items():
             lines.append(f"[{section}]")
-            for key, ((kind, scale), _default) in keys.items():
-                val = self._values[(section, key)]
-                if kind in ("str",) or val == "auto":
-                    lines.append(f"{key} = {val}")
-                elif kind == "int":
-                    lines.append(f"{key} = {val:d}")
-                else:
-                    lines.append(f"{key} = {_file_units(val, scale):.17g}")
+            lines.extend(f"{key} = {self._texts[section, key]}" for key in keys)
             lines.append("")
         return "\n".join(lines)
 
 
-def _file_units(value, scale):
-    """File-unit x with x * scale == value exactly, so manifests reload
-    exactly; value / scale can miss by an ulp (2**-9 / 1e-9 * 1e-9 !=
-    2**-9), and x * scale is monotone in x."""
-    x = value / scale
-    while x * scale != value:
-        x = math.nextafter(x, math.inf if x * scale < value else -math.inf)
-    return x
+def _build(label, make):
+    """``make()``, with a ValueError raised as a ConfigError led by
+    ``label``, the config section the object is built from."""
+    try:
+        return make()
+    except ValueError as exc:
+        raise ConfigError(f"{label} {exc}") from None
+
+
+def _transistor(dev, network):
+    auto = dev["i_sat_A"] == "auto"
+    # a stand-in i_sat lets TransistorParams check the other values before
+    # the calibration divides by them
+    params = device.TransistorParams(
+        i_sat=1.0 if auto else dev["i_sat_A"], v_teff=dev["v_teff_mV"],
+        v_early=dev["v_early_V"], beta_f=dev["beta_f"])
+    if not auto:
+        return params
+    return replace(params, i_sat=device.calibrated_i_sat(
+        network, params.v_teff, params.v_early, params.beta_f,
+        dev["i_c_target_mA"]))
+
+
+def _sweep_grid(axis, spec):
+    """Points of the ``[sweep] grid`` spec START:STOP:POINTS[:log|lin] on
+    ``axis``; ``auto`` is the axis's reference grid."""
+    reference = _REFERENCE_GRIDS[axis]
+    parts = (reference if spec == "auto" else spec).split(":")
+    if len(parts) == 3:
+        parts.append(reference.rsplit(":", 1)[1])
+    try:
+        start, stop, points, spacing = parts
+        start, stop, points = float(start), float(stop), int(points)
+    except ValueError:
+        raise ValueError(f"bad spec {spec!r} "
+                         "(START:STOP:POINTS[:log|lin])") from None
+    grid = grid_points(start, stop, points, spacing)
+    if axis == "fm" and grid[0] <= 0:
+        raise ValueError(f"modulation frequencies must be positive, "
+                         f"got {spec!r}")
+    return grid
 
 
 def _parse_value(section, key, raw):
     (kind, scale), _default = _SCHEMA[section][key]
-    raw = raw.strip()
     if kind == "str":
         # a manifest writes the value on one line
         if "\n" in raw or "\r" in raw:
@@ -308,9 +280,7 @@ def load_config(path=None, overrides=None) -> RunConfig:
     """Load a RunConfig from an INI file (or defaults when path is None).
 
     ``overrides`` is a {(section, key): raw-string} mapping applied on top
-    (used for CLI flags).  The seed, the ``[synthesis]`` settings and the
-    sweep grid are checked here, so every command rejects them before
-    it starts work; the builders check the other values.
+    (used for CLI flags).  Every value is checked here, for every command.
     """
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str   # unit suffixes are case-sensitive
@@ -330,20 +300,11 @@ def load_config(path=None, overrides=None) -> RunConfig:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
 
-    values = {}
-    for section, keys in _SCHEMA.items():
-        for key, (_spec, default) in keys.items():
-            raw = parser.get(section, key, fallback=default) \
-                if parser.has_section(section) else default
-            values[(section, key)] = _parse_value(section, key, raw)
-    for (section, key), raw in (overrides or {}).items():
+    texts = {(section, key): parser.get(section, key, fallback=default)
+             for section, keys in _SCHEMA.items()
+             for key, (_spec, default) in keys.items()}
+    for (section, key), text in (overrides or {}).items():
         if section not in _SCHEMA or key not in _SCHEMA[section]:
             raise ConfigError(f"unknown override [{section}] {key}")
-        values[(section, key)] = _parse_value(section, key, raw)
-    cfg = RunConfig(values)
-    try:
-        cfg.synthesis()
-    except ValueError as exc:
-        raise ConfigError(f"[synthesis] {exc}") from None
-    cfg.sweep_grid()
-    return cfg
+        texts[(section, key)] = text
+    return RunConfig(texts)

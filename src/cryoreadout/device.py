@@ -276,5 +276,9 @@ def calibrated_i_sat(network: BiasNetwork, v_teff: float, v_early: float,
     v_ce = network.v_supply - i_c_target * network.r_collector - v_e
     if v_ce <= 0 or v_be <= 0:
         raise ValueError("target collector current is not reachable in this network")
-    return i_c_target / (math.exp(v_be / v_teff) * (1.0 + v_ce / v_early))
+    x = v_be / v_teff
+    if x > EXP_CAP:
+        raise ValueError(f"v_be/v_teff = {x:.1f} at the target current "
+                         f"exceeds cap {EXP_CAP:.0f}")
+    return i_c_target / (math.exp(x) * (1.0 + v_ce / v_early))
 

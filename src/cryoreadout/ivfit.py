@@ -324,7 +324,7 @@ def _interp_ic(sweep: IVSweep, v_ce: float) -> float:
     if v[0] > v[-1]:
         v, i = v[::-1], i[::-1]
     if not (v[0] <= v_ce <= v[-1]):
-        raise FitError(f"v_ce={v_ce:g} outside sweep range [{v[0]:g}, {v[-1]:g}]")
+        raise ValueError(f"v_ce={v_ce:g} outside sweep range [{v[0]:g}, {v[-1]:g}]")
     return float(np.interp(v_ce, v, i))
 
 
@@ -332,7 +332,8 @@ def fit_beta(ds: IVDataset, i_c: float, v_ce: float) -> float:
     """Differential current gain dI_c/dI_b near a target point.
 
     Uses the two family curves whose interpolated collector currents at
-    ``v_ce`` bracket the target ``i_c``.
+    ``v_ce`` bracket the target ``i_c``; a target outside the data raises
+    ValueError.
     """
     _require_kind(ds, "output_characteristics", "beta fit")
     sweeps = ds.forward_sweeps()
@@ -343,7 +344,7 @@ def fit_beta(ds: IVDataset, i_c: float, v_ce: float) -> float:
         if ics[k] <= i_c <= ics[k + 1]:
             d_ib = sweeps[k + 1].label - sweeps[k].label
             return _finite("beta", (ics[k + 1] - ics[k]) / d_ib)
-    raise FitError(f"target i_c={i_c:g} A at v_ce={v_ce:g} V outside the data hull")
+    raise ValueError(f"target i_c={i_c:g} A at v_ce={v_ce:g} V outside the data hull")
 
 
 def intrinsic_gain(v_early: float, v_teff: float) -> float:

@@ -48,7 +48,8 @@ class CellGeometry:
     def __post_init__(self):
         if not (self.c_cell > 0 and self.s_over_d > 0 and self.delta_z > 0
                 and self.c_parasitic > 0):
-            raise ValueError("geometry values must be positive")
+            raise ValueError("c_cell, s_over_d, delta_z and c_parasitic "
+                             "must be positive")
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ ACCEPTANCE_LINES = {}
 def reference():
     """RunConfig of the reference setup: ``config._SCHEMA``'s defaults, as
     the CLI reads them with no config file.  Tests take reference objects
-    from it (``reference().network()``) and build variants with
+    from it (``reference().network``) and build variants with
     ``dataclasses.replace``."""
     return load_config()
 

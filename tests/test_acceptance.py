@@ -37,7 +37,7 @@ def _report(num, ok, detail):
 
 
 def test_c01_vac_values():
-    geom = reference().geometry()
+    geom = reference().geometry
     dq, v300 = image_charge_waveform(
         np.array([0.1]), replace(geom, c_parasitic=300e-12), 1e12)
     _, v10 = image_charge_waveform(
@@ -57,8 +57,8 @@ def test_c02_intrinsic_gain():
 def test_c03_power():
     p_exact = power_dissipation(
         device.OperatingPoint(v_be=0.0, v_ce=0.9, i_b=0.0, i_c=1e-4))
-    op = solve_operating_point(reference().network(),
-                               reference().transistor())
+    op = solve_operating_point(reference().network,
+                               reference().transistor)
     p_full = power_dissipation(op)
     ok = p_exact == 9e-5 and 70e-6 <= p_full <= 110e-6
     _report(3, ok, f"collector term {p_exact * 1e6:.1f} uW exact; "
@@ -112,7 +112,7 @@ def test_c07_friis():
 def test_c08_dc_solver_vs_grid_oracle():
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
-    net0 = reference().network()
+    net0 = reference().network
     worst = 0.0
     n_done = 0
     while n_done < 20:
@@ -161,9 +161,9 @@ def test_c09_lockin_vs_dft_oracle():
 
     sine = 0.7 * np.sin(2 * math.pi * f_ref * t + 0.4)
     square = (np.sin(2 * math.pi * f_ref * t) >= 0).astype(float)
-    rho = np.tile(rydberg_population(f_ref, 0.5, reference().ensemble(),
+    rho = np.tile(rydberg_population(f_ref, 0.5, reference().ensemble,
                                      1.0, spp), n // spp)
-    order = reference().synthesis().filter_order
+    order = reference().synthesis.filter_order
     for name, x in (("sine", sine), ("square", square), ("population", rho)):
         r = demodulate(x, f_ref, tau, order, fs).amplitude_r
         ref = dft_fundamental_rms(x, spp)
@@ -171,8 +171,8 @@ def test_c09_lockin_vs_dft_oracle():
 
     # the closed form the sweeps run: the population's image-charge voltage
     # through _run_point, with no chain and no noise
-    ens, geom = reference().ensemble(), reference().geometry()
-    syn = replace(reference().synthesis(), input_noise_density=0.0)
+    ens, geom = reference().ensemble, reference().geometry
+    syn = replace(reference().synthesis, input_noise_density=0.0)
     spp_run, _ = _resolve_sampling(syn, f_ref)
     _, v_ac = image_charge_waveform(
         rydberg_population(f_ref, syn.duty, ens, 1.0, spp_run), geom, ens.n_s)
@@ -189,9 +189,9 @@ def _fm_sweep(second_stage_f_low_khz=None, noise=35e-12):
     overrides = {} if second_stage_f_low_khz is None else \
         {("chain", "second_stage_f_low_kHz"): second_stage_f_low_khz}
     resp = load_config(overrides=overrides).amplifier_chain()
-    cfg = replace(ref.synthesis(), input_noise_density=noise, duty=0.5)
+    cfg = replace(ref.synthesis, input_noise_density=noise, duty=0.5)
     grid = np.geomspace(1e5, 1e7, 25)
-    out = sweep_fm(grid, ref.ensemble(), ref.geometry(), resp, cfg)
+    out = sweep_fm(grid, ref.ensemble, ref.geometry, resp, cfg)
     return grid, np.array([r.amplitude_r for _, r in out])
 
 
@@ -225,11 +225,11 @@ def test_c10_fm_sweep_shape():
 
 def _vbc_sweep(v_resonance, noise):
     ref = reference()
-    ens = replace(ref.ensemble(), v_resonance=v_resonance)
-    cfg = replace(ref.synthesis(), input_noise_density=noise, f_m=250e3,
+    ens = replace(ref.ensemble, v_resonance=v_resonance)
+    cfg = replace(ref.synthesis, input_noise_density=noise, f_m=250e3,
                   duty=0.5)
     grid = np.linspace(10.0, 12.5, 51)
-    out = sweep_vbc(grid, ens, ref.geometry(), ref.amplifier_chain(), cfg)
+    out = sweep_vbc(grid, ens, ref.geometry, ref.amplifier_chain(), cfg)
     return grid, np.array([r.amplitude_r for _, r in out])
 
 
@@ -255,7 +255,7 @@ def test_c11_vbc_sweep_peak_and_shift():
 
 
 def test_c12_rms_image_current():
-    geom = reference().geometry()
+    geom = reference().geometry
     i_verbatim = rms_image_current(100e3, geom, 1e12, 0.1)
     dq, _ = image_charge_waveform(np.array([0.1]), geom, 1e12)
     i_charge = 2.0 * math.pi * 100e3 * dq[0]

@@ -16,15 +16,15 @@ R_SOURCE = reference()[("chain", "r_source_ohm")]
 
 
 def _default_first_stage():
-    net = reference().network()
-    params = reference().transistor()
+    net = reference().network
+    params = reference().transistor
     op = device.solve_operating_point(net, params)
     ss = device.small_signal(op, params)
     return ss, net
 
 
 def test_coupling_network_validation():
-    geom = reference().geometry()
+    geom = reference().geometry
     with pytest.raises(ValueError):
         replace(geom, c_cell=0.0)
     with pytest.raises(ValueError):
@@ -52,6 +52,14 @@ def test_fixed_gain_stage_corner_definitions():
                                                   rel=1e-6)
     with pytest.raises(ValueError):
         fixed_gain_stage(20.0, 1e9, 1e6)
+
+
+def test_fixed_gain_stage_overflow():
+    # a gain whose factor overflows is a bad value; one that underflows to
+    # zero is left to s21_db, which rejects the zero gain it gives
+    with pytest.raises(ValueError, match="overflows"):
+        fixed_gain_stage(1e200, 1e3, 1e9)
+    assert fixed_gain_stage(-1e200, 1e3, 1e9).gain_factor == 0.0
 
 
 def test_cascade_identity_and_multiplicativity():
@@ -157,7 +165,7 @@ def test_transfer_function_matches_impulse_response_fft():
     n, fs = 2 ** 16, 2.5e8
     impulse = np.zeros(n)
     impulse[0] = 1.0
-    cfg = replace(reference().synthesis(), input_noise_density=0.0)
+    cfg = replace(reference().synthesis, input_noise_density=0.0)
     out = synthesize(impulse, resp, cfg, fs)
     freqs = np.fft.rfftfreq(n, 1.0 / fs)
     mag_db = 20.0 * np.log10(np.abs(np.fft.rfft(out)[1:]))

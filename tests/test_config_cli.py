@@ -30,19 +30,19 @@ def test_defaults_match_module_defaults():
     # the library has no defaults of its own: the config's reference
     # network is checked against the published values
     cfg = load_config(None)
-    net = cfg.network()
+    net = cfg.network
     published = {"v_supply": 1.0, "r_upper": 574e3, "r_lower": 235e3,
                  "r_collector": 1e3, "r_emitter": 24.0, "c_in": 12e-9,
                  "c_out": 12e-9, "c_bypass": 220e-9}
     for f, value in published.items():
         # scale multiplication may differ from the literal by one ULP
         assert getattr(net, f) == pytest.approx(value, rel=1e-14)
-    params = cfg.transistor()
+    params = cfg.transistor
     assert params.i_sat == pytest.approx(6.352589914763768e-08, rel=1e-12)
     assert params.beta_f == 160.0 and params.v_early == 124.0
-    geom = cfg.geometry()
+    geom = cfg.geometry
     assert geom.s_over_d == pytest.approx(5.65e-3)
-    ens = cfg.ensemble()
+    ens = cfg.ensemble
     assert ens.n_s == pytest.approx(1e12)     # 1e8 cm^-2
     assert ens.v_resonance == 11.6
     assert cfg.seed == 0
@@ -52,8 +52,8 @@ def test_unit_suffix_scaling(tmp_path):
     p = tmp_path / "run.ini"
     p.write_text("[network]\nr_upper_kohm = 100\n[ensemble]\ntau_relax_us = 2\n")
     cfg = load_config(p)
-    assert cfg.network().r_upper == pytest.approx(1e5)
-    assert cfg.ensemble().tau_relax == pytest.approx(2e-6)
+    assert cfg.network.r_upper == pytest.approx(1e5)
+    assert cfg.ensemble.tau_relax == pytest.approx(2e-6)
 
 
 @pytest.mark.parametrize("text", [
@@ -79,21 +79,21 @@ def test_config_rejects_bad_input(tmp_path, text):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: replace(reference().ensemble(), tau_relax=math.nan),
-    lambda: replace(reference().ensemble(), linewidth_v=math.nan),
-    lambda: replace(reference().synthesis(), f_m=math.nan),
-    lambda: replace(reference().synthesis(), duty=math.nan),
-    lambda: replace(reference().geometry(), c_parasitic=math.nan),
+    lambda: replace(reference().ensemble, tau_relax=math.nan),
+    lambda: replace(reference().ensemble, linewidth_v=math.nan),
+    lambda: replace(reference().synthesis, f_m=math.nan),
+    lambda: replace(reference().synthesis, duty=math.nan),
+    lambda: replace(reference().geometry, c_parasitic=math.nan),
     lambda: chain_mod.StageResponse(gain_factor=1.0, poles=(math.nan,)),
-    lambda: replace(reference().synthesis(), time_constant=math.nan),
-    lambda: replace(reference().synthesis(), input_noise_density=math.nan),
+    lambda: replace(reference().synthesis, time_constant=math.nan),
+    lambda: replace(reference().synthesis, input_noise_density=math.nan),
     lambda: device.TransistorParams(i_sat=1e-12, v_teff=0.025,
                                     v_early=math.nan, beta_f=160.0),
     lambda: device.TransistorParams(i_sat=1e-12, v_teff=0.025,
                                     v_early=124.0, beta_f=math.nan),
     lambda: chain_mod.hbt_stage_response(
         device.SmallSignalParams(g_m=4e-3, r_pi=4e4, r_o=1.24e6),
-        reference().network(), 50.0, source_resistance=math.nan),
+        reference().network, 50.0, source_resistance=math.nan),
 ])
 def test_module_objects_reject_nan(build):
     with pytest.raises(ValueError):
@@ -113,15 +113,19 @@ def test_config_roundtrip(tmp_path):
     assert cfg2._values == cfg._values
 
 
-# keys that load_config or CellGeometry checks for > 0; any finite value
-# elsewhere, but for the ranges _numeric_value draws
-_POSITIVE_KEYS = {("geometry", "c_cell_pF"), ("geometry", "s_over_d_mm"),
-                  ("geometry", "delta_z_nm"), ("chain", "c_parasitic_pF"),
-                  ("synthesis", "input_noise_density_pV_rtHz"),
-                  ("synthesis", "time_constant_ms"), ("synthesis", "f_m_kHz")}
+# keys that load_config checks for > 0; any finite value elsewhere, but for
+# the ranges _numeric_value draws
+_POSITIVE_KEYS = {("network", key) for key in _SCHEMA["network"]} | {
+    ("device", "i_sat_A"), ("device", "v_teff_mV"),
+    ("geometry", "c_cell_pF"), ("geometry", "s_over_d_mm"),
+    ("geometry", "delta_z_nm"), ("chain", "c_parasitic_pF"),
+    ("ensemble", "tau_relax_us"), ("ensemble", "linewidth_V"),
+    ("synthesis", "input_noise_density_pV_rtHz"),
+    ("synthesis", "time_constant_ms"), ("synthesis", "f_m_kHz")}
 
 
 def _numeric_value(section, key):
+    """A value load_config accepts for the key, as text."""
     if key == "duty":
         return st.floats(0.0, 1.0, exclude_min=True,
                          exclude_max=True).map(repr)
@@ -129,8 +133,22 @@ def _numeric_value(section, key):
         return st.integers(1, lockin.MAX_FILTER_ORDER).map(str)
     if key == "seed":
         return st.integers(0, 10 ** 6).map(str)
-    lo = 1e-200 if (section, key) in _POSITIVE_KEYS else -1e200
-    return st.floats(lo, 1e200).map(repr)
+    lo, hi = -1e200, 1e200
+    if key == "rho22_target":
+        return st.floats(0.0, 0.5, exclude_max=True).map(repr)
+    if key in ("v_early_V", "beta_f"):
+        lo = 1.0
+    elif key == "second_stage_gain_dB":
+        # 10 ** (dB / 20) overflows above about 6165 dB
+        lo, hi = -6000.0, 6000.0
+    elif key == "second_stage_f_low_kHz":
+        # below second_stage_f_high_GHz
+        lo, hi = 1e-200, 1e90
+    elif key == "second_stage_f_high_GHz":
+        lo = 1e90
+    elif (section, key) in _POSITIVE_KEYS:
+        lo = 1e-200
+    return st.floats(lo, hi).map(repr)
 
 
 @st.composite
@@ -149,32 +167,56 @@ _NUMERIC_KEYS = [(section, key) for section, keys in _SCHEMA.items()
                  for key, ((kind, _), _) in keys.items() if kind != "str"]
 
 
+# some draws set one key to any finite number, which may be a bad value
+_ANY_KEY_VALUE = st.none() | st.tuples(st.sampled_from(_NUMERIC_KEYS),
+                                       st.floats(-1e200, 1e200).map(repr))
+
+
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(raw=st.fixed_dictionaries(
-    {sk: _numeric_value(*sk) for sk in _NUMERIC_KEYS}), sweep=_sweep_keys())
-# 1953125 nF is stored as 2**-9 F, and 2**-9 / 1e-9 * 1e-9 != 2**-9
+    {sk: _numeric_value(*sk) for sk in _NUMERIC_KEYS}), sweep=_sweep_keys(),
+    any_value=_ANY_KEY_VALUE)
+# 1953125 nF is 2**-9 F, and 2**-9 / 1e-9 * 1e-9 != 2**-9: a manifest that
+# converted the value back to nF would not reload it exactly
 @example(raw={**{sk: "1" for sk in _NUMERIC_KEYS},
               ("network", "c_bypass_nF"): "1953125",
+              ("ensemble", "rho22_target"): "0.1",
               ("synthesis", "duty"): "0.5"},
-         sweep={("sweep", "axis"): "fm", ("sweep", "grid"): "1e5:1e6:3"})
-def test_config_manifest_roundtrip_property(tmp_path, raw, sweep):
-    # load -> as_text -> load is exact for every numeric key and the sweep
-    cfg = load_config(None, overrides={**raw, **sweep})
+         sweep={("sweep", "axis"): "fm", ("sweep", "grid"): "1e5:1e6:3"},
+         any_value=None)
+def test_config_manifest_roundtrip_property(tmp_path, raw, sweep, any_value):
+    # a draw that some section rejects raises ConfigError naming that
+    # section; a draw that loads round-trips exactly through its manifest,
+    # which keeps each key's text
+    if any_value is not None:
+        raw = {**raw, any_value[0]: any_value[1]}
+    try:
+        cfg = load_config(None, overrides={**raw, **sweep})
+    except ConfigError as exc:
+        assert any_value is not None, exc
+        assert re.match(r"\[(\w+)\] ", str(exc)).group(1) in _SCHEMA, exc
+        return
+    text = cfg.as_text()
+    for (section, key), value in {**raw, **sweep}.items():
+        assert f"\n{key} = {value}\n" in text
     p = tmp_path / "manifest.ini"
-    p.write_text(cfg.as_text())
+    p.write_text(text)
     cfg2 = load_config(p)
     assert cfg2._values == cfg._values
-    assert cfg2.as_text() == cfg.as_text()
-    assert np.array_equal(cfg2.sweep_grid(), cfg.sweep_grid())
-    assert cfg2.geometry().c_parasitic == \
+    assert cfg2.as_text() == text
+    for name in ("network", "transistor", "geometry", "ensemble",
+                 "second_stage", "synthesis"):
+        assert getattr(cfg2, name) == getattr(cfg, name), name
+    assert np.array_equal(cfg2.sweep_grid, cfg.sweep_grid)
+    assert cfg2.geometry.c_parasitic == \
         float(raw[("chain", "c_parasitic_pF")]) * 1e-12
 
 
 def test_explicit_i_sat(tmp_path):
     p = tmp_path / "run.ini"
     p.write_text("[device]\ni_sat_A = 1e-12\n")
-    assert load_config(p).transistor().i_sat == 1e-12
+    assert load_config(p).transistor.i_sat == 1e-12
 
 
 @pytest.mark.parametrize("command", ["opp", "s21"])
@@ -467,6 +509,65 @@ def test_cli_negative_seed(capsys):
     assert "[run] seed" in capsys.readouterr().err
 
 
+# one invalid value in each section, each rejected by the object built
+# from it
+_BAD_VALUES = [
+    ("network", "r_upper_kohm = -1"),
+    ("device", "beta_f = 0.5"),
+    ("geometry", "c_cell_pF = -3"),
+    ("ensemble", "rho22_target = 0.7"),
+    ("chain", "second_stage_f_low_kHz = 5e6"),
+    ("chain", "second_stage_gain_dB = 1e200"),
+    ("synthesis", "duty = 1.5"),
+    ("sweep", "grid = 2:1:5"),
+]
+
+
+@pytest.mark.parametrize("command", [
+    ["opp"], ["s21", "--points", "3"], ["gen-iv", "--kind", "input"],
+    ["fit-iv"], ["sweep"]], ids=lambda c: c[0])
+def test_cli_bad_section_every_command(tmp_path, capsys, command):
+    # every value is checked at load: each command exits 2 naming the
+    # section, and writes nothing
+    diode = tmp_path / "diode.csv"
+    ivfit.save_iv_dataset(ivfit.synth_input_curve(6.35e-8, 25e-3, 160.0),
+                          diode)
+    for section, setting in _BAD_VALUES:
+        p = tmp_path / "bad.ini"
+        p.write_text(f"[{section}]\n{setting}\n")
+        out = tmp_path / "out"
+        args = {"gen-iv": ["--path", str(out / "iv.csv")],
+                "fit-iv": ["--input", str(diode)]}.get(command[0], [])
+        capsys.readouterr()
+        assert main(["--config", str(p), "--out", str(out), *command,
+                     *args]) == 2, setting
+        assert f"[{section}]" in capsys.readouterr().err, setting
+        assert not out.exists(), setting
+
+
+@pytest.mark.parametrize("i_sat", ["auto", "1e-12"])
+def test_beta_f_below_one_named(i_sat):
+    # the transistor's ranges are checked before i_sat is calibrated, so a
+    # bad beta_f is named whether or not i_sat is given
+    with pytest.raises(ConfigError, match=r"\[device\] beta_f must be >= 1"):
+        load_config(None, overrides={("device", "beta_f"): "0.5",
+                                     ("device", "i_sat_A"): i_sat})
+
+
+@pytest.mark.parametrize("beta_at", ["1e-4,5.0", "1e-2,0.9"])
+def test_cli_fit_iv_beta_at_outside_data(tmp_path, capsys, beta_at):
+    # a --beta-at target outside the data is an input error: exit 2, a
+    # message naming the flag, no report
+    family = tmp_path / "family.csv"
+    ivfit.save_iv_dataset(ivfit.synth_output_family(160.0, 124.0), family)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["--out", str(out), "fit-iv", "--output-chars", str(family),
+                 "--beta-at", beta_at]) == 2
+    assert "--beta-at" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_bad_config_exit_code(tmp_path):
     p = tmp_path / "bad.ini"
     p.write_text("[mystery]\nx = 1\n")
@@ -558,17 +659,24 @@ def test_cli_unity_gain_load_not_converging(tmp_path, monkeypatch):
     assert main(["--out", str(tmp_path), "s21"]) == 3
 
 
-def test_cli_sweep_and_manifest_rerun(tmp_path):
+@pytest.mark.parametrize("axis, grid", [("vbc", "11.5:11.7:3:lin"),
+                                        ("fm", "2e5:1e6:3:log")],
+                         ids=["vbc", "fm"])
+def test_cli_sweep_and_manifest_rerun(tmp_path, axis, grid):
+    # a sweep replays byte for byte from its manifest, which keeps each
+    # key's text: 0.1 stays 0.1
+    config = tmp_path / "run.ini"
+    config.write_text("[ensemble]\nrho22_target = 0.1\n")
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
-    assert main(["--out", str(out1), "sweep", "--axis", "vbc",
-                 "--grid", "11.5:11.7:3:lin"]) == 0
-    manifest = out1 / "sweep_vbc_manifest.ini"
-    assert manifest.exists()
+    assert main(["--config", str(config), "--out", str(out1), "sweep",
+                 "--axis", axis, "--grid", grid]) == 0
+    manifest = out1 / f"sweep_{axis}_manifest.ini"
+    assert "\nrho22_target = 0.1\n" in manifest.read_text()
     assert main(["--config", str(manifest), "--out", str(out2), "sweep"]) == 0
-    assert (out1 / "sweep_vbc.csv").read_bytes() == \
-        (out2 / "sweep_vbc.csv").read_bytes()
-    header, rows = _read_csv(out1 / "sweep_vbc.csv")
+    for name in (f"sweep_{axis}.csv", f"sweep_{axis}_manifest.ini"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    header, rows = _read_csv(out1 / f"sweep_{axis}.csv")
     assert header == ["x_value", "R_V", "phase_rad"]
     assert len(rows) == 3
 

@@ -36,7 +36,7 @@ def test_early_factor_doubles_at_v_early():
 
 def test_fitted_model_beta_point():
     # on the family curve with i_b = 600 nA, i_c(v_ce = 0.9 V) = 160 * 600 nA
-    params = reference().transistor()
+    params = reference().transistor
     v_be = params.v_teff * math.log(
         600e-9 * params.beta_f / (params.i_sat * (1.0 + 0.9 / params.v_early)))
     i_b, i_c = evaluate_dc(params, v_be, 0.9)
@@ -81,7 +81,7 @@ def test_param_validation():
 
 
 def test_network_validation():
-    net = reference().network()
+    net = reference().network
     with pytest.raises(ValueError):
         replace(net, r_collector=float("inf"))   # open collector: no DC path
     with pytest.raises(ValueError):
@@ -91,7 +91,7 @@ def test_network_validation():
 
 
 def test_thevenin_properties():
-    net = reference().network()
+    net = reference().network
     assert net.thevenin_voltage == pytest.approx(235.0 / 809.0, rel=1e-12)
     assert net.thevenin_resistance == pytest.approx(235e3 * 574e3 / 809e3,
                                                     rel=1e-12)
@@ -111,7 +111,7 @@ def test_solver_constructed_solution():
     r_upper = (v_supply - v_b) / (v_b / r_lower + i_b)
     i_sat = i_c / (math.exp(v_be / v_teff) * (1.0 + v_ce / v_early))
 
-    net = replace(reference().network(), v_supply=v_supply, r_upper=r_upper,
+    net = replace(reference().network, v_supply=v_supply, r_upper=r_upper,
                   r_lower=r_lower, r_collector=r_collector,
                   r_emitter=r_emitter)
     params = TransistorParams(i_sat=i_sat, v_teff=v_teff, v_early=v_early,
@@ -127,8 +127,8 @@ def test_solver_constructed_solution():
 
 
 def test_solver_default_point():
-    net = reference().network()
-    params = reference().transistor()
+    net = reference().network
+    params = reference().transistor
     op = solve_operating_point(net, params)
     assert op.i_c == pytest.approx(1e-4, rel=0.2)
     assert op.v_ce == pytest.approx(0.9, rel=0.2)
@@ -143,7 +143,7 @@ def test_isat_doubling_shifts_vbe_by_vteff_ln2():
     # stiff divider (small Thevenin resistance) removes base-current
     # loading; strong emitter degeneration (i_c*r_e >> v_teff) pins i_c so
     # the junction absorbs the i_sat change entirely in v_be
-    net = replace(reference().network(), v_supply=20.0, r_upper=100.0,
+    net = replace(reference().network, v_supply=20.0, r_upper=100.0,
                   r_lower=100.0, r_collector=100.0, r_emitter=1e4)
     p1 = TransistorParams(i_sat=1e-12, v_teff=25e-3, v_early=100.0, beta_f=200.0)
     p2 = TransistorParams(i_sat=2e-12, v_teff=25e-3, v_early=100.0, beta_f=200.0)
@@ -155,9 +155,9 @@ def test_isat_doubling_shifts_vbe_by_vteff_ln2():
 def test_solver_failure_carries_residual():
     # saturated: with a 1 Mohm collector resistor the collector node cannot
     # balance with v_ce >= 0
-    net = replace(reference().network(), r_collector=1e6)
+    net = replace(reference().network, r_collector=1e6)
     with pytest.raises(ConvergenceError) as info:
-        solve_operating_point(net, reference().transistor())
+        solve_operating_point(net, reference().transistor)
     assert info.value.residual is not None
 
 
@@ -165,7 +165,7 @@ def test_solver_node_scale():
     # i_c = 9 nA through a 1.2 ohm collector resistor: the collector node's
     # currents are of order v_supply/r_collector = 1 A, so rounding alone
     # leaves a residual of 3e-17 A there, above 1e-9 |i_c|
-    net = replace(reference().network(), v_supply=1.2, r_upper=5e5,
+    net = replace(reference().network, v_supply=1.2, r_upper=5e5,
                   r_lower=290.0, r_collector=1.2, r_emitter=1000.0)
     params = TransistorParams(i_sat=5.6e-9, v_teff=0.5, v_early=1.9,
                               beta_f=6.3)
@@ -196,7 +196,7 @@ def _log_uniform(lo, hi):
 def test_solver_converges_or_reports_residual(v_supply, r_upper, r_lower,
                                               r_collector, r_emitter, i_sat,
                                               v_teff, v_early, beta_f):
-    net = replace(reference().network(), v_supply=v_supply, r_upper=r_upper,
+    net = replace(reference().network, v_supply=v_supply, r_upper=r_upper,
                   r_lower=r_lower, r_collector=r_collector,
                   r_emitter=r_emitter)
     params = TransistorParams(i_sat=i_sat, v_teff=v_teff, v_early=v_early,
@@ -255,5 +255,9 @@ def test_thermal_budget():
 
 def test_calibrated_i_sat_unreachable_target():
     with pytest.raises(ValueError):
-        calibrated_i_sat(reference().network(), 25e-3, 124.0, 160.0,
+        calibrated_i_sat(reference().network, 25e-3, 124.0, 160.0,
                          i_c_target=1.5e-3)   # drives v_ce below zero
+    # v_be / v_teff beyond the junction law's cap: exp() would overflow
+    with pytest.raises(ValueError, match="exceeds cap"):
+        calibrated_i_sat(reference().network, 1e-6, 124.0, 160.0,
+                         i_c_target=1e-4)

@@ -193,10 +193,12 @@ def test_fit_beta_two_curve_arithmetic():
 
 
 def test_fit_beta_outside_hull():
+    # the target is the caller's choice, so a target outside the data is an
+    # input error
     ds = synth_output_family(160.0, 124.0)
-    with pytest.raises(FitError):
+    with pytest.raises(ValueError, match="outside the data hull"):
         fit_beta(ds, 1e-2, 0.9)
-    with pytest.raises(FitError):
+    with pytest.raises(ValueError, match="outside sweep range"):
         fit_beta(ds, 1e-4, 5.0)
 
 

@@ -17,7 +17,7 @@ from conftest import (dft_fundamental_rms, lockin_noise_covariance,
 FS = 4e6
 F_REF = 1e5
 TAU = 2e-4
-ORDER = reference().synthesis().filter_order
+ORDER = reference().synthesis.filter_order
 
 
 @functools.cache
@@ -26,7 +26,7 @@ def _reference_chain():
 
 
 def _synthesis(**changes):
-    return replace(reference().synthesis(), **changes)
+    return replace(reference().synthesis, **changes)
 
 
 def _record(duration=25 * TAU):
@@ -155,8 +155,8 @@ def test_synthesis_filter_order_range(order):
 
 
 def _sweep_fixtures(noise=0.0):
-    ens = reference().ensemble()
-    geom = reference().geometry()
+    ens = reference().ensemble
+    geom = reference().geometry
     cfg = _synthesis(input_noise_density=noise, time_constant=2e-4,
                      f_m=250e3, duty=0.5)
     return ens, geom, cfg
@@ -182,7 +182,7 @@ def test_sweep_fm_no_mechanism_is_flat():
     # against r = 2e5/s): population pins at saturation, leaving no f_m
     # dependence
     tau, r = 1e6, 2e5
-    ens = replace(reference().ensemble(), tau_relax=tau,
+    ens = replace(reference().ensemble, tau_relax=tau,
                   rho22_target=r * tau / (1.0 + 2.0 * r * tau))
     _, geom, cfg = _sweep_fixtures()
     out = sweep_fm([2e5, 5e5, 2e6], ens, geom, None, cfg)
@@ -236,8 +236,8 @@ def test_sweep_point_noise_is_one_draw():
     # the (seed, index) stream, X first
     resp = _reference_chain()
     f_m, seed, index = 1e6, 5, 7
-    point = (index, f_m, 1.0, reference().ensemble(),
-             reference().geometry(), resp)
+    point = (index, f_m, 1.0, reference().ensemble,
+             reference().geometry, resp)
     cfg = _synthesis(noise_seed=seed, duty=0.5)
     x0, y0 = _xy(lockin._run_point(
         *point, replace(cfg, input_noise_density=0.0)))
@@ -250,7 +250,7 @@ def test_sweep_point_noise_is_one_draw():
 
 def test_noise_statistics_match_time_domain():
     # 1000 seeds of the full-record path at f_m = 250 kHz, tau = 0.2 ms
-    ens, geom = reference().ensemble(), reference().geometry()
+    ens, geom = reference().ensemble, reference().geometry
     resp = _reference_chain()
     f_m, n = 250e3, 1000
     point = (0, f_m, 1.0, ens, geom, resp)
@@ -284,8 +284,8 @@ def test_closed_form_matches_time_domain(f_m, tau_periods, order, duty, scale,
     cfg = _synthesis(input_noise_density=0.0, time_constant=tau,
                      filter_order=order, duty=duty)
     resp = _reference_chain() if with_chain else None
-    point = (3, f_m, scale, reference().ensemble(),
-             reference().geometry(), resp, cfg)
+    point = (3, f_m, scale, reference().ensemble,
+             reference().geometry, resp, cfg)
     fast = lockin._run_point(*point)
     slow = time_domain_point(*point)
     assert fast.amplitude_r == pytest.approx(slow.amplitude_r, rel=1e-9)
@@ -297,7 +297,7 @@ def test_closed_form_matches_time_domain(f_m, tau_periods, order, duty, scale,
 def test_closed_form_extreme_record():
     # tau = 1 s at f_m = 10 MHz: the time-domain record would be 3.2e9
     # samples (25.6 GB per float64 array)
-    ens, geom = reference().ensemble(), reference().geometry()
+    ens, geom = reference().ensemble, reference().geometry
     resp = _reference_chain()
     f_m = 10e6
     cfg = _synthesis(time_constant=1.0, input_noise_density=0.0, duty=0.5)

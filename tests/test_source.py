@@ -16,11 +16,11 @@ from conftest import dft_fundamental_rms, reference
 
 
 def _ensemble(**changes):
-    return replace(reference().ensemble(), **changes)
+    return replace(reference().ensemble, **changes)
 
 
 def _geometry(**changes):
-    return replace(reference().geometry(), **changes)
+    return replace(reference().geometry, **changes)
 
 
 def test_validation():
@@ -42,9 +42,9 @@ def test_validation():
     with pytest.raises(ValueError, match="duty"):
         rydberg_population(1e5, 1.0, _ensemble(), 1.0, 64)
     with pytest.raises(ValueError, match="f_m"):
-        replace(reference().synthesis(), f_m=0.0)
+        replace(reference().synthesis, f_m=0.0)
     with pytest.raises(ValueError, match="duty"):
-        replace(reference().synthesis(), duty=1.0)
+        replace(reference().synthesis, duty=1.0)
 
 
 def test_cw_rate_back_solve():
