@@ -47,6 +47,9 @@ class StageResponse:
         for f in (*self.poles, *self.zeros, *self.hp_corners):
             if not f > 0:
                 raise ValueError("corner frequencies must be positive")
+        if not 0.0 <= self.noise_temperature < math.inf:
+            raise ValueError(f"noise temperature must be finite and >= 0 K, "
+                             f"got {self.noise_temperature:g}")
 
     def evaluate(self, f):
         """Complex response at frequency/frequencies ``f`` (Hz)."""

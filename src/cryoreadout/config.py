@@ -160,10 +160,12 @@ class RunConfig:
             n_s=ens["n_s_per_cm2"], rho22_target=ens["rho22_target"],
             tau_relax=ens["tau_relax_us"], v_resonance=ens["v_resonance_V"],
             linewidth_v=ens["linewidth_V"]))
-        self.second_stage = _build("[chain]", lambda: chain_mod.fixed_gain_stage(
-            chn["second_stage_gain_dB"], chn["second_stage_f_low_kHz"],
-            chn["second_stage_f_high_GHz"],
-            noise_temperature=chn["second_stage_noise_K"]))
+        self.second_stage = _build(
+            "[chain] second stage:", lambda: chain_mod.fixed_gain_stage(
+                chn["second_stage_gain_dB"], chn["second_stage_f_low_kHz"],
+                chn["second_stage_f_high_GHz"],
+                noise_temperature=chn["second_stage_noise_K"]))
+        _build("[chain] first stage:", lambda: _check_first_stage(chn))
         self.synthesis = _build("[synthesis]", lambda: SynthesisConfig(
             noise_seed=self.seed,
             input_noise_density=syn["input_noise_density_pV_rtHz"],
@@ -208,6 +210,16 @@ def _build(label, make):
         return make()
     except ValueError as exc:
         raise ConfigError(f"{label} {exc}") from None
+
+
+def _check_first_stage(chn):
+    """``amplifier_chain`` builds the first stage after the DC solve; its
+    own ``[chain]`` values are checked at load, as that stage checks them."""
+    if not chn["r_source_ohm"] > 0:
+        raise ValueError(f"r_source_ohm must be positive, "
+                         f"got {chn['r_source_ohm']:g}")
+    chain_mod.StageResponse(gain_factor=1.0,
+                            noise_temperature=chn["first_stage_noise_K"])
 
 
 def _transistor(dev, network):

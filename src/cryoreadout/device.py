@@ -268,6 +268,8 @@ def calibrated_i_sat(network: BiasNetwork, v_teff: float, v_early: float,
     The bias network fixes (v_be, v_ce) once i_c is prescribed, so i_sat
     follows directly from the junction law.
     """
+    if not i_c_target > 0:
+        raise ValueError(f"i_c_target must be positive, got {i_c_target:g} A")
     i_b = i_c_target / beta_f
     i_e = i_c_target + i_b
     v_e = i_e * network.r_emitter

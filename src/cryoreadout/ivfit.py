@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,7 +172,8 @@ def load_iv_dataset(source) -> IVDataset:
       ``direction`` column in {fwd, bwd}
 
     Rows are grouped by sweep label and direction (``fwd`` when the column
-    is absent); the ``direction`` column is the only way to mark a
+    is absent), wherever they stand in the file, each group keeping its
+    rows' file order; the ``direction`` column is the only way to mark a
     backward branch.  Each group's voltages must be strictly monotone, so a
     voltage reversal within one label and direction is a parse error, not
     a branch split.
@@ -200,60 +202,69 @@ def load_iv_dataset(source) -> IVDataset:
             stream.close()
 
 
-def _load_input(reader):
-    v, i = [], []
+def _read_columns(reader, n_values, has_direction=False):
+    """The data rows as packed columns: ``n_values`` float columns, each
+    row's line number, and whether the row runs forward (``fwd`` when the
+    file has no ``direction`` column)."""
+    want = n_values + has_direction
+    values = [array("d") for _ in range(n_values)]
+    lines, forward = array("q"), array("B")
     for ln, row in enumerate(reader, start=2):
         if not row:
             continue
-        if len(row) != 2:
-            raise IVParseError(f"expected 2 columns, got {len(row)}", line=ln)
-        v.append(_parse_float(row[0], ln))
-        i.append(_parse_float(row[1], ln))
-    if len(v) < 2:
+        if len(row) != want:
+            raise IVParseError(f"expected {want} columns, got {len(row)}", line=ln)
+        d = row[n_values].strip() if has_direction else "fwd"
+        if d not in ("fwd", "bwd"):
+            raise IVParseError(f"direction must be fwd or bwd, got {d!r}", line=ln)
+        for column, text in zip(values, row):
+            column.append(_parse_float(text, ln))
+        lines.append(ln)
+        forward.append(d == "fwd")
+    return ([np.frombuffer(c) for c in values], np.frombuffer(lines, np.int64),
+            np.frombuffer(forward, bool))
+
+
+def _load_input(reader):
+    (v, i), _, _ = _read_columns(reader, 2)
+    if v.size < 2:
         raise IVParseError("need at least 2 data rows", line=2)
     order = np.argsort(v, kind="stable")
-    v = np.asarray(v)[order]
+    v = v[order]
     if np.any(np.diff(v) <= 0):
         raise IVParseError("duplicate v_be values in input characteristics")
-    sweep = IVSweep(label=None, voltage=v, current=np.asarray(i)[order])
+    sweep = IVSweep(label=None, voltage=v, current=i[order])
     return IVDataset(kind="input_characteristics", sweeps=(sweep,))
 
 
 def _load_output(reader, has_direction):
-    rows = []
-    for ln, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        want = 4 if has_direction else 3
-        if len(row) != want:
-            raise IVParseError(f"expected {want} columns, got {len(row)}", line=ln)
-        d = row[3].strip() if has_direction else "fwd"
-        if d not in ("fwd", "bwd"):
-            raise IVParseError(f"direction must be fwd or bwd, got {d!r}", line=ln)
-        rows.append((_parse_float(row[0], ln), _parse_float(row[1], ln),
-                     _parse_float(row[2], ln), d, ln))
-    if not rows:
+    (ib, vce, ic), lines, forward = _read_columns(reader, 3, has_direction)
+    if not ib.size:
         raise IVParseError("no data rows", line=2)
-
-    groups: dict[tuple[float, str], list] = {}
-    for ib, vce, ic, d, ln in rows:
-        groups.setdefault((ib, d), []).append((vce, ic, ln))
+    # one stable sort groups the rows by label, bwd before fwd, each group
+    # in file order
+    order = np.lexsort((forward, ib))
+    ib_s, fwd_s = ib[order], forward[order]
+    split = (ib_s[1:] != ib_s[:-1]) | (fwd_s[1:] != fwd_s[:-1])
+    bounds = [0, *(np.flatnonzero(split) + 1).tolist(), order.size]
     sweeps = []
-    for (ib, d) in sorted(groups, key=lambda k: (k[0], k[1])):
-        pts = groups[(ib, d)]
-        if len(pts) < 2:
-            raise IVParseError(f"sweep i_b={ib:g} needs >= 2 points",
-                               line=pts[0][2])
-        v = np.array([p[0] for p in pts])
-        i = np.array([p[1] for p in pts])
+    for lo, hi in zip(bounds, bounds[1:]):
+        rows = order[lo:hi]
+        label = float(ib[rows[0]])
+        first = int(lines[rows[0]])
+        if rows.size < 2:
+            raise IVParseError(f"sweep i_b={label:g} needs >= 2 points",
+                               line=first)
+        v = vce[rows]
         dv = np.diff(v)
         if np.any(dv == 0):
-            ln = pts[int(np.argmin(dv != 0))][2]
-            raise IVParseError(f"duplicate v_ce in sweep i_b={ib:g}", line=ln)
+            ln = int(lines[rows[int(np.argmin(dv != 0))]])
+            raise IVParseError(f"duplicate v_ce in sweep i_b={label:g}", line=ln)
         if not (np.all(dv > 0) or np.all(dv < 0)):
-            raise IVParseError(f"non-monotone v_ce in sweep i_b={ib:g}",
-                               line=pts[0][2])
-        sweeps.append(IVSweep(label=ib, voltage=v, current=i, direction=d))
+            raise IVParseError(f"non-monotone v_ce in sweep i_b={label:g}",
+                               line=first)
+        sweeps.append(IVSweep(label=label, voltage=v, current=ic[rows],
+                              direction="fwd" if forward[rows[0]] else "bwd"))
     return IVDataset(kind="output_characteristics", sweeps=tuple(sweeps))
 
 
@@ -275,6 +286,15 @@ def save_iv_dataset(ds: IVDataset, path) -> None:
                     if has_dir:
                         row.append(s.direction)
                     w.writerow(row)
+
+
+def _line_fit(x, y):
+    """Least-squares line y = slope*x + intercept, in closed form on the
+    centred data."""
+    x_mean, y_mean = x.mean(), y.mean()
+    dx = x - x_mean
+    slope = np.sum(dx * (y - y_mean)) / np.sum(dx * dx)
+    return slope, y_mean - slope * x_mean
 
 
 def fit_early_voltage(ds: IVDataset) -> EarlyFit:
@@ -300,7 +320,7 @@ def fit_early_voltage(ds: IVDataset) -> EarlyFit:
         if m_sel.sum() < 2:
             continue
         x, y = s.voltage[m_sel], s.current[m_sel]
-        m, b = np.polyfit(x, y, 1)
+        m, b = _line_fit(x, y)
         if m * np.ptp(x) <= EARLY_FIT_MIN_RISE * np.abs(y).max():
             continue
         resid = y - (m * x + b)
@@ -369,7 +389,7 @@ def fit_diode_params(ds: IVDataset, beta_f: float) -> DiodeFit:
         raise FitError("fewer than 2 positive-current points")
     if v.size < 3 and s.voltage.size >= 3:
         raise FitError("fewer than 3 positive-current points")
-    slope, icpt = np.polyfit(v, np.log(i), 1)
+    slope, icpt = _line_fit(v, np.log(i))
     if slope <= 1.0 / V_TEFF_MAX:
         raise FitError("slope too small: v_teff diverges (constant-current data?)")
     v_teff = 1.0 / slope

@@ -34,6 +34,11 @@ def test_coupling_network_validation():
 def test_stage_response_validation():
     with pytest.raises(ValueError):
         StageResponse(gain_factor=1.0, poles=(-1.0,))
+    # a noise temperature is a finite kelvin value, never below zero
+    for t in (-5.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="noise temperature"):
+            StageResponse(gain_factor=1.0, noise_temperature=t)
+    assert StageResponse(gain_factor=1.0).noise_temperature == 0.0
 
 
 def test_fixed_gain_stage_midband():

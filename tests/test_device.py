@@ -261,3 +261,7 @@ def test_calibrated_i_sat_unreachable_target():
     with pytest.raises(ValueError, match="exceeds cap"):
         calibrated_i_sat(reference().network, 1e-6, 124.0, 160.0,
                          i_c_target=1e-4)
+    for target in (0.0, -1e-3):
+        with pytest.raises(ValueError, match="i_c_target must be positive"):
+            calibrated_i_sat(reference().network, 25e-3, 124.0, 160.0,
+                             i_c_target=target)

@@ -1,9 +1,10 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from cryoreadout import ivfit
 from cryoreadout.ivfit import (FitError, IVDataset, IVParseError, IVSweep,
@@ -87,7 +88,14 @@ def test_parse_errors(text, fragment):
      "2 points", 4),
     # a bare carriage return inside an unquoted field
     ("v_be_V,i_b_A\n0.1,1e-9\n0.2,1\re-8\n", "malformed", 3),
-], ids=["nan", "inf", "output-inf", "one-point-sweep", "bare-cr"])
+    # the 1e-7 curve's rows interleaved with another curve's: the line is
+    # the first of the repeated pair, or the curve's first row
+    ("i_b_A,v_ce_V,i_c_A\n2e-7,0.0,3e-5\n1e-7,0.0,1e-5\n2e-7,1.0,3.1e-5\n"
+     "1e-7,0.5,1.1e-5\n1e-7,0.5,1.2e-5\n", "duplicate v_ce", 5),
+    ("i_b_A,v_ce_V,i_c_A\n2e-7,0.0,3e-5\n1e-7,0.0,1e-5\n2e-7,1.0,3.1e-5\n"
+     "1e-7,1.0,1.1e-5\n1e-7,0.5,1.2e-5\n", "non-monotone v_ce", 3),
+], ids=["nan", "inf", "output-inf", "one-point-sweep", "bare-cr",
+        "interleaved-duplicate", "interleaved-non-monotone"])
 def test_parse_error_line(text, fragment, line):
     with pytest.raises(IVParseError, match=fragment) as info:
         load_iv_dataset(io.StringIO(text))
@@ -107,10 +115,98 @@ def test_loader_returns_dataset_or_parse_error(text):
         assert all(map(math.isfinite, [*s.voltage, *s.current]))
 
 
+@st.composite
+def _family_curves(draw):
+    """{(label, direction): [(v_ce, i_c), ...]}: a forward curve for each
+    label, some with a backward one, each with monotone v_ce."""
+    labels = draw(st.lists(st.sampled_from([1e-7, 2e-7, 3e-7, 4e-7]),
+                           min_size=1, max_size=4, unique=True))
+    curves = {}
+    for label in labels:
+        for d in draw(st.sampled_from([("fwd",), ("fwd", "bwd")])):
+            v = draw(st.lists(st.floats(0.0, 2.0), min_size=2, max_size=6,
+                              unique=True))
+            i = draw(st.lists(st.floats(-1e-3, 1e-3), min_size=len(v),
+                              max_size=len(v)))
+            curves[(label, d)] = list(zip(sorted(v, reverse=d == "bwd"), i))
+    return curves
+
+
+def _family_text(curves, keys):
+    # one row per key, each curve's rows taken in order
+    rows = {k: iter(pts) for k, pts in curves.items()}
+    lines = ["i_b_A,v_ce_V,i_c_A,direction"]
+    for label, d in keys:
+        v, i = next(rows[label, d])
+        lines.append(f"{label!r},{v!r},{i!r},{d}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(curves=_family_curves(), data=st.data())
+def test_interleaved_family_loads_as_sorted(curves, data):
+    # rows of different labels interleaved, and every backward row before
+    # every forward one, load to the same sweeps as the file written curve
+    # by curve: grouped by label, bwd before fwd, each in file order
+    keys = [k for k, pts in curves.items() for _ in pts]
+    mixed = sorted(data.draw(st.permutations(keys)),
+                   key=lambda k: k[1] == "fwd")
+    by_curve = sorted(keys, key=lambda k: (k[0], k[1] == "bwd"))
+    want = sorted(curves.items(), key=lambda c: (c[0][0], c[0][1] == "fwd"))
+    for keys_in_file in (mixed, by_curve):
+        ds = load_iv_dataset(io.StringIO(_family_text(curves, keys_in_file)))
+        assert len(ds.sweeps) == len(want)
+        for s, ((label, d), pts) in zip(ds.sweeps, want):
+            assert (s.label, s.direction) == (label, d)
+            assert s.voltage.tolist() == [v for v, _ in pts]
+            assert s.current.tolist() == [i for _, i in pts]
+
+
+def test_load_family_memory(tmp_path):
+    # the loader keeps packed columns, not a Python object per row: the
+    # synthetic family, 17 curves of 401 points, loads within 0.75 MB
+    path = tmp_path / "family.csv"
+    save_iv_dataset(synth_output_family(160.0, 124.0), path)
+    tracemalloc.start()
+    try:
+        ds = load_iv_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(s.voltage.size for s in ds.sweeps) == 6817
+    assert peak < 0.75e6, peak
+
+
 def test_parse_error_carries_line_number():
     with pytest.raises(IVParseError) as info:
         load_iv_dataset(io.StringIO("v_be_V,i_b_A\n0.1,1e-9\n0.2,oops\n"))
     assert info.value.line == 3
+
+
+@st.composite
+def _line_data(draw):
+    """A noisy line over at least 2 distinct abscissae spread over >= 1."""
+    x = draw(st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=40,
+                      unique=True).filter(lambda x: np.ptp(x) >= 1.0))
+    slope = draw(st.floats(-10.0, 10.0))
+    intercept = draw(st.floats(-10.0, 10.0))
+    noise = draw(st.lists(st.floats(-0.01, 0.01), min_size=len(x),
+                          max_size=len(x)))
+    x = np.array(x)
+    return x, slope * x + intercept + np.array(noise)
+
+
+@settings(max_examples=200, deadline=None)
+@given(xy=_line_data())
+def test_line_fit_matches_polyfit(xy):
+    # the closed form agrees with numpy's least-squares fit on
+    # well-conditioned data; the absolute floor is rounding on values of
+    # order 10
+    x, y = xy
+    slope, intercept = ivfit._line_fit(x, y)
+    ref_slope, ref_intercept = np.polyfit(x, y, 1)
+    assert slope == pytest.approx(ref_slope, rel=1e-9, abs=1e-12)
+    assert intercept == pytest.approx(ref_intercept, rel=1e-9, abs=1e-12)
 
 
 def test_early_fit_noise_free():
