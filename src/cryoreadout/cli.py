@@ -47,8 +47,7 @@ def _write_csv(path, header, rows):
             w.writerow([c if isinstance(c, str) else _fmt(c) for c in row])
 
 
-def cmd_opp(args):
-    cfg = load_config(args.config, overrides=_overrides(args))
+def cmd_opp(args, cfg):
     op = device.solve_operating_point(cfg.network, cfg.transistor)
     p = device.power_dissipation(op)
     print("operating point")
@@ -68,11 +67,13 @@ def cmd_opp(args):
     return EXIT_OK
 
 
-def cmd_s21(args):
-    cfg = load_config(args.config, overrides=_overrides(args))
+def cmd_s21(args, cfg):
     # f_min == f_max asks for that one frequency, whatever --points says
     points = min(args.points, 1) if args.f_min == args.f_max else args.points
-    freqs = grid_points(args.f_min, args.f_max, points, "log")
+    try:
+        freqs = grid_points(args.f_min, args.f_max, points, "log")
+    except ConfigError as exc:
+        raise ConfigError(f"s21 --f-min/--f-max/--points: {exc}") from None
     rows = chain_mod.s21_db(cfg.amplifier_chain(), freqs)
     out_dir = args.out or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -82,8 +83,7 @@ def cmd_s21(args):
     return EXIT_OK
 
 
-def cmd_sweep(args):
-    cfg = load_config(args.config, overrides=_overrides(args))
+def cmd_sweep(args, cfg):
     axis = cfg[("sweep", "axis")]
     sweep = sweep_vbc if axis == "vbc" else sweep_fm
     results = sweep(cfg.sweep_grid, cfg.ensemble, cfg.geometry,
@@ -104,10 +104,9 @@ def cmd_sweep(args):
     return EXIT_OK
 
 
-def cmd_fit_iv(args):
+def cmd_fit_iv(args, cfg):
     if args.input is None and args.output_chars is None:
         raise ConfigError("fit-iv needs --input and/or --output-chars")
-    cfg = load_config(args.config, overrides=_overrides(args))
     beta_cfg = cfg[("device", "beta_f")]
     report = []
 
@@ -151,8 +150,7 @@ def cmd_fit_iv(args):
     return EXIT_OK
 
 
-def cmd_gen_iv(args):
-    cfg = load_config(args.config, overrides=_overrides(args))
+def cmd_gen_iv(args, cfg):
     params = cfg.transistor
     rng = np.random.default_rng(cfg.seed)
     if args.kind == "input":
@@ -253,7 +251,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, load_config(args.config,
+                                           overrides=_overrides(args)))
     except (ConfigError, ivfit.IVParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

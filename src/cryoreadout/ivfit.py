@@ -209,9 +209,10 @@ def _read_columns(reader, n_values, has_direction=False):
     want = n_values + has_direction
     values = [array("d") for _ in range(n_values)]
     lines, forward = array("q"), array("B")
-    for ln, row in enumerate(reader, start=2):
+    for row in reader:
         if not row:
             continue
+        ln = reader.line_num   # the row's last physical line
         if len(row) != want:
             raise IVParseError(f"expected {want} columns, got {len(row)}", line=ln)
         d = row[n_values].strip() if has_direction else "fwd"
@@ -468,18 +469,16 @@ def classify_transistor(ds: IVDataset) -> DeviceClassification:
     return DeviceClassification(verdict=verdict, evidence=tuple(evidence))
 
 
-def synth_output_family(beta_f: float, v_early: float, noise: float = 0.0,
-                        rng=None) -> IVDataset:
+def synth_output_family(beta_f: float, v_early: float, noise: float,
+                        rng: np.random.Generator) -> IVDataset:
     """Synthesize a measured-style output family i_c = beta*i_b*(1 + v_ce/V_A)
     over ``SYNTH_V_CE``, one curve per label of ``SYNTH_I_B_LABELS``.
 
     A fixed-base-current sweep tracks the junction's own i_b(v_be) law,
     which carries no Early factor, so the measured family shows the linear
     Early tilt even though the bias-point model keeps i_c/i_b constant.
-    ``noise`` is a multiplicative Gaussian sigma.
+    ``noise`` is a multiplicative Gaussian sigma, drawn from ``rng``.
     """
-    if noise > 0 and rng is None:
-        rng = np.random.default_rng(0)
     sweeps = []
     for ib in SYNTH_I_B_LABELS:
         ic = beta_f * ib * (1.0 + SYNTH_V_CE / v_early)
@@ -493,13 +492,12 @@ def synth_output_family(beta_f: float, v_early: float, noise: float = 0.0,
 
 
 def synth_input_curve(i_sat: float, v_teff: float, beta_f: float,
-                      noise: float = 0.0, rng=None) -> IVDataset:
+                      noise: float, rng: np.random.Generator) -> IVDataset:
     """Synthesize input characteristics i_b = (i_sat/beta_f)*exp(v_be/v_teff)
-    over ``SYNTH_V_BE``."""
+    over ``SYNTH_V_BE``, with multiplicative Gaussian noise of sigma
+    ``noise`` drawn from ``rng``."""
     ib = (i_sat / beta_f) * np.exp(SYNTH_V_BE / v_teff)
     if noise > 0:
-        if rng is None:
-            rng = np.random.default_rng(0)
         ib = ib * (1.0 + noise * rng.standard_normal(ib.size))
     if not np.all(np.isfinite(ib)):
         raise FloatingPointError("synthetic i_b overflows")

@@ -84,29 +84,22 @@ def _resolve_sampling(cfg: SynthesisConfig, f_m: float):
     return SAMPLES_PER_PERIOD, n_per
 
 
-def synthesize(v_source, chain: ChainResponse | None, cfg: SynthesisConfig,
-               sample_rate: float, rng=None):
-    """Filter a sampled source voltage through the chain and add noise.
+def synthesize(v_source, chain: ChainResponse, cfg: SynthesisConfig,
+               sample_rate: float, rng: np.random.Generator):
+    """Filter a sampled source voltage through the chain and add white
+    input noise drawn from ``rng``, filtered by the chain too.
 
-    Deterministic for a fixed seed/rng.  The sweeps do not call this: they
-    use the closed form, and this full-record path is its oracle in the
-    tests.
+    The sweeps do not call this: they use the closed form, and this
+    full-record path is its oracle in the tests.
     """
     v_source = np.asarray(v_source, dtype=float)
     n = v_source.size
-    spectrum = np.fft.rfft(v_source)
-    if chain is not None:
-        h = chain.evaluate(np.fft.rfftfreq(n, 1.0 / sample_rate))
-        spectrum = spectrum * h
-    out = np.fft.irfft(spectrum, n)
+    h = chain.evaluate(np.fft.rfftfreq(n, 1.0 / sample_rate))
+    out = np.fft.irfft(np.fft.rfft(v_source) * h, n)
     if cfg.input_noise_density > 0:
-        if rng is None:
-            rng = np.random.default_rng(cfg.noise_seed)
         sigma = cfg.input_noise_density * math.sqrt(sample_rate / 2.0)
         noise = rng.normal(0.0, sigma, n)
-        if chain is not None:
-            noise = np.fft.irfft(np.fft.rfft(noise) * h, n)
-        out = out + noise
+        out = out + np.fft.irfft(np.fft.rfft(noise) * h, n)
     return out
 
 
@@ -227,20 +220,15 @@ def _run_point(index, f_m, scale, ens, geom, chain, cfg):
     fs = spp * f_m
     rho = rydberg_population(f_m, cfg.duty, ens, scale, spp)
     _, v_ac = image_charge_waveform(rho, geom, ens.n_s)
-    spectrum = np.fft.rfft(v_ac)
-    gain = 1.0
-    if chain is not None:
-        h = chain.evaluate(np.fft.rfftfreq(spp, 1.0 / fs))
-        spectrum = spectrum * h
-        gain = abs(h[1])      # harmonic 1 is f_m
-    v_out = np.fft.irfft(spectrum, spp)
+    h = chain.evaluate(np.fft.rfftfreq(spp, 1.0 / fs))
+    v_out = np.fft.irfft(np.fft.rfft(v_ac) * h, spp)
     t = np.arange(spp) / fs
     w = 2.0 * math.pi * f_m
     refs = math.sqrt(2.0) * np.stack([np.sin(w * t), np.cos(w * t)], axis=1)
     a = math.exp(-1.0 / (fs * cfg.time_constant))
     x_f, y_f = _settled_output(v_out[:, None] * refs, a, cfg.filter_order,
                                n_per)
-    s = _noise_std(cfg, fs, gain)
+    s = _noise_std(cfg, fs, abs(h[1]))      # harmonic 1 is f_m
     z = np.random.default_rng((cfg.noise_seed, index)).standard_normal(2)
     res = _result(x_f + s * z[0], y_f + s * z[1])
     if not (math.isfinite(res.amplitude_r) and math.isfinite(res.phase)):
@@ -250,7 +238,7 @@ def _run_point(index, f_m, scale, ens, geom, chain, cfg):
 
 
 def sweep_vbc(grid, ens: EnsembleParams, geom: CellGeometry,
-              chain: ChainResponse | None, syn: SynthesisConfig):
+              chain: ChainResponse, syn: SynthesisConfig):
     """Resonance sweep: lock-in amplitude versus bottom-plate voltage, at
     the modulation frequency ``syn.f_m``."""
     grid = list(grid)
@@ -265,7 +253,7 @@ def sweep_vbc(grid, ens: EnsembleParams, geom: CellGeometry,
 
 
 def sweep_fm(grid, ens: EnsembleParams, geom: CellGeometry,
-             chain: ChainResponse | None, syn: SynthesisConfig):
+             chain: ChainResponse, syn: SynthesisConfig):
     """Modulation-frequency sweep on resonance, at the ensemble's
     CW-calibrated drive rate; ``syn.f_m`` is not used."""
     grid = list(grid)

@@ -63,6 +63,9 @@ class EnsembleParams:
     linewidth_v: float    # resonance FWHM in V_BC units, V
 
     def __post_init__(self):
+        # zero electrons is the noise-only baseline
+        if not self.n_s >= 0:
+            raise ValueError("n_s must be non-negative")
         # the drive rate is cw_rate_for_occupancy(rho22_target, tau_relax),
         # which diverges at 0.5
         if not 0.0 <= self.rho22_target < 0.5:

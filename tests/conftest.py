@@ -8,14 +8,20 @@ import numpy as np
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
+from cryoreadout.chain import StageResponse, cascade
 from cryoreadout.config import load_config
 from cryoreadout.device import EXP_CAP
+from cryoreadout.ivfit import synth_input_curve, synth_output_family
 from cryoreadout.lockin import _resolve_sampling, demodulate, synthesize
 from cryoreadout.source import image_charge_waveform, rydberg_population
 
 # one "[ACCEPTANCE nn] PASS/FAIL - ..." line per criterion, filled in by
 # tests/test_acceptance.py and printed after capture ends
 ACCEPTANCE_LINES = {}
+
+# a one-stage chain of gain 1+0j: multiplying by it is exact, so the signal
+# path through it is the bare source
+UNIT_CHAIN = cascade([StageResponse(gain_factor=1.0)])
 
 
 @functools.cache
@@ -76,6 +82,19 @@ def grid_search_operating_point(network, params, step=1e-4):
         if abs(f1[k]) < best[0]:
             best = (abs(f1[k]), vb[k], vce[j[k]])
     return best[1], best[2]
+
+
+def noiseless_family(beta_f=160.0, v_early=124.0):
+    """The synthetic output family with no noise: its generator is never
+    drawn from."""
+    return synth_output_family(beta_f, v_early, 0.0, np.random.default_rng(0))
+
+
+def noiseless_diode(i_sat=6.35e-8):
+    """Noise-free synthetic input characteristics at v_teff = 25 mV and
+    beta_f = 160."""
+    return synth_input_curve(i_sat, 25e-3, 160.0, 0.0,
+                             np.random.default_rng(0))
 
 
 def dft_fundamental_rms(x, samples_per_period):

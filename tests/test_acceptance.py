@@ -24,8 +24,8 @@ from cryoreadout.source import (image_charge_waveform, rms_image_current,
                                 rydberg_population)
 
 import conftest
-from conftest import (dft_fundamental_rms, grid_search_operating_point,
-                      reference)
+from conftest import (UNIT_CHAIN, dft_fundamental_rms,
+                      grid_search_operating_point, noiseless_family, reference)
 
 
 def _report(num, ok, detail):
@@ -66,7 +66,7 @@ def test_c03_power():
 
 
 def test_c04_early_voltage_recovery():
-    fit0 = ivfit.fit_early_voltage(ivfit.synth_output_family(160.0, 124.0))
+    fit0 = ivfit.fit_early_voltage(noiseless_family())
     err0 = abs(fit0.v_early - 124.0) / 124.0
     vals = []
     for seed in range(100):
@@ -81,7 +81,7 @@ def test_c04_early_voltage_recovery():
 
 
 def test_c05_beta_recovery():
-    beta = ivfit.fit_beta(ivfit.synth_output_family(160.0, 124.0), 1e-4, 0.9)
+    beta = ivfit.fit_beta(noiseless_family(), 1e-4, 0.9)
     err = abs(beta - 160.0) / 160.0
     ok = err <= 0.01
     _report(5, ok, f"beta_F = {beta:.2f} at (0.1 mA, 0.9 V), err "
@@ -170,13 +170,13 @@ def test_c09_lockin_vs_dft_oracle():
         errs[name] = abs(r - ref) / ref
 
     # the closed form the sweeps run: the population's image-charge voltage
-    # through _run_point, with no chain and no noise
+    # through _run_point, with a unit-gain chain and no noise
     ens, geom = reference().ensemble, reference().geometry
     syn = replace(reference().synthesis, input_noise_density=0.0)
     spp_run, _ = _resolve_sampling(syn, f_ref)
     _, v_ac = image_charge_waveform(
         rydberg_population(f_ref, syn.duty, ens, 1.0, spp_run), geom, ens.n_s)
-    r = _run_point(0, f_ref, 1.0, ens, geom, None, syn).amplitude_r
+    r = _run_point(0, f_ref, 1.0, ens, geom, UNIT_CHAIN, syn).amplitude_r
     ref = dft_fundamental_rms(v_ac, spp_run)
     errs["population via _run_point"] = abs(r - ref) / ref
     ok = all(e <= 1e-3 for e in errs.values())

@@ -10,7 +10,7 @@ from cryoreadout.chain import (ChainResponse, StageResponse, cascade,
                                unity_gain_load)
 from cryoreadout.config import load_config
 
-from conftest import reference
+from conftest import UNIT_CHAIN, reference
 
 R_SOURCE = reference()[("chain", "r_source_ohm")]
 
@@ -153,14 +153,13 @@ def test_two_stage_flat_at_40db():
 
 
 def test_s21_db():
-    unity = cascade([StageResponse(gain_factor=1.0)])
-    rows = s21_db(unity, [1e3, 1e6, 1e9])
+    rows = s21_db(UNIT_CHAIN, [1e3, 1e6, 1e9])
     assert all(db == pytest.approx(0.0, abs=1e-12) for _, db in rows)
     pole = cascade([StageResponse(gain_factor=1.0, poles=(1e6,))])
     rows = s21_db(pole, [1e6])
     assert rows[0][1] == pytest.approx(-10.0 * math.log10(2.0), rel=1e-9)
     with pytest.raises(ValueError):
-        s21_db(unity, [0.0, 1e6])
+        s21_db(UNIT_CHAIN, [0.0, 1e6])
 
 
 def test_transfer_function_matches_impulse_response_fft():
@@ -171,7 +170,7 @@ def test_transfer_function_matches_impulse_response_fft():
     impulse = np.zeros(n)
     impulse[0] = 1.0
     cfg = replace(reference().synthesis, input_noise_density=0.0)
-    out = synthesize(impulse, resp, cfg, fs)
+    out = synthesize(impulse, resp, cfg, fs, np.random.default_rng(0))
     freqs = np.fft.rfftfreq(n, 1.0 / fs)
     mag_db = 20.0 * np.log10(np.abs(np.fft.rfft(out)[1:]))
     ref_db = np.array([d for _, d in s21_db(resp, freqs[1:])])

@@ -15,7 +15,8 @@ from cryoreadout.cli import main
 from cryoreadout.config import (_SCHEMA, MAX_GRID_POINTS, ConfigError,
                                 load_config)
 
-from conftest import iv_csv_text, reference
+from conftest import (iv_csv_text, noiseless_diode, noiseless_family,
+                      reference)
 
 
 def _read_csv(path):
@@ -147,7 +148,8 @@ def _numeric_value(section, key):
         lo, hi = 1e-200, 1e90
     elif key == "second_stage_f_high_GHz":
         lo = 1e90
-    elif key in ("first_stage_noise_K", "second_stage_noise_K"):
+    elif key in ("first_stage_noise_K", "second_stage_noise_K",
+                 "n_s_per_cm2"):
         lo = 0.0
     elif (section, key) in _POSITIVE_KEYS:
         lo = 1e-200
@@ -275,10 +277,15 @@ def test_cli_s21_single_point(tmp_path):
     ["--f-max", "inf"],
     ["--points", "0"],
     ["--f-min", "1e6", "--f-max", "1e5"],
-], ids=["nan", "inf", "no-points", "descending"])
-def test_cli_s21_bad_grid(tmp_path, grid):
-    # the s21 grid goes through the sweep --grid checks: exit 2, no CSV
+    ["--f-min", "0"],
+    ["--points", "2000000"],
+], ids=["nan", "inf", "no-points", "descending", "zero-start", "too-many"])
+def test_cli_s21_bad_grid(tmp_path, capsys, grid):
+    # the s21 grid goes through the sweep --grid checks: exit 2 naming the
+    # flags, no CSV
     assert main(["--out", str(tmp_path), "s21", *grid]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: s21 --f-min/--f-max/--points: ")
     assert not (tmp_path / "s21_both.csv").exists()
 
 
@@ -299,7 +306,7 @@ def test_cli_gen_and_fit_iv(tmp_path):
 
 
 def test_cli_fit_iv_ndr_exit_code(tmp_path):
-    ds = ivfit.synth_output_family(160.0, 124.0)
+    ds = noiseless_family()
     sweeps = list(ds.sweeps)
     s = sweeps[5]
     current = s.current.copy()
@@ -324,7 +331,7 @@ def test_cli_gen_iv_rejects_bad_noise(tmp_path, noise):
 
 def test_cli_fit_iv_non_finite_data(tmp_path):
     # an infinite current is an input error: exit 2, no report
-    ds = ivfit.synth_output_family(160.0, 124.0)
+    ds = noiseless_family()
     path = tmp_path / "family.csv"
     ivfit.save_iv_dataset(ds, path)
     text = path.read_text().splitlines()
@@ -339,7 +346,7 @@ def test_cli_fit_iv_non_finite_data(tmp_path):
 
 def test_cli_fit_iv_rejects_non_finite_beta_at(tmp_path):
     path = tmp_path / "family.csv"
-    ivfit.save_iv_dataset(ivfit.synth_output_family(160.0, 124.0), path)
+    ivfit.save_iv_dataset(noiseless_family(), path)
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as info:
         main(["--out", str(out), "fit-iv", "--output-chars", str(path),
@@ -517,6 +524,7 @@ _BAD_VALUES = [
     ("device", "beta_f = 0.5"),
     ("geometry", "c_cell_pF = -3"),
     ("ensemble", "rho22_target = 0.7"),
+    ("ensemble", "n_s_per_cm2 = -1e8"),
     ("chain", "second_stage_f_low_kHz = 5e6"),
     ("chain", "second_stage_gain_dB = 1e200"),
     ("chain", "r_source_ohm = 0"),
@@ -534,8 +542,7 @@ def test_cli_bad_section_every_command(tmp_path, capsys, command):
     # every value is checked at load: each command exits 2 naming the
     # section, and writes nothing
     diode = tmp_path / "diode.csv"
-    ivfit.save_iv_dataset(ivfit.synth_input_curve(6.35e-8, 25e-3, 160.0),
-                          diode)
+    ivfit.save_iv_dataset(noiseless_diode(), diode)
     for section, setting in _BAD_VALUES:
         p = tmp_path / "bad.ini"
         p.write_text(f"[{section}]\n{setting}\n")
@@ -571,7 +578,7 @@ def test_cli_fit_iv_beta_at_outside_data(tmp_path, capsys, beta_at):
     # a --beta-at target outside the data is an input error: exit 2, a
     # message naming the flag, no report
     family = tmp_path / "family.csv"
-    ivfit.save_iv_dataset(ivfit.synth_output_family(160.0, 124.0), family)
+    ivfit.save_iv_dataset(noiseless_family(), family)
     out = tmp_path / "out"
     capsys.readouterr()
     assert main(["--out", str(out), "fit-iv", "--output-chars", str(family),
@@ -623,6 +630,17 @@ def test_cli_sweep_overflow_exit_code(tmp_path):
         assert main(["--config", str(p), "--out", str(out), "sweep",
                      "--axis", "vbc", "--grid", "11.5:11.7:3:lin"]) == 3
     assert not (out / "sweep_vbc.csv").exists()
+
+
+def test_cli_sweep_zero_electrons_is_noise_baseline(tmp_path):
+    # n_s = 0 is valid: no signal, so R is the input noise alone
+    p = tmp_path / "empty.ini"
+    p.write_text("[ensemble]\nn_s_per_cm2 = 0\n")
+    assert main(["--config", str(p), "--out", str(tmp_path), "sweep",
+                 "--grid", "11:12:3"]) == 0
+    _, rows = _read_csv(tmp_path / "sweep_vbc.csv")
+    r = [float(row[1]) for row in rows]
+    assert all(0.0 < x < 1e-7 for x in r)
 
 
 @pytest.mark.parametrize("args, setting", [
@@ -710,7 +728,7 @@ def test_cli_manifest_config_for_every_command(tmp_path):
 
 def _save_with_backward(path, backward):
     # the synthetic family plus ``backward`` sweeps in its direction column
-    ds = ivfit.synth_output_family(160.0, 124.0)
+    ds = noiseless_family()
     ivfit.save_iv_dataset(ivfit.IVDataset(
         kind="output_characteristics", sweeps=(*ds.sweeps, *backward)), path)
 
@@ -720,7 +738,7 @@ def test_cli_fit_iv_backward_flag_removed(tmp_path, capsys):
     # is hysteretic, and --backward, which would add a second source, is
     # an unknown flag (exit 2, nothing written)
     path, copy = tmp_path / "family.csv", tmp_path / "copy.csv"
-    ds = ivfit.synth_output_family(160.0, 124.0)
+    ds = noiseless_family()
     _save_with_backward(path, [
         ivfit.IVSweep(label=s.label, voltage=s.voltage[::-1],
                       current=1.1 * s.current[::-1], direction="bwd")
@@ -914,10 +932,8 @@ def test_cli_exit_contract(tmp_path, capsys, run):
     argv, ini = run
     family, diode = tmp_path / "family.csv", tmp_path / "diode.csv"
     if not family.exists():
-        ivfit.save_iv_dataset(ivfit.synth_output_family(160.0, 124.0),
-                              family)
-        ivfit.save_iv_dataset(ivfit.synth_input_curve(6.35e-8, 25e-3, 160.0),
-                              diode)
+        ivfit.save_iv_dataset(noiseless_family(), family)
+        ivfit.save_iv_dataset(noiseless_diode(), diode)
     with tempfile.TemporaryDirectory(dir=tmp_path) as work:
         work = Path(work)
         config = work / "run.ini"

@@ -10,10 +10,9 @@ from cryoreadout import ivfit
 from cryoreadout.ivfit import (FitError, IVDataset, IVParseError, IVSweep,
                                classify_transistor, fit_beta, fit_diode_params,
                                fit_early_voltage, intrinsic_gain,
-                               load_iv_dataset, save_iv_dataset,
-                               synth_input_curve, synth_output_family)
+                               load_iv_dataset, save_iv_dataset)
 
-from conftest import iv_csv_text
+from conftest import iv_csv_text, noiseless_diode, noiseless_family
 
 
 def test_input_csv_parse():
@@ -24,7 +23,7 @@ def test_input_csv_parse():
 
 
 def test_output_family_parse_and_roundtrip(tmp_path):
-    ds = synth_output_family(160.0, 124.0)
+    ds = noiseless_family()
     assert len(ds.sweeps) == 17      # 200..1000 nA step 50 nA
     assert ds.sweeps[0].label == pytest.approx(200e-9)
     assert ds.sweeps[-1].label == pytest.approx(1000e-9)
@@ -94,8 +93,11 @@ def test_parse_errors(text, fragment):
      "1e-7,0.5,1.1e-5\n1e-7,0.5,1.2e-5\n", "duplicate v_ce", 5),
     ("i_b_A,v_ce_V,i_c_A\n2e-7,0.0,3e-5\n1e-7,0.0,1e-5\n2e-7,1.0,3.1e-5\n"
      "1e-7,1.0,1.1e-5\n1e-7,0.5,1.2e-5\n", "non-monotone v_ce", 3),
+    # a quoted field that spans lines: the line is the physical one
+    ('v_be_V,i_b_A\n"0.1\n",1e-9\n0.2,oops\n', "not a number: 'oops'", 4),
 ], ids=["nan", "inf", "output-inf", "one-point-sweep", "bare-cr",
-        "interleaved-duplicate", "interleaved-non-monotone"])
+        "interleaved-duplicate", "interleaved-non-monotone",
+        "quoted-newline"])
 def test_parse_error_line(text, fragment, line):
     with pytest.raises(IVParseError, match=fragment) as info:
         load_iv_dataset(io.StringIO(text))
@@ -166,7 +168,7 @@ def test_load_family_memory(tmp_path):
     # the loader keeps packed columns, not a Python object per row: the
     # synthetic family, 17 curves of 401 points, loads within 0.75 MB
     path = tmp_path / "family.csv"
-    save_iv_dataset(synth_output_family(160.0, 124.0), path)
+    save_iv_dataset(noiseless_family(), path)
     tracemalloc.start()
     try:
         ds = load_iv_dataset(path)
@@ -210,7 +212,7 @@ def test_line_fit_matches_polyfit(xy):
 
 
 def test_early_fit_noise_free():
-    ds = synth_output_family(160.0, 124.0)
+    ds = noiseless_family()
     fit = fit_early_voltage(ds)
     assert fit.v_early == pytest.approx(124.0, rel=1e-6)
     assert 0.0 <= fit.r_squared <= 1.0
@@ -223,7 +225,7 @@ def test_early_fit_label_range_filter():
     v = ivfit.SYNTH_V_CE
     sweeps = [IVSweep(label=100e-9, voltage=v,
                       current=160.0 * 100e-9 * (1.0 + v / 30.0))]
-    for s in synth_output_family(160.0, 124.0).sweeps:
+    for s in noiseless_family().sweeps:
         if s.label > 800e-9 + 1e-12:
             s = IVSweep(label=s.label, voltage=v,
                         current=160.0 * s.label * (1.0 + v / 30.0))
@@ -236,7 +238,7 @@ def test_early_fit_label_range_filter():
 def test_early_fit_skips_flat_curve():
     # a flat curve in the range has no Early intercept: it is left out, and
     # the fit of the rest is unchanged
-    ds = synth_output_family(160.0, 124.0)
+    ds = noiseless_family()
     flat = IVSweep(label=210e-9, voltage=ivfit.SYNTH_V_CE,
                    current=np.full(ivfit.SYNTH_V_CE.size, 160.0 * 210e-9))
     sweeps = sorted((*ds.sweeps, flat), key=lambda s: s.label)
@@ -256,7 +258,7 @@ def test_early_fit_flat_curves_error():
 
 def test_early_fit_label_shift_invariance():
     # the 300-700 nA curves, shifted by 1 nA, stay inside EARLY_FIT_IB_RANGE
-    middle = tuple(s for s in synth_output_family(160.0, 124.0).sweeps
+    middle = tuple(s for s in noiseless_family().sweeps
                    if 300e-9 - 1e-12 <= s.label <= 700e-9 + 1e-12)
     assert len(middle) == 9
     ds = IVDataset(kind="output_characteristics", sweeps=middle)
@@ -272,11 +274,11 @@ def test_early_fit_label_shift_invariance():
 def test_early_fit_wrong_kind():
     # a file of the wrong kind is an input error naming the expected header
     with pytest.raises(IVParseError, match="i_b_A,v_ce_V,i_c_A"):
-        fit_early_voltage(synth_input_curve(1e-12, 25e-3, 160.0))
+        fit_early_voltage(noiseless_diode(1e-12))
 
 
 def test_fit_beta_round_trip():
-    ds = synth_output_family(160.0, 124.0)
+    ds = noiseless_family()
     assert fit_beta(ds, 1e-4, 0.9) == pytest.approx(160.0, rel=0.01)
 
 
@@ -291,7 +293,7 @@ def test_fit_beta_two_curve_arithmetic():
 def test_fit_beta_outside_hull():
     # the target is the caller's choice, so a target outside the data is an
     # input error
-    ds = synth_output_family(160.0, 124.0)
+    ds = noiseless_family()
     with pytest.raises(ValueError, match="outside the data hull"):
         fit_beta(ds, 1e-2, 0.9)
     with pytest.raises(ValueError, match="outside sweep range"):
@@ -309,7 +311,7 @@ def test_intrinsic_gain():
 
 
 def test_diode_fit_round_trip():
-    ds = synth_input_curve(i_sat=6.35e-8, v_teff=25e-3, beta_f=160.0)
+    ds = noiseless_diode()
     fit = fit_diode_params(ds, beta_f=160.0)
     assert fit.v_teff == pytest.approx(25e-3, rel=0.01)
     assert fit.i_sat == pytest.approx(6.35e-8, rel=0.01)
@@ -343,13 +345,13 @@ def test_diode_fit_filters_nonpositive():
 
 
 def test_classify_clean_family():
-    cls = classify_transistor(synth_output_family(160.0, 124.0))
+    cls = classify_transistor(noiseless_family())
     assert cls.verdict == "usable"
     assert cls.evidence == ()
 
 
 def test_classify_ndr_dip():
-    ds = synth_output_family(160.0, 124.0)
+    ds = noiseless_family()
     s = ds.sweeps[8]
     current = s.current.copy()
     dip = (s.voltage >= 1.0) & (s.voltage <= 1.2)
@@ -374,14 +376,14 @@ def _with_backward(fwd, bwd):
 
 
 def test_classify_identical_backward_no_hysteresis():
-    ds = synth_output_family(160.0, 124.0)
+    ds = noiseless_family()
     both = _with_backward(ds.sweeps, [(s.label, s.voltage, s.current)
                                       for s in ds.sweeps])
     assert classify_transistor(both).verdict == "usable"
 
 
 def test_classify_hysteresis():
-    ds = synth_output_family(160.0, 124.0)
+    ds = noiseless_family()
     both = _with_backward(ds.sweeps, [(s.label, s.voltage, 1.1 * s.current)
                                       for s in ds.sweeps])
     cls = classify_transistor(both)
@@ -391,7 +393,7 @@ def test_classify_hysteresis():
 
 
 def test_classify_mismatched_labels():
-    ds = synth_output_family(160.0, 124.0)
+    ds = noiseless_family()
     s = ds.sweeps[0]
     both = _with_backward(ds.sweeps, [(123e-9, s.voltage, s.current)])
     with pytest.raises(ValueError, match="label 1.23e-07"):
@@ -428,13 +430,13 @@ def test_classify_needs_two_overlap_points():
 
 
 def test_fit_idempotence():
-    ds = synth_output_family(beta_f=160.0, v_early=124.0)
+    ds = noiseless_family()
     v_a = fit_early_voltage(ds).v_early
     beta = fit_beta(ds, 1e-4, 0.9)
     # fit_beta measures the local dI_c/dI_b, which carries the Early tilt
     # (1 + v_ce/V_A); invert that to recover the generator's beta_f
     beta_intrinsic = beta / (1.0 + 0.9 / v_a)
-    ds2 = synth_output_family(beta_f=beta_intrinsic, v_early=v_a)
+    ds2 = noiseless_family(beta_intrinsic, v_a)
     assert fit_early_voltage(ds2).v_early == pytest.approx(v_a, rel=1e-6)
     assert fit_beta(ds2, 1e-4, 0.9) == pytest.approx(beta, rel=1e-6)
 

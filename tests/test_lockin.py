@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cryoreadout import lockin
-from cryoreadout.chain import StageResponse, cascade
 from cryoreadout.lockin import demodulate, sweep_fm, sweep_vbc, synthesize
 from cryoreadout.source import image_charge_waveform, rydberg_population
-from conftest import (dft_fundamental_rms, lockin_noise_covariance,
+from conftest import (UNIT_CHAIN, dft_fundamental_rms, lockin_noise_covariance,
                       reference, time_domain_point)
 
 FS = 4e6
@@ -104,9 +103,8 @@ def test_demod_matches_dft_oracle():
 def test_synthesize_identity():
     t = _record(1e-3)
     x = np.sin(2 * math.pi * F_REF * t)
-    unity = cascade([StageResponse(gain_factor=1.0)])
     cfg = _synthesis(input_noise_density=0.0)
-    out = synthesize(x, unity, cfg, FS)
+    out = synthesize(x, UNIT_CHAIN, cfg, FS, np.random.default_rng(0))
     np.testing.assert_allclose(out, x, rtol=0, atol=1e-12)
 
 
@@ -118,7 +116,7 @@ def test_synthesize_gain_through_configured_chain():
     amp = 1e-6
     x = amp * np.sin(2 * math.pi * 1e6 * t)
     cfg = _synthesis(input_noise_density=0.0)
-    out = synthesize(x, resp, cfg, fs)
+    out = synthesize(x, resp, cfg, fs, np.random.default_rng(0))
     r = demodulate(out, 1e6, TAU, ORDER, fs).amplitude_r
     h = abs(resp.evaluate(1e6))
     assert h == pytest.approx(100.0, rel=0.01)
@@ -127,22 +125,25 @@ def test_synthesize_gain_through_configured_chain():
 
 def test_noise_rms_parseval():
     # white noise density through a unity chain: RMS = density * sqrt(fs/2)
-    unity = cascade([StageResponse(gain_factor=1.0)])
     n = 16384
     zeros = np.zeros(n)
+    cfg = _synthesis(input_noise_density=35e-12)
     rms = []
     for seed in range(50):
-        cfg = _synthesis(noise_seed=seed, input_noise_density=35e-12)
-        rms.append(np.sqrt(np.mean(synthesize(zeros, unity, cfg, 2e6) ** 2)))
+        out = synthesize(zeros, UNIT_CHAIN, cfg, 2e6,
+                         np.random.default_rng(seed))
+        rms.append(np.sqrt(np.mean(out ** 2)))
     expected = 35e-12 * math.sqrt(1e6)
     assert np.mean(rms) == pytest.approx(expected, rel=0.1)
 
 
 def test_synthesize_seeded_reproducibility():
-    cfg = _synthesis(noise_seed=42)
-    unity = cascade([StageResponse(gain_factor=1.0)])
-    a = synthesize(np.zeros(4096), unity, cfg, 2e6)
-    b = synthesize(np.zeros(4096), unity, cfg, 2e6)
+    # two generators from one seed give equal records
+    cfg = _synthesis()
+    a = synthesize(np.zeros(4096), UNIT_CHAIN, cfg, 2e6,
+                   np.random.default_rng(42))
+    b = synthesize(np.zeros(4096), UNIT_CHAIN, cfg, 2e6,
+                   np.random.default_rng(42))
     np.testing.assert_array_equal(a, b)
 
 
@@ -165,16 +166,16 @@ def _sweep_fixtures(noise=0.0):
 def test_sweep_vbc_zero_rate_flat_zero():
     ens, geom, cfg = _sweep_fixtures()
     out = sweep_vbc([11.5, 11.6, 11.7], replace(ens, rho22_target=0.0),
-                    geom, None, cfg)
+                    geom, UNIT_CHAIN, cfg)
     assert all(r.amplitude_r < 1e-15 for _, r in out)
 
 
 def test_sweep_grid_must_be_sorted():
     ens, geom, cfg = _sweep_fixtures()
     with pytest.raises(ValueError):
-        sweep_vbc([11.7, 11.5], ens, geom, None, cfg)
+        sweep_vbc([11.7, 11.5], ens, geom, UNIT_CHAIN, cfg)
     with pytest.raises(ValueError):
-        sweep_fm([1e6, 1e5], ens, geom, None, cfg)
+        sweep_fm([1e6, 1e5], ens, geom, UNIT_CHAIN, cfg)
 
 
 def test_sweep_fm_no_mechanism_is_flat():
@@ -185,7 +186,7 @@ def test_sweep_fm_no_mechanism_is_flat():
     ens = replace(reference().ensemble, tau_relax=tau,
                   rho22_target=r * tau / (1.0 + 2.0 * r * tau))
     _, geom, cfg = _sweep_fixtures()
-    out = sweep_fm([2e5, 5e5, 2e6], ens, geom, None, cfg)
+    out = sweep_fm([2e5, 5e5, 2e6], ens, geom, UNIT_CHAIN, cfg)
     # the source sits ~1.4 uV DC; any f_m dependence would appear as a
     # nonzero fundamental
     assert all(r.amplitude_r < 1e-12 for _, r in out)
@@ -194,8 +195,8 @@ def test_sweep_fm_no_mechanism_is_flat():
 def test_sweep_reproducibility():
     ens, geom, cfg = _sweep_fixtures(noise=35e-12)
     grid = [11.55, 11.6, 11.65]
-    a = sweep_vbc(grid, ens, geom, None, cfg)
-    b = sweep_vbc(grid, ens, geom, None, cfg)
+    a = sweep_vbc(grid, ens, geom, UNIT_CHAIN, cfg)
+    b = sweep_vbc(grid, ens, geom, UNIT_CHAIN, cfg)
     assert [(x, r.amplitude_r, r.phase) for x, r in a] == \
         [(x, r.amplitude_r, r.phase) for x, r in b]
 
@@ -283,7 +284,7 @@ def test_closed_form_matches_time_domain(f_m, tau_periods, order, duty, scale,
     tau = tau_periods / f_m
     cfg = _synthesis(input_noise_density=0.0, time_constant=tau,
                      filter_order=order, duty=duty)
-    resp = _reference_chain() if with_chain else None
+    resp = _reference_chain() if with_chain else UNIT_CHAIN
     point = (3, f_m, scale, reference().ensemble,
              reference().geometry, resp, cfg)
     fast = lockin._run_point(*point)

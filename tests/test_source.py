@@ -35,6 +35,10 @@ def test_validation():
         _ensemble(rho22_target=0.5)
     with pytest.raises(ValueError):
         _ensemble(tau_relax=0.0)
+    with pytest.raises(ValueError, match="n_s"):
+        _ensemble(n_s=-1e12)
+    # no electrons: the noise-only baseline
+    assert _ensemble(n_s=0.0).n_s == 0.0
     # the drive is checked by the library function and by the [synthesis]
     # settings the sweeps read it from
     with pytest.raises(ValueError, match="f_m"):
