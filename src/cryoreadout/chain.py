@@ -28,7 +28,6 @@ __all__ = [
     "hbt_stage_response",
     "unity_gain_load",
     "fixed_gain_stage",
-    "cascade",
     "s21_db",
 ]
 
@@ -189,10 +188,6 @@ def fixed_gain_stage(gain_db: float, f_low: float, f_high: float,
         hp_corners=(f_low,),
         noise_temperature=noise_temperature,
     )
-
-
-def cascade(stages) -> ChainResponse:
-    return ChainResponse(stages=tuple(stages))
 
 
 def s21_db(chain: ChainResponse, frequencies):

@@ -190,8 +190,8 @@ class RunConfig:
             ss, self.network, r_load, r_src,
             noise_temperature=self["chain", "first_stage_noise_K"])
         if self["chain", "stage"] == "first":
-            return chain_mod.cascade([first])
-        return chain_mod.cascade([first, self.second_stage])
+            return chain_mod.ChainResponse(stages=(first,))
+        return chain_mod.ChainResponse(stages=(first, self.second_stage))
 
     def as_text(self) -> str:
         """The resolved config as INI text, each key's text as given."""

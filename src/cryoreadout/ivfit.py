@@ -1,8 +1,10 @@
 """IV-sweep ingestion, device parameter extraction, and usability checks.
 
-Input characteristics are (v_be, i_b) pairs at fixed v_ce; output
-characteristics are families of (v_ce, i_c) sweeps labeled by base current.
-CSV formats are documented in `load_iv_dataset`.
+Input characteristics are (v_be, i_b) pairs at fixed v_ce and load as one
+`IVSweep`; output characteristics are families of (v_ce, i_c) sweeps
+labeled by base current and load as an `IVDataset`.  Every stored sweep
+runs in ascending voltage.  CSV formats are documented in
+`load_iv_dataset`.
 """
 
 from __future__ import annotations
@@ -78,43 +80,38 @@ class FitError(RuntimeError):
 
 @dataclass(frozen=True)
 class IVSweep:
+    """One sweep in ascending voltage: the input characteristics, or one
+    branch of an output family."""
+
     label: float | None          # base-current label (output families), A
     voltage: np.ndarray
     current: np.ndarray
-    direction: str = "fwd"       # "fwd" or "bwd"
 
     def __post_init__(self):
         v = np.asarray(self.voltage, dtype=float)
         i = np.asarray(self.current, dtype=float)
         if v.size != i.size or v.size < 2:
             raise ValueError("sweep needs >= 2 (voltage, current) points")
-        dv = np.diff(v)
-        if not (np.all(dv > 0) or np.all(dv < 0)):
-            raise ValueError("sweep voltages must be strictly monotone")
+        if not np.all(np.diff(v) > 0):
+            raise ValueError("sweep voltages must be strictly ascending")
         object.__setattr__(self, "voltage", v)
         object.__setattr__(self, "current", i)
 
 
 @dataclass(frozen=True)
 class IVDataset:
-    kind: str                    # "input_characteristics" | "output_characteristics"
-    sweeps: tuple[IVSweep, ...]
+    """An output family: one forward sweep per base-current label, in
+    increasing label order, and the backward branches measured."""
+
+    forward: tuple[IVSweep, ...]
+    backward: tuple[IVSweep, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("input_characteristics", "output_characteristics"):
-            raise ValueError(f"unknown dataset kind {self.kind!r}")
-        if self.kind == "output_characteristics":
-            labels = [s.label for s in self.sweeps if s.direction == "fwd"]
-            if any(l is None for l in labels):
-                raise ValueError("output family sweeps must carry i_b labels")
-            if any(b <= a for a, b in zip(labels, labels[1:])):
-                raise ValueError("output family labels must be strictly increasing")
-
-    def forward_sweeps(self):
-        return [s for s in self.sweeps if s.direction == "fwd"]
-
-    def backward_sweeps(self):
-        return [s for s in self.sweeps if s.direction == "bwd"]
+        if any(s.label is None for s in (*self.forward, *self.backward)):
+            raise ValueError("output family sweeps must carry i_b labels")
+        labels = [s.label for s in self.forward]
+        if any(b <= a for a, b in zip(labels, labels[1:])):
+            raise ValueError("output family labels must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -146,13 +143,13 @@ def _parse_float(text, line):
     return value
 
 
-def _require_kind(ds: IVDataset, kind: str, what: str):
+def _require_kind(ds, kind, what):
     # a file of the wrong kind is an input error, not a failed fit
-    if ds.kind != kind:
-        header = INPUT_HEADER if kind == "input_characteristics" \
-            else OUTPUT_HEADER
-        raise IVParseError(f"{what} needs {kind.replace('_', ' ')} (header "
-                           f"{','.join(header)}), got {ds.kind}")
+    if not isinstance(ds, kind):
+        name, header = (("input", INPUT_HEADER) if kind is IVSweep
+                        else ("output", OUTPUT_HEADER))
+        raise IVParseError(f"{what} needs {name} characteristics (header "
+                           f"{','.join(header)})")
 
 
 def _finite(what, value):
@@ -162,44 +159,40 @@ def _finite(what, value):
     return value
 
 
-def load_iv_dataset(source) -> IVDataset:
-    """Load an IV dataset from a path (any ``str`` or path-like) or a stream.
+def load_iv_dataset(path) -> IVSweep | IVDataset:
+    """Load an IV file from a path (any ``str`` or path-like).
 
     Two CSV layouts (UTF-8, header row required):
 
-    * input characteristics: ``v_be_V,i_b_A``
+    * input characteristics: ``v_be_V,i_b_A``, loaded as one `IVSweep`
+      with its rows sorted by v_be
     * output characteristics: ``i_b_A,v_ce_V,i_c_A`` with an optional
-      ``direction`` column in {fwd, bwd}
+      ``direction`` column in {fwd, bwd}, loaded as an `IVDataset`
 
-    Rows are grouped by sweep label and direction (``fwd`` when the column
-    is absent), wherever they stand in the file, each group keeping its
-    rows' file order; the ``direction`` column is the only way to mark a
-    backward branch.  Each group's voltages must be strictly monotone, so a
-    voltage reversal within one label and direction is a parse error, not
-    a branch split.
+    Family rows are grouped by sweep label and direction (``fwd`` when the
+    column is absent), wherever they stand in the file, each group keeping
+    its rows' file order; the ``direction`` column is the only way to mark
+    a backward branch.  Each group's voltages must be strictly monotone, so
+    a voltage reversal within one label and direction is a parse error, not
+    a branch split; a descending group is stored reversed, in ascending
+    voltage.
     """
-    if isinstance(source, str) or hasattr(source, "__fspath__"):
-        stream = open(source, newline="", encoding="utf-8")
-    else:
-        stream = source
-    reader = csv.reader(stream)
-    try:
+    with open(path, newline="", encoding="utf-8") as stream:
+        reader = csv.reader(stream)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise IVParseError("empty file", line=1) from None
-        header = [h.strip() for h in header]
-        if header == INPUT_HEADER:
-            return _load_input(reader)
-        if header[:3] == OUTPUT_HEADER and header[3:] in ([], ["direction"]):
-            return _load_output(reader, has_direction=len(header) == 4)
-        raise IVParseError(f"unrecognized header {header!r}", line=1)
-    except csv.Error as exc:
-        raise IVParseError(f"malformed CSV: {exc}",
-                           line=reader.line_num) from None
-    finally:
-        if stream is not source:
-            stream.close()
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise IVParseError("empty file", line=1) from None
+            header = [h.strip() for h in header]
+            if header == INPUT_HEADER:
+                return _load_input(reader)
+            if header[:3] == OUTPUT_HEADER and header[3:] in ([], ["direction"]):
+                return _load_output(reader, has_direction=len(header) == 4)
+            raise IVParseError(f"unrecognized header {header!r}", line=1)
+        except csv.Error as exc:
+            raise IVParseError(f"malformed CSV: {exc}",
+                               line=reader.line_num) from None
 
 
 def _read_columns(reader, n_values, has_direction=False):
@@ -234,8 +227,7 @@ def _load_input(reader):
     v = v[order]
     if np.any(np.diff(v) <= 0):
         raise IVParseError("duplicate v_be values in input characteristics")
-    sweep = IVSweep(label=None, voltage=v, current=i[order])
-    return IVDataset(kind="input_characteristics", sweeps=(sweep,))
+    return IVSweep(label=None, voltage=v, current=i[order])
 
 
 def _load_output(reader, has_direction):
@@ -248,7 +240,7 @@ def _load_output(reader, has_direction):
     ib_s, fwd_s = ib[order], forward[order]
     split = (ib_s[1:] != ib_s[:-1]) | (fwd_s[1:] != fwd_s[:-1])
     bounds = [0, *(np.flatnonzero(split) + 1).tolist(), order.size]
-    sweeps = []
+    fwd, bwd = [], []
     for lo, hi in zip(bounds, bounds[1:]):
         rows = order[lo:hi]
         label = float(ib[rows[0]])
@@ -264,28 +256,31 @@ def _load_output(reader, has_direction):
         if not (np.all(dv > 0) or np.all(dv < 0)):
             raise IVParseError(f"non-monotone v_ce in sweep i_b={label:g}",
                                line=first)
-        sweeps.append(IVSweep(label=label, voltage=v, current=ic[rows],
-                              direction="fwd" if forward[rows[0]] else "bwd"))
-    return IVDataset(kind="output_characteristics", sweeps=tuple(sweeps))
+        if dv[0] < 0:
+            rows, v = rows[::-1], v[::-1]
+        (fwd if fwd_s[lo] else bwd).append(
+            IVSweep(label=label, voltage=v, current=ic[rows]))
+    return IVDataset(forward=tuple(fwd), backward=tuple(bwd))
 
 
-def save_iv_dataset(ds: IVDataset, path) -> None:
-    """Write a dataset back out in its canonical CSV layout."""
+def save_iv_dataset(ds: IVSweep | IVDataset, path) -> None:
+    """Write input characteristics or an output family in its canonical CSV
+    layout; a family writes its forward rows, then its backward rows."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        if ds.kind == "input_characteristics":
+        if isinstance(ds, IVSweep):
             w.writerow(INPUT_HEADER)
-            s = ds.sweeps[0]
-            for v, i in zip(s.voltage, s.current):
+            for v, i in zip(ds.voltage, ds.current):
                 w.writerow([f"{v:.17g}", f"{i:.17g}"])
-        else:
-            has_dir = bool(ds.backward_sweeps())
-            w.writerow(OUTPUT_HEADER + (["direction"] if has_dir else []))
-            for s in ds.sweeps:
+            return
+        has_dir = bool(ds.backward)
+        w.writerow(OUTPUT_HEADER + (["direction"] if has_dir else []))
+        for direction, sweeps in (("fwd", ds.forward), ("bwd", ds.backward)):
+            for s in sweeps:
                 for v, i in zip(s.voltage, s.current):
                     row = [f"{s.label:.17g}", f"{v:.17g}", f"{i:.17g}"]
                     if has_dir:
-                        row.append(s.direction)
+                        row.append(direction)
                     w.writerow(row)
 
 
@@ -309,9 +304,9 @@ def fit_early_voltage(ds: IVDataset) -> EarlyFit:
     a rise across it of at most ``EARLY_FIT_MIN_RISE`` are left out; a
     family with none left is a fit error.
     """
-    _require_kind(ds, "output_characteristics", "Early fit")
+    _require_kind(ds, IVDataset, "Early fit")
     ib_lo, ib_hi = EARLY_FIT_IB_RANGE
-    sweeps = [s for s in ds.forward_sweeps() if ib_lo <= s.label <= ib_hi]
+    sweeps = [s for s in ds.forward if ib_lo <= s.label <= ib_hi]
     if not sweeps:
         raise FitError("no curves inside the base-current range")
 
@@ -342,8 +337,6 @@ def fit_early_voltage(ds: IVDataset) -> EarlyFit:
 
 def _interp_ic(sweep: IVSweep, v_ce: float) -> float:
     v, i = sweep.voltage, sweep.current
-    if v[0] > v[-1]:
-        v, i = v[::-1], i[::-1]
     if not (v[0] <= v_ce <= v[-1]):
         raise ValueError(f"v_ce={v_ce:g} outside sweep range [{v[0]:g}, {v[-1]:g}]")
     return float(np.interp(v_ce, v, i))
@@ -356,8 +349,8 @@ def fit_beta(ds: IVDataset, i_c: float, v_ce: float) -> float:
     ``v_ce`` bracket the target ``i_c``; a target outside the data raises
     ValueError.
     """
-    _require_kind(ds, "output_characteristics", "beta fit")
-    sweeps = ds.forward_sweeps()
+    _require_kind(ds, IVDataset, "beta fit")
+    sweeps = ds.forward
     if len(sweeps) < 2:
         raise FitError("need at least two curves to bracket the target")
     ics = [_interp_ic(s, v_ce) for s in sweeps]
@@ -375,20 +368,19 @@ def intrinsic_gain(v_early: float, v_teff: float) -> float:
     return _finite("intrinsic gain", v_early / v_teff)
 
 
-def fit_diode_params(ds: IVDataset, beta_f: float) -> DiodeFit:
+def fit_diode_params(sweep: IVSweep, beta_f: float) -> DiodeFit:
     """Log-linear fit of the input characteristics.
 
     Fits ln(i_b) = ln(i_sat/beta_f) + v_be/v_teff; non-positive currents are
     filtered out, and a near-zero slope (v_teff diverging past
     ``V_TEFF_MAX``) is rejected.
     """
-    _require_kind(ds, "input_characteristics", "diode fit")
-    s = ds.sweeps[0]
-    keep = s.current > 0
-    v, i = s.voltage[keep], s.current[keep]
+    _require_kind(sweep, IVSweep, "diode fit")
+    keep = sweep.current > 0
+    v, i = sweep.voltage[keep], sweep.current[keep]
     if v.size < 2:
         raise FitError("fewer than 2 positive-current points")
-    if v.size < 3 and s.voltage.size >= 3:
+    if v.size < 3 and sweep.voltage.size >= 3:
         raise FitError("fewer than 3 positive-current points")
     slope, icpt = _line_fit(v, np.log(i))
     if slope <= 1.0 / V_TEFF_MAX:
@@ -419,10 +411,10 @@ def classify_transistor(ds: IVDataset) -> DeviceClassification:
     such points is a ValueError.  The verdict is "usable" iff no evidence
     is found.
     """
-    _require_kind(ds, "output_characteristics", "classification")
+    _require_kind(ds, IVDataset, "classification")
     evidence = []
 
-    for s in ds.forward_sweeps():
+    for s in ds.forward:
         slope = _smoothed_slope(s.voltage, s.current)
         bad = slope < -NDR_THRESHOLD
         if np.any(bad):
@@ -430,15 +422,13 @@ def classify_transistor(ds: IVDataset) -> DeviceClassification:
             evidence.append(("ndr", s.label, (float(v_bad.min()), float(v_bad.max())),
                              _finite("NDR slope", float(slope[bad].min()))))
 
-    fwd_by_label = {s.label: s for s in ds.forward_sweeps()}
-    for sb in ds.backward_sweeps():
+    fwd_by_label = {s.label: s for s in ds.forward}
+    for sb in ds.backward:
         if sb.label not in fwd_by_label:
             raise ValueError(f"backward sweep label {sb.label:g} has no "
                              "forward counterpart")
         sf = fwd_by_label[sb.label]
         vb, ib = sb.voltage, sb.current
-        if vb[0] > vb[-1]:
-            vb, ib = vb[::-1], ib[::-1]
         # np.interp would hold the backward sweep's end values beyond its
         # range, so compare only where both branches have data
         on = (sf.voltage >= vb[0]) & (sf.voltage <= vb[-1])
@@ -472,27 +462,29 @@ def classify_transistor(ds: IVDataset) -> DeviceClassification:
 def synth_output_family(beta_f: float, v_early: float, noise: float,
                         rng: np.random.Generator) -> IVDataset:
     """Synthesize a measured-style output family i_c = beta*i_b*(1 + v_ce/V_A)
-    over ``SYNTH_V_CE``, one curve per label of ``SYNTH_I_B_LABELS``.
+    over ``SYNTH_V_CE``, one forward curve per label of
+    ``SYNTH_I_B_LABELS``.
 
     A fixed-base-current sweep tracks the junction's own i_b(v_be) law,
     which carries no Early factor, so the measured family shows the linear
     Early tilt even though the bias-point model keeps i_c/i_b constant.
-    ``noise`` is a multiplicative Gaussian sigma, drawn from ``rng``.
+    ``noise`` is a multiplicative Gaussian sigma, drawn from ``rng`` in
+    one (labels x v_ce) draw, row by row.
     """
-    sweeps = []
-    for ib in SYNTH_I_B_LABELS:
-        ic = beta_f * ib * (1.0 + SYNTH_V_CE / v_early)
-        if noise > 0:
-            ic = ic * (1.0 + noise * rng.standard_normal(ic.size))
-        if not np.all(np.isfinite(ic)):
-            raise FloatingPointError(f"synthetic i_c overflows at i_b={ib:g}")
-        sweeps.append(IVSweep(label=float(ib), voltage=SYNTH_V_CE.copy(),
-                              current=ic))
-    return IVDataset(kind="output_characteristics", sweeps=tuple(sweeps))
+    ic = beta_f * SYNTH_I_B_LABELS[:, None] * (1.0 + SYNTH_V_CE / v_early)
+    if noise > 0:
+        ic = ic * (1.0 + noise * rng.standard_normal(ic.shape))
+    bad = ~np.all(np.isfinite(ic), axis=1)
+    if np.any(bad):
+        raise FloatingPointError("synthetic i_c overflows at "
+                                 f"i_b={SYNTH_I_B_LABELS[np.argmax(bad)]:g}")
+    return IVDataset(forward=tuple(
+        IVSweep(label=float(ib), voltage=SYNTH_V_CE, current=row)
+        for ib, row in zip(SYNTH_I_B_LABELS, ic)))
 
 
 def synth_input_curve(i_sat: float, v_teff: float, beta_f: float,
-                      noise: float, rng: np.random.Generator) -> IVDataset:
+                      noise: float, rng: np.random.Generator) -> IVSweep:
     """Synthesize input characteristics i_b = (i_sat/beta_f)*exp(v_be/v_teff)
     over ``SYNTH_V_BE``, with multiplicative Gaussian noise of sigma
     ``noise`` drawn from ``rng``."""
@@ -501,5 +493,4 @@ def synth_input_curve(i_sat: float, v_teff: float, beta_f: float,
         ib = ib * (1.0 + noise * rng.standard_normal(ib.size))
     if not np.all(np.isfinite(ib)):
         raise FloatingPointError("synthetic i_b overflows")
-    sweep = IVSweep(label=None, voltage=SYNTH_V_BE.copy(), current=ib)
-    return IVDataset(kind="input_characteristics", sweeps=(sweep,))
+    return IVSweep(label=None, voltage=SYNTH_V_BE, current=ib)

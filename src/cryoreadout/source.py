@@ -123,8 +123,11 @@ def rydberg_population(f_m: float, duty: float, ens: EnsembleParams,
     rho_inf = r * tau_on
     a = math.exp(-t_on / tau_on)
     b = math.exp(-t_off / tau)
-    # periodic fixed point at the start of the on segment
-    rho0 = rho_inf * (1.0 - a) * b / (1.0 - a * b)
+    # periodic fixed point at the start of the on segment, rho_inf (1 - a)
+    # b / (1 - a b), with expm1 keeping both differences exact when tau is
+    # long against the period
+    rho0 = (rho_inf * math.expm1(-t_on / tau_on) * b
+            / math.expm1(-t_on / tau_on - t_off / tau))
     rho_end_on = rho_inf + (rho0 - rho_inf) * a
     on = t < t_on
     return np.where(

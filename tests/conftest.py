@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
-from cryoreadout.chain import StageResponse, cascade
+from cryoreadout.chain import ChainResponse, StageResponse
 from cryoreadout.config import load_config
 from cryoreadout.device import EXP_CAP
 from cryoreadout.ivfit import synth_input_curve, synth_output_family
@@ -21,7 +21,7 @@ ACCEPTANCE_LINES = {}
 
 # a one-stage chain of gain 1+0j: multiplying by it is exact, so the signal
 # path through it is the bare source
-UNIT_CHAIN = cascade([StageResponse(gain_factor=1.0)])
+UNIT_CHAIN = ChainResponse(stages=(StageResponse(gain_factor=1.0),))
 
 
 @functools.cache
@@ -95,6 +95,15 @@ def noiseless_diode(i_sat=6.35e-8):
     beta_f = 160."""
     return synth_input_curve(i_sat, 25e-3, 160.0, 0.0,
                              np.random.default_rng(0))
+
+
+def csv_file(directory, text, name="iv.csv"):
+    """Write ``text`` verbatim (no newline translation) to ``directory /
+    name`` and return the path."""
+    path = directory / name
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
 
 
 def dft_fundamental_rms(x, samples_per_period):

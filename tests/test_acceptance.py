@@ -104,7 +104,8 @@ def test_c06_s21_flatness():
 def test_c07_friis():
     first = chain_mod.StageResponse(gain_factor=1.0, noise_temperature=2.0)
     second = chain_mod.StageResponse(gain_factor=100.0, noise_temperature=6.0)
-    t_total = chain_mod.cascade([first, second]).total_noise_temperature()
+    t_total = chain_mod.ChainResponse(
+        stages=(first, second)).total_noise_temperature()
     ok = abs(t_total - 8.0) < 1e-12
     _report(7, ok, f"T_total = {t_total:.12f} K (exactly 8 K)")
 

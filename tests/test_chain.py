@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from cryoreadout import chain, device
-from cryoreadout.chain import (ChainResponse, StageResponse, cascade,
-                               fixed_gain_stage, hbt_stage_response, s21_db,
-                               unity_gain_load)
+from cryoreadout.chain import (ChainResponse, StageResponse, fixed_gain_stage,
+                               hbt_stage_response, s21_db, unity_gain_load)
 from cryoreadout.config import load_config
 
 from conftest import UNIT_CHAIN, reference
@@ -69,11 +68,11 @@ def test_fixed_gain_stage_overflow():
 
 def test_cascade_identity_and_multiplicativity():
     st = fixed_gain_stage(20.0, 1e3, 1e9)
-    single = cascade([st])
+    single = ChainResponse(stages=(st,))
     f = np.geomspace(1e3, 1e8, 40)
     np.testing.assert_allclose(single.evaluate(f), st.evaluate(f), rtol=1e-15)
 
-    both = cascade([st, st])
+    both = ChainResponse(stages=(st, st))
     np.testing.assert_allclose(np.abs(both.evaluate(f)),
                                np.abs(st.evaluate(f)) ** 2, rtol=1e-12)
     assert abs(both.evaluate(1e6)) == pytest.approx(100.0, rel=0.01)
@@ -85,8 +84,8 @@ def test_cascade_identity_and_multiplicativity():
 def test_friis_accumulation():
     first = StageResponse(gain_factor=1.0, noise_temperature=2.0)
     second = StageResponse(gain_factor=100.0, noise_temperature=6.0)
-    assert cascade([first, second]).total_noise_temperature() == \
-        pytest.approx(8.0, rel=1e-12)
+    total = ChainResponse(stages=(first, second)).total_noise_temperature()
+    assert total == pytest.approx(8.0, rel=1e-12)
 
 
 def test_friis_ordering():
@@ -96,8 +95,8 @@ def test_friis_ordering():
         t_low, t_high = sorted(rng.uniform(1.0, 50.0, 2))
         quiet = StageResponse(gain_factor=g1, noise_temperature=t_low)
         loud = StageResponse(gain_factor=g2, noise_temperature=t_high)
-        t_good = cascade([quiet, loud]).total_noise_temperature()
-        t_bad = cascade([loud, quiet]).total_noise_temperature()
+        t_good = ChainResponse(stages=(quiet, loud)).total_noise_temperature()
+        t_bad = ChainResponse(stages=(loud, quiet)).total_noise_temperature()
         assert t_good <= t_bad + 1e-12
 
 
@@ -105,7 +104,7 @@ def test_friis_zero_gain_stage_rejected():
     dead = StageResponse(gain_factor=0.0, noise_temperature=2.0)
     live = StageResponse(gain_factor=100.0, noise_temperature=6.0)
     with pytest.raises(ValueError, match="zero gain"):
-        cascade([dead, live]).total_noise_temperature()
+        ChainResponse(stages=(dead, live)).total_noise_temperature()
 
 
 def test_hbt_midband_gain_formula():
@@ -155,7 +154,8 @@ def test_two_stage_flat_at_40db():
 def test_s21_db():
     rows = s21_db(UNIT_CHAIN, [1e3, 1e6, 1e9])
     assert all(db == pytest.approx(0.0, abs=1e-12) for _, db in rows)
-    pole = cascade([StageResponse(gain_factor=1.0, poles=(1e6,))])
+    pole = ChainResponse(
+        stages=(StageResponse(gain_factor=1.0, poles=(1e6,)),))
     rows = s21_db(pole, [1e6])
     assert rows[0][1] == pytest.approx(-10.0 * math.log10(2.0), rel=1e-9)
     with pytest.raises(ValueError):

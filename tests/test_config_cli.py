@@ -15,8 +15,8 @@ from cryoreadout.cli import main
 from cryoreadout.config import (_SCHEMA, MAX_GRID_POINTS, ConfigError,
                                 load_config)
 
-from conftest import (iv_csv_text, noiseless_diode, noiseless_family,
-                      reference)
+from conftest import (csv_file, iv_csv_text, noiseless_diode,
+                      noiseless_family, reference)
 
 
 def _read_csv(path):
@@ -307,12 +307,12 @@ def test_cli_gen_and_fit_iv(tmp_path):
 
 def test_cli_fit_iv_ndr_exit_code(tmp_path):
     ds = noiseless_family()
-    sweeps = list(ds.sweeps)
+    sweeps = list(ds.forward)
     s = sweeps[5]
     current = s.current.copy()
     current[(s.voltage >= 1.0) & (s.voltage <= 1.3)] *= 0.85
     sweeps[5] = ivfit.IVSweep(label=s.label, voltage=s.voltage, current=current)
-    bad = ivfit.IVDataset(kind="output_characteristics", sweeps=tuple(sweeps))
+    bad = ivfit.IVDataset(forward=tuple(sweeps))
     path = tmp_path / "ndr.csv"
     ivfit.save_iv_dataset(bad, path)
     assert main(["--out", str(tmp_path), "fit-iv",
@@ -364,8 +364,7 @@ def test_cli_fit_iv_non_finite_fit(tmp_path):
         ivfit.IVSweep(label=ib, voltage=v, current=i0 * (1.0 + v / 124.0))
         for ib, i0 in ((low, 1e-5), (float(np.nextafter(low, 1.0)), 1e300)))
     path = tmp_path / "overflow.csv"
-    ivfit.save_iv_dataset(
-        ivfit.IVDataset(kind="output_characteristics", sweeps=sweeps), path)
+    ivfit.save_iv_dataset(ivfit.IVDataset(forward=sweeps), path)
     out = tmp_path / "out"
     with np.errstate(all="ignore"):
         assert main(["--out", str(out), "fit-iv", "--output-chars",
@@ -380,9 +379,7 @@ def test_cli_fit_iv_non_finite_fit(tmp_path):
 def test_cli_fit_iv_exit_contract(tmp_path, text, option):
     # any IV file: exit 0, 1, 2 or 3 and no exception; a report is written
     # only with 0 or 1, and then holds only finite numbers
-    path = tmp_path / "iv.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(text)
+    path = csv_file(tmp_path, text)
     out = tmp_path / "out"
     report = out / "fit_iv_report.csv"
     report.unlink(missing_ok=True)
@@ -424,9 +421,8 @@ def test_cli_fit_iv_numerical_failure(tmp_path):
     sweeps = tuple(ivfit.IVSweep(label=ib, voltage=v,
                                  current=np.full(30, ib * 160.0))
                    for ib in (300e-9, 400e-9, 500e-9))
-    ds = ivfit.IVDataset(kind="output_characteristics", sweeps=sweeps)
     path = tmp_path / "flat.csv"
-    ivfit.save_iv_dataset(ds, path)
+    ivfit.save_iv_dataset(ivfit.IVDataset(forward=sweeps), path)
     assert main(["--out", str(tmp_path), "fit-iv",
                  "--output-chars", str(path)]) == 3
 
@@ -603,6 +599,20 @@ def test_cli_sweep_non_finite_config(tmp_path, value):
     assert not (out / "sweep_vbc.csv").exists()
 
 
+@pytest.mark.parametrize("axis, grid", [("vbc", "11.5:11.7:3:lin"),
+                                        ("fm", "2e5:1e6:3:log")])
+def test_cli_sweep_long_relaxation(tmp_path, axis, grid):
+    # a relaxation time of 1e12 s is far beyond the period: the sweep still
+    # runs and writes finite rows
+    p = tmp_path / "slow.ini"
+    p.write_text("[ensemble]\ntau_relax_us = 1e18\n")
+    assert main(["--config", str(p), "--out", str(tmp_path), "sweep",
+                 "--axis", axis, "--grid", grid]) == 0
+    _, rows = _read_csv(tmp_path / f"sweep_{axis}.csv")
+    assert len(rows) == 3
+    assert all(math.isfinite(float(x)) for row in rows for x in row)
+
+
 @pytest.mark.parametrize("command, setting", [
     ("s21", "r_source_ohm = 0"),
     ("s21", "r_source_ohm = -50"),
@@ -728,9 +738,8 @@ def test_cli_manifest_config_for_every_command(tmp_path):
 
 def _save_with_backward(path, backward):
     # the synthetic family plus ``backward`` sweeps in its direction column
-    ds = noiseless_family()
     ivfit.save_iv_dataset(ivfit.IVDataset(
-        kind="output_characteristics", sweeps=(*ds.sweeps, *backward)), path)
+        forward=noiseless_family().forward, backward=tuple(backward)), path)
 
 
 def test_cli_fit_iv_backward_flag_removed(tmp_path, capsys):
@@ -740,9 +749,8 @@ def test_cli_fit_iv_backward_flag_removed(tmp_path, capsys):
     path, copy = tmp_path / "family.csv", tmp_path / "copy.csv"
     ds = noiseless_family()
     _save_with_backward(path, [
-        ivfit.IVSweep(label=s.label, voltage=s.voltage[::-1],
-                      current=1.1 * s.current[::-1], direction="bwd")
-        for s in ds.sweeps])
+        ivfit.IVSweep(label=s.label, voltage=s.voltage, current=1.1 * s.current)
+        for s in ds.forward])
     ivfit.save_iv_dataset(ds, copy)
     out = tmp_path / "out"
     assert main(["--out", str(out), "fit-iv", "--output-chars",
@@ -763,8 +771,8 @@ def test_cli_fit_iv_backward_without_overlap(tmp_path, capsys):
     # an input error naming its label: exit 2, no report
     path = tmp_path / "family.csv"
     _save_with_backward(path, [ivfit.IVSweep(
-        label=200e-9, voltage=np.array([3.0, 2.5, 2.0]),
-        current=np.full(3, 3.3e-5), direction="bwd")])
+        label=200e-9, voltage=np.array([2.0, 2.5, 3.0]),
+        current=np.full(3, 3.3e-5))])
     out = tmp_path / "out"
     capsys.readouterr()
     assert main(["--out", str(out), "fit-iv", "--output-chars",

@@ -2,10 +2,13 @@
 ``tests/golden``.
 
 Numbers compare at rtol 1e-12, so an ulp from another platform's libm does
-not fail; every other token must match exactly.  Regenerate a file only
-for a change that is meant to move that output, and say which lines moved.
+not fail; every other token must match exactly.  The synthetic output
+family is pure IEEE arithmetic (no libm call), so it is pinned by its
+SHA-256.  Regenerate a file only for a change that is meant to move that
+output, and say which lines moved.
 """
 
+import hashlib
 import math
 import re
 from pathlib import Path
@@ -13,6 +16,8 @@ from pathlib import Path
 from cryoreadout.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+FAMILY_SHA256 = \
+    "c7209535f7d3905ed99816bbdd1f4240bb95a44fec9565a722faa50c111d198c"
 
 
 def _tokens(text):
@@ -45,5 +50,6 @@ def test_seed0_outputs_match_golden(tmp_path, capsys):
                   "--input", str(diode)]):
         assert main(["--out", str(tmp_path), *args]) == 0, args
     for name in ("s21_both.csv", "sweep_vbc.csv", "sweep_fm.csv",
-                 "fit_iv_report.csv"):
+                 "diode.csv", "fit_iv_report.csv"):
         _assert_same(name, (tmp_path / name).read_text(encoding="utf-8"))
+    assert hashlib.sha256(family.read_bytes()).hexdigest() == FAMILY_SHA256

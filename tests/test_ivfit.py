@@ -1,10 +1,10 @@
-import io
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cryoreadout import ivfit
 from cryoreadout.ivfit import (FitError, IVDataset, IVParseError, IVSweep,
@@ -12,26 +12,29 @@ from cryoreadout.ivfit import (FitError, IVDataset, IVParseError, IVSweep,
                                fit_early_voltage, intrinsic_gain,
                                load_iv_dataset, save_iv_dataset)
 
-from conftest import iv_csv_text, noiseless_diode, noiseless_family
+from conftest import csv_file, iv_csv_text, noiseless_diode, noiseless_family
 
 
-def test_input_csv_parse():
-    ds = load_iv_dataset(io.StringIO(
-        "v_be_V,i_b_A\n0.1,1e-9\n0.2,1e-8\n0.3,1e-7\n"))
-    assert ds.kind == "input_characteristics"
-    assert ds.sweeps[0].voltage.tolist() == [0.1, 0.2, 0.3]
+def test_input_csv_parse(tmp_path):
+    sweep = load_iv_dataset(csv_file(
+        tmp_path, "v_be_V,i_b_A\n0.1,1e-9\n0.2,1e-8\n0.3,1e-7\n"))
+    assert isinstance(sweep, IVSweep)
+    assert sweep.label is None
+    assert sweep.voltage.tolist() == [0.1, 0.2, 0.3]
 
 
 def test_output_family_parse_and_roundtrip(tmp_path):
     ds = noiseless_family()
-    assert len(ds.sweeps) == 17      # 200..1000 nA step 50 nA
-    assert ds.sweeps[0].label == pytest.approx(200e-9)
-    assert ds.sweeps[-1].label == pytest.approx(1000e-9)
+    assert len(ds.forward) == 17      # 200..1000 nA step 50 nA
+    assert ds.backward == ()
+    assert ds.forward[0].label == pytest.approx(200e-9)
+    assert ds.forward[-1].label == pytest.approx(1000e-9)
 
     path = tmp_path / "family.csv"
     save_iv_dataset(ds, path)
     ds2 = load_iv_dataset(path)
-    for a, b in zip(ds.sweeps, ds2.sweeps):
+    assert len(ds2.forward) == 17 and ds2.backward == ()
+    for a, b in zip(ds.forward, ds2.forward):
         assert a.label == b.label
         np.testing.assert_array_equal(a.voltage, b.voltage)
         np.testing.assert_array_equal(a.current, b.current)
@@ -41,28 +44,29 @@ def test_output_family_parse_and_roundtrip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_bidirectional_parse():
+def test_bidirectional_parse(tmp_path):
+    # the backward branch, run downward in the file, is stored ascending
     text = ("i_b_A,v_ce_V,i_c_A,direction\n"
             "1e-7,0.0,1e-5,fwd\n1e-7,1.0,1.1e-5,fwd\n"
-            "1e-7,1.0,1.1e-5,bwd\n1e-7,0.0,1.0e-5,bwd\n")
-    ds = load_iv_dataset(io.StringIO(text))
-    assert len(ds.forward_sweeps()) == 1
-    assert len(ds.backward_sweeps()) == 1
+            "1e-7,1.0,1.2e-5,bwd\n1e-7,0.0,1.0e-5,bwd\n")
+    ds = load_iv_dataset(csv_file(tmp_path, text))
+    (fwd,), (bwd,) = ds.forward, ds.backward
+    assert fwd.voltage.tolist() == bwd.voltage.tolist() == [0.0, 1.0]
+    assert bwd.current.tolist() == [1.0e-5, 1.2e-5]
 
 
 def test_str_is_always_a_path(tmp_path):
     # a file name may contain a newline, and CSV text is not a file name
     path = tmp_path / "a\nb.csv"
     path.write_text("v_be_V,i_b_A\n0.1,1e-9\n0.2,1e-8\n", encoding="utf-8")
-    ds = load_iv_dataset(str(path))
-    assert ds.sweeps[0].voltage.tolist() == [0.1, 0.2]
+    assert load_iv_dataset(str(path)).voltage.tolist() == [0.1, 0.2]
     with pytest.raises(FileNotFoundError):
         load_iv_dataset(str(tmp_path / "v_be_V,i_b_A"))
 
 
-def test_empty_stream_is_parse_error():
+def test_empty_stream_is_parse_error(tmp_path):
     with pytest.raises(IVParseError, match="empty"):
-        load_iv_dataset(io.StringIO(""))
+        load_iv_dataset(csv_file(tmp_path, ""))
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -74,9 +78,9 @@ def test_empty_stream_is_parse_error():
      "non-monotone"),
     ("i_b_A,v_ce_V,i_c_A,direction\n1e-7,0.0,1e-5,sideways\n", "direction"),
 ])
-def test_parse_errors(text, fragment):
+def test_parse_errors(tmp_path, text, fragment):
     with pytest.raises(IVParseError, match=fragment):
-        load_iv_dataset(io.StringIO(text))
+        load_iv_dataset(csv_file(tmp_path, text))
 
 
 @pytest.mark.parametrize("text,fragment,line", [
@@ -85,8 +89,10 @@ def test_parse_errors(text, fragment):
     ("i_b_A,v_ce_V,i_c_A\n1e-7,0.0,1e-5\n1e-7,-inf,2e-5\n", "finite", 3),
     ("i_b_A,v_ce_V,i_c_A\n1e-7,0.0,1e-5\n1e-7,1.0,2e-5\n2e-7,0.0,3e-5\n",
      "2 points", 4),
-    # a bare carriage return inside an unquoted field
-    ("v_be_V,i_b_A\n0.1,1e-9\n0.2,1\re-8\n", "malformed", 3),
+    # a bare carriage return ends a line, so it cuts the row short
+    ("v_be_V,i_b_A\n0.1,1e-9\n0.2,1\re-8\n", "expected 2 columns", 4),
+    # a field over the csv module's size limit is malformed CSV
+    ("v_be_V,i_b_A\n0.1,1e-9\n0.2," + "1" * 131073 + "\n", "malformed", 3),
     # the 1e-7 curve's rows interleaved with another curve's: the line is
     # the first of the repeated pair, or the curve's first row
     ("i_b_A,v_ce_V,i_c_A\n2e-7,0.0,3e-5\n1e-7,0.0,1e-5\n2e-7,1.0,3.1e-5\n"
@@ -96,31 +102,37 @@ def test_parse_errors(text, fragment):
     # a quoted field that spans lines: the line is the physical one
     ('v_be_V,i_b_A\n"0.1\n",1e-9\n0.2,oops\n', "not a number: 'oops'", 4),
 ], ids=["nan", "inf", "output-inf", "one-point-sweep", "bare-cr",
-        "interleaved-duplicate", "interleaved-non-monotone",
+        "field-limit", "interleaved-duplicate", "interleaved-non-monotone",
         "quoted-newline"])
-def test_parse_error_line(text, fragment, line):
+def test_parse_error_line(tmp_path, text, fragment, line):
     with pytest.raises(IVParseError, match=fragment) as info:
-        load_iv_dataset(io.StringIO(text))
+        load_iv_dataset(csv_file(tmp_path, text))
     assert info.value.line == line
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=iv_csv_text())
-def test_loader_returns_dataset_or_parse_error(text):
+def test_loader_returns_dataset_or_parse_error(tmp_path, text):
+    # an input curve loads as one sweep, a family as its branches; every
+    # sweep is finite and ascending
     try:
-        ds = load_iv_dataset(io.StringIO(text))
+        ds = load_iv_dataset(csv_file(tmp_path, text))
     except IVParseError:
         return
-    assert ds.sweeps
-    for s in ds.sweeps:
+    sweeps = [ds] if isinstance(ds, IVSweep) else [*ds.forward, *ds.backward]
+    assert sweeps
+    for s in sweeps:
         assert s.voltage.size >= 2
+        assert np.all(np.diff(s.voltage) > 0)
         assert all(map(math.isfinite, [*s.voltage, *s.current]))
 
 
 @st.composite
 def _family_curves(draw):
     """{(label, direction): [(v_ce, i_c), ...]}: a forward curve for each
-    label, some with a backward one, each with monotone v_ce."""
+    label, some with a backward one, each with v_ce ascending or
+    descending."""
     labels = draw(st.lists(st.sampled_from([1e-7, 2e-7, 3e-7, 4e-7]),
                            min_size=1, max_size=4, unique=True))
     curves = {}
@@ -130,7 +142,8 @@ def _family_curves(draw):
                               unique=True))
             i = draw(st.lists(st.floats(-1e-3, 1e-3), min_size=len(v),
                               max_size=len(v)))
-            curves[(label, d)] = list(zip(sorted(v, reverse=d == "bwd"), i))
+            v = sorted(v, reverse=draw(st.booleans()))
+            curves[(label, d)] = list(zip(v, i))
     return curves
 
 
@@ -144,24 +157,29 @@ def _family_text(curves, keys):
     return "\n".join(lines) + "\n"
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(curves=_family_curves(), data=st.data())
-def test_interleaved_family_loads_as_sorted(curves, data):
+def test_interleaved_family_loads_as_sorted(tmp_path, curves, data):
     # rows of different labels interleaved, and every backward row before
     # every forward one, load to the same sweeps as the file written curve
-    # by curve: grouped by label, bwd before fwd, each in file order
+    # by curve: each branch in label order, each sweep its rows in
+    # ascending voltage
     keys = [k for k, pts in curves.items() for _ in pts]
     mixed = sorted(data.draw(st.permutations(keys)),
                    key=lambda k: k[1] == "fwd")
     by_curve = sorted(keys, key=lambda k: (k[0], k[1] == "bwd"))
-    want = sorted(curves.items(), key=lambda c: (c[0][0], c[0][1] == "fwd"))
     for keys_in_file in (mixed, by_curve):
-        ds = load_iv_dataset(io.StringIO(_family_text(curves, keys_in_file)))
-        assert len(ds.sweeps) == len(want)
-        for s, ((label, d), pts) in zip(ds.sweeps, want):
-            assert (s.label, s.direction) == (label, d)
-            assert s.voltage.tolist() == [v for v, _ in pts]
-            assert s.current.tolist() == [i for _, i in pts]
+        ds = load_iv_dataset(csv_file(
+            tmp_path, _family_text(curves, keys_in_file)))
+        for d, sweeps in (("fwd", ds.forward), ("bwd", ds.backward)):
+            want = sorted((label, sorted(pts)) for (label, dd), pts
+                          in curves.items() if dd == d)
+            assert len(sweeps) == len(want)
+            for s, (label, pts) in zip(sweeps, want):
+                assert s.label == label
+                assert s.voltage.tolist() == [v for v, _ in pts]
+                assert s.current.tolist() == [i for _, i in pts]
 
 
 def test_load_family_memory(tmp_path):
@@ -175,13 +193,14 @@ def test_load_family_memory(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(s.voltage.size for s in ds.sweeps) == 6817
+    assert sum(s.voltage.size for s in ds.forward) == 6817
     assert peak < 0.75e6, peak
 
 
-def test_parse_error_carries_line_number():
+def test_parse_error_carries_line_number(tmp_path):
     with pytest.raises(IVParseError) as info:
-        load_iv_dataset(io.StringIO("v_be_V,i_b_A\n0.1,1e-9\n0.2,oops\n"))
+        load_iv_dataset(csv_file(tmp_path,
+                                 "v_be_V,i_b_A\n0.1,1e-9\n0.2,oops\n"))
     assert info.value.line == 3
 
 
@@ -225,13 +244,13 @@ def test_early_fit_label_range_filter():
     v = ivfit.SYNTH_V_CE
     sweeps = [IVSweep(label=100e-9, voltage=v,
                       current=160.0 * 100e-9 * (1.0 + v / 30.0))]
-    for s in noiseless_family().sweeps:
+    for s in noiseless_family().forward:
         if s.label > 800e-9 + 1e-12:
             s = IVSweep(label=s.label, voltage=v,
                         current=160.0 * s.label * (1.0 + v / 30.0))
         sweeps.append(s)
-    ds = IVDataset(kind="output_characteristics", sweeps=tuple(sweeps))
-    assert sum(200e-9 <= s.label <= 800e-9 for s in ds.sweeps) == 13
+    ds = IVDataset(forward=tuple(sweeps))
+    assert sum(200e-9 <= s.label <= 800e-9 for s in ds.forward) == 13
     assert fit_early_voltage(ds).v_early == pytest.approx(124.0, rel=1e-6)
 
 
@@ -241,8 +260,8 @@ def test_early_fit_skips_flat_curve():
     ds = noiseless_family()
     flat = IVSweep(label=210e-9, voltage=ivfit.SYNTH_V_CE,
                    current=np.full(ivfit.SYNTH_V_CE.size, 160.0 * 210e-9))
-    sweeps = sorted((*ds.sweeps, flat), key=lambda s: s.label)
-    with_flat = IVDataset(kind="output_characteristics", sweeps=tuple(sweeps))
+    sweeps = sorted((*ds.forward, flat), key=lambda s: s.label)
+    with_flat = IVDataset(forward=tuple(sweeps))
     assert fit_early_voltage(with_flat).v_early == \
         fit_early_voltage(ds).v_early
 
@@ -251,21 +270,19 @@ def test_early_fit_flat_curves_error():
     v = np.linspace(0.0, 2.0, 50)
     sweeps = tuple(IVSweep(label=ib, voltage=v, current=np.full(50, ib * 160.0))
                    for ib in (200e-9, 400e-9))
-    ds = IVDataset(kind="output_characteristics", sweeps=sweeps)
     with pytest.raises(FitError):
-        fit_early_voltage(ds)
+        fit_early_voltage(IVDataset(forward=sweeps))
 
 
 def test_early_fit_label_shift_invariance():
     # the 300-700 nA curves, shifted by 1 nA, stay inside EARLY_FIT_IB_RANGE
-    middle = tuple(s for s in noiseless_family().sweeps
+    middle = tuple(s for s in noiseless_family().forward
                    if 300e-9 - 1e-12 <= s.label <= 700e-9 + 1e-12)
     assert len(middle) == 9
-    ds = IVDataset(kind="output_characteristics", sweeps=middle)
-    shifted = IVDataset(
-        kind="output_characteristics",
-        sweeps=tuple(IVSweep(label=s.label + 1e-9, voltage=s.voltage,
-                             current=s.current) for s in middle))
+    ds = IVDataset(forward=middle)
+    shifted = IVDataset(forward=tuple(
+        IVSweep(label=s.label + 1e-9, voltage=s.voltage, current=s.current)
+        for s in middle))
     a = fit_early_voltage(ds)
     b = fit_early_voltage(shifted)
     assert b.v_early == pytest.approx(a.v_early, rel=1e-12)
@@ -277,6 +294,21 @@ def test_early_fit_wrong_kind():
         fit_early_voltage(noiseless_diode(1e-12))
 
 
+@pytest.mark.parametrize("fit, ds, header", [
+    (lambda ds: fit_beta(ds, 1e-4, 0.9), noiseless_diode(),
+     "output characteristics (header i_b_A,v_ce_V,i_c_A)"),
+    (classify_transistor, noiseless_diode(),
+     "output characteristics (header i_b_A,v_ce_V,i_c_A)"),
+    (lambda ds: fit_diode_params(ds, 160.0), noiseless_family(),
+     "input characteristics (header v_be_V,i_b_A)"),
+], ids=["beta", "classify", "diode"])
+def test_fit_wrong_kind(fit, ds, header):
+    # input characteristics load as an IVSweep, a family as an IVDataset;
+    # each fit takes only its own kind
+    with pytest.raises(IVParseError, match=re.escape(header)):
+        fit(ds)
+
+
 def test_fit_beta_round_trip():
     ds = noiseless_family()
     assert fit_beta(ds, 1e-4, 0.9) == pytest.approx(160.0, rel=0.01)
@@ -286,8 +318,8 @@ def test_fit_beta_two_curve_arithmetic():
     v = np.linspace(0.0, 2.0, 21)
     sweeps = (IVSweep(label=600e-9, voltage=v, current=np.full(21, 96e-6)),
               IVSweep(label=650e-9, voltage=v, current=np.full(21, 104e-6)))
-    ds = IVDataset(kind="output_characteristics", sweeps=sweeps)
-    assert fit_beta(ds, 1e-4, 0.9) == pytest.approx(160.0, rel=1e-12)
+    assert fit_beta(IVDataset(forward=sweeps), 1e-4, 0.9) == \
+        pytest.approx(160.0, rel=1e-12)
 
 
 def test_fit_beta_outside_hull():
@@ -318,28 +350,30 @@ def test_diode_fit_round_trip():
     assert fit.residual < 1e-9
 
 
-def test_diode_fit_two_points_exact():
-    ds = load_iv_dataset(io.StringIO("v_be_V,i_b_A\n0.1,1e-9\n0.2,1e-8\n"))
+def test_diode_fit_two_points_exact(tmp_path):
+    ds = load_iv_dataset(csv_file(tmp_path,
+                                  "v_be_V,i_b_A\n0.1,1e-9\n0.2,1e-8\n"))
     fit = fit_diode_params(ds, beta_f=1.0)
     v_teff = 0.1 / np.log(10.0)
     assert fit.v_teff == pytest.approx(v_teff, rel=1e-9)
     assert fit.i_sat == pytest.approx(1e-9 * np.exp(-0.1 / v_teff), rel=1e-9)
 
 
-def test_diode_fit_constant_current_error():
-    ds = load_iv_dataset(io.StringIO(
-        "v_be_V,i_b_A\n0.1,1e-9\n0.2,1e-9\n0.3,1e-9\n"))
+def test_diode_fit_constant_current_error(tmp_path):
+    ds = load_iv_dataset(csv_file(
+        tmp_path, "v_be_V,i_b_A\n0.1,1e-9\n0.2,1e-9\n0.3,1e-9\n"))
     with pytest.raises(FitError, match="slope"):
         fit_diode_params(ds, beta_f=160.0)
 
 
-def test_diode_fit_filters_nonpositive():
-    ds = load_iv_dataset(io.StringIO(
+def test_diode_fit_filters_nonpositive(tmp_path):
+    ds = load_iv_dataset(csv_file(
+        tmp_path,
         "v_be_V,i_b_A\n0.05,-1e-12\n0.1,1e-9\n0.2,1e-8\n0.3,1e-7\n"))
     fit = fit_diode_params(ds, beta_f=160.0)
     assert fit.v_teff == pytest.approx(0.1 / np.log(10.0), rel=1e-9)
-    ds2 = load_iv_dataset(io.StringIO(
-        "v_be_V,i_b_A\n0.05,-1e-12\n0.1,1e-9\n0.2,1e-8\n"))
+    ds2 = load_iv_dataset(csv_file(
+        tmp_path, "v_be_V,i_b_A\n0.05,-1e-12\n0.1,1e-9\n0.2,1e-8\n"))
     with pytest.raises(FitError):
         fit_diode_params(ds2, beta_f=160.0)
 
@@ -352,14 +386,13 @@ def test_classify_clean_family():
 
 def test_classify_ndr_dip():
     ds = noiseless_family()
-    s = ds.sweeps[8]
+    s = ds.forward[8]
     current = s.current.copy()
     dip = (s.voltage >= 1.0) & (s.voltage <= 1.2)
     current[dip] *= 0.9
-    sweeps = list(ds.sweeps)
+    sweeps = list(ds.forward)
     sweeps[8] = IVSweep(label=s.label, voltage=s.voltage, current=current)
-    cls = classify_transistor(
-        IVDataset(kind="output_characteristics", sweeps=tuple(sweeps)))
+    cls = classify_transistor(IVDataset(forward=tuple(sweeps)))
     assert cls.verdict == "negative_differential_resistance"
     kind, label, (v_lo, v_hi), metric = cls.evidence[0]
     assert kind == "ndr" and label == s.label
@@ -369,33 +402,32 @@ def test_classify_ndr_dip():
 
 def _with_backward(fwd, bwd):
     # one dataset holding the forward sweeps and the backward ones, each
-    # backward sweep given as (label, voltage, current) and run downward
-    return IVDataset(kind="output_characteristics", sweeps=(*fwd, *(
-        IVSweep(label=ib, voltage=v[::-1], current=i[::-1], direction="bwd")
-        for ib, v, i in bwd)))
+    # backward sweep given as (label, voltage, current)
+    return IVDataset(forward=tuple(fwd), backward=tuple(
+        IVSweep(label=ib, voltage=v, current=i) for ib, v, i in bwd))
 
 
 def test_classify_identical_backward_no_hysteresis():
     ds = noiseless_family()
-    both = _with_backward(ds.sweeps, [(s.label, s.voltage, s.current)
-                                      for s in ds.sweeps])
+    both = _with_backward(ds.forward, [(s.label, s.voltage, s.current)
+                                       for s in ds.forward])
     assert classify_transistor(both).verdict == "usable"
 
 
 def test_classify_hysteresis():
     ds = noiseless_family()
-    both = _with_backward(ds.sweeps, [(s.label, s.voltage, 1.1 * s.current)
-                                      for s in ds.sweeps])
+    both = _with_backward(ds.forward, [(s.label, s.voltage, 1.1 * s.current)
+                                       for s in ds.forward])
     cls = classify_transistor(both)
     assert cls.verdict == "hysteretic"
-    assert len(cls.evidence) == len(ds.sweeps)
+    assert len(cls.evidence) == len(ds.forward)
     assert all(e[0] == "hysteresis" for e in cls.evidence)
 
 
 def test_classify_mismatched_labels():
     ds = noiseless_family()
-    s = ds.sweeps[0]
-    both = _with_backward(ds.sweeps, [(123e-9, s.voltage, s.current)])
+    s = ds.forward[0]
+    both = _with_backward(ds.forward, [(123e-9, s.voltage, s.current)])
     with pytest.raises(ValueError, match="label 1.23e-07"):
         classify_transistor(both)
 
@@ -447,5 +479,62 @@ def test_sweep_validation():
     with pytest.raises(ValueError):
         IVSweep(label=None, voltage=np.array([0.1, 0.3, 0.2]),
                 current=np.zeros(3))
-    with pytest.raises(ValueError):
-        IVDataset(kind="mystery", sweeps=())
+    # a stored sweep runs upward: the loader reverses a descending one
+    with pytest.raises(ValueError, match="ascending"):
+        IVSweep(label=None, voltage=np.array([0.3, 0.2, 0.1]),
+                current=np.zeros(3))
+    v = np.array([0.0, 1.0])
+    with pytest.raises(ValueError, match="labels"):
+        IVDataset(forward=(IVSweep(label=None, voltage=v, current=v),))
+    with pytest.raises(ValueError, match="increasing"):
+        IVDataset(forward=(IVSweep(label=2e-7, voltage=v, current=v),
+                           IVSweep(label=1e-7, voltage=v, current=v)))
+
+
+def _rows(label, v, i, d):
+    return [f"{label!r},{float(a)!r},{float(b)!r},{d}" for a, b in zip(v, i)]
+
+
+def test_descending_family_loads_ascending(tmp_path):
+    # the synthetic family with a hysteretic backward branch, written once
+    # with every sweep ascending and once with every sweep descending, loads
+    # to the same ascending sweeps and gives the same fits
+    fwd = noiseless_family().forward
+    bwd = [(s.label, s.voltage, 1.05 * s.current) for s in fwd[::4]]
+    fits = []
+    for step in (1, -1):
+        rows = ["i_b_A,v_ce_V,i_c_A,direction"]
+        for s in fwd:
+            rows += _rows(s.label, s.voltage[::step], s.current[::step], "fwd")
+        for label, v, i in bwd:
+            rows += _rows(label, v[::step], i[::step], "bwd")
+        ds = load_iv_dataset(csv_file(tmp_path, "\n".join(rows) + "\n"))
+        for got, want in zip((*ds.forward, *ds.backward),
+                             (*fwd, *(IVSweep(*b) for b in bwd))):
+            assert got.label == want.label
+            np.testing.assert_array_equal(got.voltage, want.voltage)
+            np.testing.assert_array_equal(got.current, want.current)
+        fits.append((fit_early_voltage(ds), fit_beta(ds, 1e-4, 0.9),
+                     classify_transistor(ds)))
+    (early, beta, cls), (early_d, beta_d, cls_d) = fits
+    assert early_d.v_early == pytest.approx(early.v_early, rel=1e-12)
+    assert early_d.r_squared == pytest.approx(early.r_squared, rel=1e-12)
+    assert beta_d == pytest.approx(beta, rel=1e-12)
+    assert cls.verdict == cls_d.verdict == "hysteretic"
+    assert len(cls.evidence) == len(bwd)
+    for e, e_d in zip(cls.evidence, cls_d.evidence):
+        assert e[:3] == e_d[:3]
+        assert e_d[3] == pytest.approx(e[3], rel=1e-12)
+
+
+def test_noisy_family_matches_per_label_draws():
+    # one (labels x v_ce) draw is the stream of one 401-point draw per
+    # label, in label order
+    ds = ivfit.synth_output_family(160.0, 124.0, 0.01,
+                                   np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    for ib, s in zip(ivfit.SYNTH_I_B_LABELS, ds.forward):
+        ic = 160.0 * ib * (1.0 + ivfit.SYNTH_V_CE / 124.0)
+        ic = ic * (1.0 + 0.01 * rng.standard_normal(ic.size))
+        assert s.label == float(ib)
+        np.testing.assert_array_equal(s.current, ic)

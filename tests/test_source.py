@@ -1,3 +1,4 @@
+import decimal
 import math
 from dataclasses import replace
 
@@ -111,6 +112,32 @@ def test_population_high_frequency_ripple():
     rho_lo = rydberg_population(250e3, 0.5, ens, 1.0, 256)
     rho_hi = rydberg_population(10e6, 0.5, ens, 1.0, 256)
     assert np.ptp(rho_hi) < 0.1 * np.ptp(rho_lo)
+
+
+def _rho0_exact(f_m, duty, ens):
+    """The periodic fixed point rho_inf (1 - a) b / (1 - a b) of the
+    population at the MW-on edge, in 60-digit decimal arithmetic from the
+    same float inputs."""
+    with decimal.localcontext(decimal.Context(prec=60)):
+        tau, rho22 = decimal.Decimal(ens.tau_relax), \
+            decimal.Decimal(ens.rho22_target)
+        r = rho22 / (tau * (1 - 2 * rho22))
+        tau_on = 1 / (2 * r + 1 / tau)
+        period = 1 / decimal.Decimal(f_m)
+        t_on = decimal.Decimal(duty) * period
+        a = (-t_on / tau_on).exp()
+        b = (-(period - t_on) / tau).exp()
+        return float(r * tau_on * (1 - a) * b / (1 - a * b))
+
+
+@pytest.mark.parametrize("tau_relax_us", [1.0, 1e9, 1e12, 1e13, 1e18])
+def test_population_fixed_point_long_relaxation(tau_relax_us):
+    # a relaxation far longer than the period leaves 1 - a and 1 - a b
+    # below the rounding of a and a b; the fixed point stays exact
+    ens = _ensemble(tau_relax=tau_relax_us * 1e-6)
+    duty = reference().synthesis.duty
+    rho = rydberg_population(250e3, duty, ens, 1.0, 64)
+    assert rho[0] == pytest.approx(_rho0_exact(250e3, duty, ens), rel=1e-14)
 
 
 def test_population_matches_dense_integration():
