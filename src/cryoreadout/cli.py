@@ -97,8 +97,9 @@ def cmd_sweep(args, cfg):
 
     manifest_path = os.path.join(out_dir, f"sweep_{axis}_manifest.ini")
     with open(manifest_path, "w", encoding="utf-8") as fh:
-        # configparser skips the comment: the version is not a config key
-        fh.write(f"# cryoreadout {__version__}\n{cfg.as_text()}")
+        # configparser skips the comment: the versions are not config keys
+        fh.write(f"# cryoreadout {__version__}, numpy {np.__version__}\n"
+                 f"{cfg.as_text()}")
     print(csv_path)
     print(manifest_path)
     return EXIT_OK

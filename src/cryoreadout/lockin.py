@@ -2,11 +2,14 @@
 
 Sweeps compute each point in closed form.  The source is exactly periodic
 and the chain and the lock-in are linear, so one period filtered by the
-chain at its harmonics gives the periodic steady state, and the settled
-(X, Y) of the low-pass cascade follows from that period by a matrix
-geometric series.  White input noise adds a bivariate Gaussian to (X, Y)
-whose variance is exact to about 1e-5 relative; each point draws it from
-its own ``(seed, index)`` stream.
+chain at its harmonics gives the periodic steady state.  One sample of the
+low-pass cascade is a homogeneous matrix over the section outputs and the
+input, so the settled (X, Y) is one entry of a power of that period's
+product.  White input noise adds a bivariate Gaussian to (X, Y) of standard
+deviation density * |H(f_m)| * sqrt(B), B the cascade's noise bandwidth;
+this holds while |H| is flat across that band and the time constant is
+well above one sample.  Each point draws it from its own ``(seed, index)``
+stream.
 
 ``synthesize`` and ``demodulate`` are the time-domain path the closed form
 replaces, kept as its oracle: the full record filtered by the chain via
@@ -141,69 +144,41 @@ def _settled_output(mixed, a, order, n_periods):
     """Final output of ``order`` sections y[n] = a*y[n-1] + (1-a)*x[n],
     started from rest and driven by ``n_periods`` repeats of ``mixed``.
 
-    ``mixed`` holds one period, one column per channel.  With state s_k
-    (section k's output) one sample is s <- A s + B x; one period is the
-    affine map s <- P s + b with P = A^spp, so the final state is
-    (sum_{p < n_periods} P^p) b.  A is entry-wise nonnegative, and so are
-    the doubling steps of that sum: no cancellation even when P is close to
-    the identity.
+    ``mixed`` holds one period, one column per channel, and S holds the
+    section outputs in the same columns.  A sample x maps S to A S + B x^T,
+    the homogeneous map [S; I] <- [[A, B x^T], [0, I]] [S; I].  A period is
+    the product of its samples' maps, and the record is that product's
+    ``n_periods``-th power applied to [0; I].
     """
-    spp = mixed.shape[0]
     g = 1.0 - a
     k = np.arange(order)
+    step = np.eye(order + mixed.shape[1])
+    period = step.copy()
     # A[k, j] = a (1-a)^(k-j) for j <= k;  B[k] = (1-a)^(k+1)
-    diff = k[:, None] - k[None, :]
-    step = np.where(diff >= 0, a * g ** np.maximum(diff, 0), 0.0)
-    period = np.linalg.matrix_power(step, spp)
-    # b[k] = sum_i w_k[L] mixed[i] with lag L = spp-1-i and the section-k
-    # impulse response w_k[L] = (1-a)^(k+1) C(L+k, k) a^L
-    lag = np.arange(spp - 1, -1, -1, dtype=float)
-    w = np.empty((order, spp))
-    w[0] = g * a ** lag
-    for j in range(1, order):
-        w[j] = w[j - 1] * g * (lag + j) / j
-    b = w @ mixed
-    # binary doubling over the bits of n_periods: total = sum_{p<m} P^p,
-    # power = P^m
-    total = np.zeros((order, order))
-    power = np.eye(order)
-    for bit in bin(n_periods)[2:]:
-        total = total + power @ total
-        power = power @ power
-        if bit == "1":
-            total = total + power
-            power = power @ period
-    return (total @ b)[-1]
+    step[:order, :order] = np.tril(a * g ** np.abs(k[:, None] - k))
+    b = g ** (k + 1)
+    for x in mixed:
+        step[:order, order:] = np.outer(b, x)
+        period = step @ period
+    return np.linalg.matrix_power(period, n_periods)[order - 1, order:]
 
 
-def _cascade_energy(a, order):
-    """Sum of g[m]^2 over the impulse response g of ``order`` sections
-    y[n] = a*y[n-1] + (1-a)*x[n]:
-
-        (1-a)^(2K) (1-a^2)^(1-2K) sum_{j<K} C(K-1, j)^2 a^(2j),  K = order,
-
-    evaluated as (1-a) (1+a)^(1-2K) sum(...).
-    """
-    series = sum(math.comb(order - 1, j) ** 2 * a ** (2 * j)
-                 for j in range(order))
-    return (1.0 - a) * (1.0 + a) ** (1 - 2 * order) * series
-
-
-def _noise_std(cfg: SynthesisConfig, fs, gain):
+def _noise_std(cfg: SynthesisConfig, gain):
     """Standard deviation of X and of Y due to the white input noise.
 
-    The noise is white at density ``cfg.input_noise_density`` up to fs/2
-    and reaches the mixer through a chain of magnitude ``gain`` at f_m.
-    The lock-in passes only a band of width ~1/time_constant around f_m,
-    so the variance is density^2 (fs/2) gain^2 times the cascade's
-    impulse-response energy, and X and Y are uncorrelated.  Taking |H| as
-    constant across that band is the one approximation: within about 1e-5
-    relative of the exact covariance for the default chain at f_m >= 100 kHz
-    and time constants >= 0.2 ms.
+    The noise is white at density ``cfg.input_noise_density`` and reaches
+    the mixer through a chain of magnitude ``gain`` at f_m.  Each channel
+    then passes the cascade of ``filter_order`` = K sections, whose one-sided
+    noise bandwidth is B = C(2K-2, K-1) / (4^K time_constant), so the
+    standard deviation is density * gain * sqrt(B), and X and Y are
+    uncorrelated.  This holds while |H| is flat across the band of width
+    ~1/time_constant around f_m and the time constant is well above one
+    sample, 1/(16 f_m): within about 1e-5 relative of the exact covariance
+    for the default chain at f_m >= 100 kHz and time constants >= 0.2 ms.
     """
-    a = math.exp(-1.0 / (fs * cfg.time_constant))
-    return cfg.input_noise_density * gain * math.sqrt(
-        fs / 2.0 * _cascade_energy(a, cfg.filter_order))
+    k = cfg.filter_order
+    bandwidth = math.comb(2 * k - 2, k - 1) / (4 ** k * cfg.time_constant)
+    return cfg.input_noise_density * gain * math.sqrt(bandwidth)
 
 
 def _run_point(index, f_m, scale, ens, geom, chain, cfg):
@@ -226,9 +201,13 @@ def _run_point(index, f_m, scale, ens, geom, chain, cfg):
     w = 2.0 * math.pi * f_m
     refs = math.sqrt(2.0) * np.stack([np.sin(w * t), np.cos(w * t)], axis=1)
     a = math.exp(-1.0 / (fs * cfg.time_constant))
+    if a == 1.0:
+        raise ValueError(
+            f"time_constant {cfg.time_constant:g} s is too long for the "
+            f"sample rate {fs:g} Hz: the lock-in filter would pass nothing")
     x_f, y_f = _settled_output(v_out[:, None] * refs, a, cfg.filter_order,
                                n_per)
-    s = _noise_std(cfg, fs, abs(h[1]))      # harmonic 1 is f_m
+    s = _noise_std(cfg, abs(h[1]))      # harmonic 1 is f_m
     z = np.random.default_rng((cfg.noise_seed, index)).standard_normal(2)
     res = _result(x_f + s * z[0], y_f + s * z[1])
     if not (math.isfinite(res.amplitude_r) and math.isfinite(res.phase)):

@@ -613,6 +613,25 @@ def test_cli_sweep_long_relaxation(tmp_path, axis, grid):
     assert all(math.isfinite(float(x)) for row in rows for x in row)
 
 
+def test_cli_sweep_time_constant_beyond_sample_rate(tmp_path, capsys):
+    # at tau = 1e12 s the one-sample decay exp(-1/(16 f_m tau)) rounds to 1
+    # and the lock-in filter would pass nothing: exit 2, no CSV.  At 1e6 s
+    # it does not, and the sweep still finds the resonance.
+    p = tmp_path / "slow.ini"
+    p.write_text("[synthesis]\ntime_constant_ms = 1e15\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(p), "--out", str(out), "sweep",
+                 "--axis", "vbc"]) == 2
+    assert "time_constant" in capsys.readouterr().err
+    assert not out.exists()
+    p.write_text("[synthesis]\ntime_constant_ms = 1e9\n")
+    assert main(["--config", str(p), "--out", str(out), "sweep",
+                 "--axis", "vbc"]) == 0
+    _, rows = _read_csv(out / "sweep_vbc.csv")
+    peak = max(rows, key=lambda row: float(row[1]))
+    assert float(peak[0]) == pytest.approx(11.6)
+
+
 @pytest.mark.parametrize("command, setting", [
     ("s21", "r_source_ohm = 0"),
     ("s21", "r_source_ohm = -50"),
@@ -727,7 +746,7 @@ def test_cli_manifest_config_for_every_command(tmp_path):
     assert main(["--out", str(sweep), "sweep", "--grid", "11.5:11.7:3"]) == 0
     manifest = sweep / "sweep_vbc_manifest.ini"
     assert manifest.read_text().splitlines()[0] == \
-        f"# cryoreadout {__version__}"
+        f"# cryoreadout {__version__}, numpy {np.__version__}"
     diode = tmp_path / "diode.csv"
     for args in (["opp"], ["s21", "--points", "3"],
                  ["gen-iv", "--kind", "input", "--path", str(diode)],

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from cryoreadout import lockin
 from cryoreadout.lockin import demodulate, sweep_fm, sweep_vbc, synthesize
@@ -210,13 +211,20 @@ def _xy(res):
 
 
 @pytest.mark.parametrize("order", range(1, lockin.MAX_FILTER_ORDER + 1))
-def test_cascade_energy_matches_impulse_response(order):
-    a = math.exp(-1.0 / 50.0)
-    g = np.zeros(5000)
-    g[0] = 1.0
-    for _ in range(order):
-        g = np.convolve(g, (1.0 - a) * a ** np.arange(5000))[:5000]
-    assert lockin._cascade_energy(a, order) == pytest.approx(g @ g, rel=1e-12)
+def test_noise_std_matches_bandwidth_integral(order):
+    # sigma = density * gain * sqrt(integral of the cascade's |H(f)|^2)
+    tau, density, gain = 1e-3, 35e-12, 7.5
+    cfg = _synthesis(time_constant=tau, filter_order=order,
+                     input_noise_density=density)
+
+    def power(f):
+        return (1.0 + (2.0 * math.pi * f * tau) ** 2) ** -order
+
+    corner = 1.0 / (2.0 * math.pi * tau)
+    band = (quad(power, 0.0, corner, epsabs=0.0, epsrel=1e-13)[0]
+            + quad(power, corner, math.inf, epsabs=0.0, epsrel=1e-13)[0])
+    assert lockin._noise_std(cfg, gain) == pytest.approx(
+        density * gain * math.sqrt(band), rel=1e-10)
 
 
 @pytest.mark.parametrize("tau", [2e-4, 1e-3])
@@ -225,8 +233,7 @@ def test_noise_std_matches_exact_covariance(tau, f_m):
     resp = _reference_chain()
     cfg = _synthesis(time_constant=tau)
     var_x, var_y, cov = lockin_noise_covariance(resp, cfg, f_m)
-    spp, _ = lockin._resolve_sampling(cfg, f_m)
-    s2 = lockin._noise_std(cfg, spp * f_m, abs(resp.evaluate(f_m))) ** 2
+    s2 = lockin._noise_std(cfg, abs(resp.evaluate(f_m))) ** 2
     assert s2 == pytest.approx(var_x, rel=1e-5)
     assert s2 == pytest.approx(var_y, rel=1e-5)
     assert abs(cov) / math.sqrt(var_x * var_y) <= 1e-9
@@ -244,7 +251,7 @@ def test_sweep_point_noise_is_one_draw():
         *point, replace(cfg, input_noise_density=0.0)))
     x, y = _xy(lockin._run_point(*point, cfg))
     z = np.random.default_rng((seed, index)).standard_normal(2)
-    s = lockin._noise_std(cfg, 16 * f_m, abs(resp.evaluate(f_m)))
+    s = lockin._noise_std(cfg, abs(resp.evaluate(f_m)))
     assert x - x0 == pytest.approx(s * z[0], rel=1e-9)
     assert y - y0 == pytest.approx(s * z[1], rel=1e-9)
 
@@ -261,7 +268,7 @@ def test_noise_statistics_match_time_domain():
     xy = np.array([
         _xy(time_domain_point(*point, replace(cfg, noise_seed=seed)))
         for seed in range(n)])
-    s2 = lockin._noise_std(cfg, 16 * f_m, abs(resp.evaluate(f_m))) ** 2
+    s2 = lockin._noise_std(cfg, abs(resp.evaluate(f_m))) ** 2
     se = math.sqrt(s2 / n)
     assert abs(xy[:, 0].mean() - x0) <= 4.0 * se
     assert abs(xy[:, 1].mean() - y0) <= 4.0 * se
