@@ -1,21 +1,26 @@
 """Lock-in readout of the source through the amplifier chain.
 
 Sweeps compute each point in closed form.  The source is exactly periodic
-and the chain and the lock-in are linear, so one period filtered by the
-chain at its harmonics gives the periodic steady state.  One sample of the
-low-pass cascade is a homogeneous matrix over the section outputs and the
-input, so the settled (X, Y) is one entry of a power of that period's
-product.  White input noise adds a bivariate Gaussian to (X, Y) of standard
-deviation density * |H(f_m)| * sqrt(B), B the cascade's noise bandwidth;
-this holds while |H| is flat across that band and the time constant is
-well above one sample.  Each point draws it from its own ``(seed, index)``
-stream.
+and the chain and the lock-in are linear, so the reading is the periodic
+steady state, the one a record started from rest reaches after infinitely
+many periods.  One period of 16 samples is filtered by the chain at its
+harmonics and mixed with the unit-RMS references, which shifts its
+spectrum up one bin; the low-pass cascade multiplies that spectrum by its
+response at the same bins, and the reading is the period's last sample.
+The 2 f_m ripple that the cascade passes stays in the reading.  White
+input noise adds a bivariate Gaussian to (X, Y) of standard deviation
+density * |H(f_m)| * sqrt(B), B the cascade's noise bandwidth; this holds
+while |H| is flat across that band.  Each point draws it from its own
+``(seed, index)`` stream.  The time constant must span at least
+``MIN_TAU_SAMPLES`` = 8 samples (tau * f_m >= 0.5), where that sigma is
+within 1.3e-3 of the sampled cascade's (X and Y averaged), and it must not
+be so long that the one-sample decay exp(-1/(16 f_m tau)) rounds to 1.
 
 ``synthesize`` and ``demodulate`` are the time-domain path the closed form
 replaces, kept as its oracle: the full record filtered by the chain via
 FFT with white Gaussian noise added, then mixed with unit-RMS sine/cosine
 references at the modulation frequency and low-passed by a cascade of
-identical single-pole IIR sections, reading the final settled value.
+identical single-pole IIR sections, reading the final value.
 """
 
 from __future__ import annotations
@@ -40,7 +45,8 @@ __all__ = [
 ]
 
 SAMPLES_PER_PERIOD = 16
-MIN_PERIODS = 200
+# shortest time constant a sweep accepts, in samples: 0.5 / f_m
+MIN_TAU_SAMPLES = 8
 MIN_TIME_CONSTANTS = 20.0
 # low-pass cascade orders lock-in amplifiers offer: 6 to 48 dB/octave
 MAX_FILTER_ORDER = 8
@@ -79,14 +85,6 @@ class LockInResult:
     phase: float          # radians, in (-pi, pi]
 
 
-def _resolve_sampling(cfg: SynthesisConfig, f_m: float):
-    """Samples per period and period count for one sweep point: 16 samples
-    per modulation period over max(20 time constants, 200 periods)."""
-    n_per = max(int(math.ceil(MIN_TIME_CONSTANTS * cfg.time_constant * f_m)),
-                MIN_PERIODS)
-    return SAMPLES_PER_PERIOD, n_per
-
-
 def synthesize(v_source, chain: ChainResponse, cfg: SynthesisConfig,
                sample_rate: float, rng: np.random.Generator):
     """Filter a sampled source voltage through the chain and add white
@@ -111,10 +109,11 @@ def demodulate(x, f_ref: float, time_constant: float, filter_order: int,
     """Lock-in demodulation of a sampled record.
 
     Quadrature mixing with unit-RMS references followed by ``filter_order``
-    cascaded single-pole low-pass sections; the settled final value gives
+    cascaded single-pole low-pass sections; the final value gives
     R = sqrt(X^2 + Y^2) (RMS convention) and the phase relative to a sine
-    reference.  The sweeps compute the same settled value in closed form;
-    this sample-by-sample path is their oracle in the tests.
+    reference.  The sweeps compute the value it settles to, the periodic
+    steady state, in closed form; this sample-by-sample path is their
+    oracle in the tests.
     """
     x = np.asarray(x, dtype=float)
     if sample_rate < 10.0 * f_ref:
@@ -140,29 +139,6 @@ def _result(x_f, y_f) -> LockInResult:
     return LockInResult(amplitude_r=float(math.hypot(x_f, y_f)), phase=phase)
 
 
-def _settled_output(mixed, a, order, n_periods):
-    """Final output of ``order`` sections y[n] = a*y[n-1] + (1-a)*x[n],
-    started from rest and driven by ``n_periods`` repeats of ``mixed``.
-
-    ``mixed`` holds one period, one column per channel, and S holds the
-    section outputs in the same columns.  A sample x maps S to A S + B x^T,
-    the homogeneous map [S; I] <- [[A, B x^T], [0, I]] [S; I].  A period is
-    the product of its samples' maps, and the record is that product's
-    ``n_periods``-th power applied to [0; I].
-    """
-    g = 1.0 - a
-    k = np.arange(order)
-    step = np.eye(order + mixed.shape[1])
-    period = step.copy()
-    # A[k, j] = a (1-a)^(k-j) for j <= k;  B[k] = (1-a)^(k+1)
-    step[:order, :order] = np.tril(a * g ** np.abs(k[:, None] - k))
-    b = g ** (k + 1)
-    for x in mixed:
-        step[:order, order:] = np.outer(b, x)
-        period = step @ period
-    return np.linalg.matrix_power(period, n_periods)[order - 1, order:]
-
-
 def _noise_std(cfg: SynthesisConfig, gain):
     """Standard deviation of X and of Y due to the white input noise.
 
@@ -184,32 +160,44 @@ def _noise_std(cfg: SynthesisConfig, gain):
 def _run_point(index, f_m, scale, ens, geom, chain, cfg):
     """Lock-in output of one sweep point in closed form.
 
-    The record ``synthesize`` + ``demodulate`` would process is one period
-    tiled ``n_per`` times, and the chain filters it circularly, so the
-    noise-free lock-in input is one chain-filtered period repeated; its
-    settled (X, Y) is ``_settled_output``.  The noise adds (X, Y) drawn iid
-    from N(0, s^2), s from ``_noise_std``, from the RNG stream keyed by
-    (seed, index), X first.
+    The reading is the periodic steady state at a period's last sample.
+    The chain filters one period of the source at its harmonics; mixing
+    with sqrt(2) e^{j w t} (Y + jX, w = 2 pi f_m) shifts that spectrum up
+    one bin, and each of the ``filter_order`` = K sections
+    y[n] = a y[n-1] + (1-a) x[n] multiplies bin k by
+    (1-a) / (1 - a z), z = e^{-2 pi j k / 16}.  The denominator is written
+    (1 - z) + (1-a) z, with 1-a from ``expm1``, so the DC gain is exactly 1
+    at any a.  The 2 f_m ripple the cascade passes stays in the reading.
+    The noise adds (X, Y) drawn iid from N(0, s^2), s from ``_noise_std``,
+    from the RNG stream keyed by (seed, index), X first.
+
+    The time constant must span at least ``MIN_TAU_SAMPLES`` samples, where
+    ``_noise_std`` holds, and its one-sample decay must not round to 1;
+    either raises ``ValueError``.
     """
-    spp, n_per = _resolve_sampling(cfg, f_m)
+    spp = SAMPLES_PER_PERIOD
     fs = spp * f_m
+    if fs * cfg.time_constant < MIN_TAU_SAMPLES:
+        raise ValueError(
+            f"time_constant {cfg.time_constant:g} s is shorter than "
+            f"{MIN_TAU_SAMPLES} samples at the sample rate {fs:g} Hz "
+            f"(needs time_constant * f_m >= {MIN_TAU_SAMPLES / spp:g})")
+    if math.exp(-1.0 / (fs * cfg.time_constant)) == 1.0:
+        raise ValueError(
+            f"time_constant {cfg.time_constant:g} s is too long for the "
+            f"sample rate {fs:g} Hz: the lock-in filter would pass nothing")
     rho = rydberg_population(f_m, cfg.duty, ens, scale, spp)
     _, v_ac = image_charge_waveform(rho, geom, ens.n_s)
     h = chain.evaluate(np.fft.rfftfreq(spp, 1.0 / fs))
     v_out = np.fft.irfft(np.fft.rfft(v_ac) * h, spp)
-    t = np.arange(spp) / fs
-    w = 2.0 * math.pi * f_m
-    refs = math.sqrt(2.0) * np.stack([np.sin(w * t), np.cos(w * t)], axis=1)
-    a = math.exp(-1.0 / (fs * cfg.time_constant))
-    if a == 1.0:
-        raise ValueError(
-            f"time_constant {cfg.time_constant:g} s is too long for the "
-            f"sample rate {fs:g} Hz: the lock-in filter would pass nothing")
-    x_f, y_f = _settled_output(v_out[:, None] * refs, a, cfg.filter_order,
-                               n_per)
+    mixed = math.sqrt(2.0) * np.roll(np.fft.fft(v_out), 1)
+    z = np.exp(-2j * math.pi * np.arange(spp) / spp)
+    g = -math.expm1(-1.0 / (fs * cfg.time_constant))
+    # inverse DFT at the last sample, n = spp - 1: e^{2 pi j k n / spp} = z
+    y = np.mean(z * mixed * (g / ((1.0 - z) + g * z)) ** cfg.filter_order)
     s = _noise_std(cfg, abs(h[1]))      # harmonic 1 is f_m
-    z = np.random.default_rng((cfg.noise_seed, index)).standard_normal(2)
-    res = _result(x_f + s * z[0], y_f + s * z[1])
+    draw = np.random.default_rng((cfg.noise_seed, index)).standard_normal(2)
+    res = _result(y.imag + s * draw[0], y.real + s * draw[1])
     if not (math.isfinite(res.amplitude_r) and math.isfinite(res.phase)):
         raise FloatingPointError(
             f"non-finite lock-in output at sweep point {index} (f_m={f_m:g})")

@@ -12,12 +12,19 @@ from cryoreadout.chain import ChainResponse, StageResponse
 from cryoreadout.config import load_config
 from cryoreadout.device import EXP_CAP
 from cryoreadout.ivfit import synth_input_curve, synth_output_family
-from cryoreadout.lockin import _resolve_sampling, demodulate, synthesize
+from cryoreadout.lockin import (MIN_TIME_CONSTANTS, SAMPLES_PER_PERIOD,
+                               demodulate, synthesize)
 from cryoreadout.source import image_charge_waveform, rydberg_population
 
 # one "[ACCEPTANCE nn] PASS/FAIL - ..." line per criterion, filled in by
 # tests/test_acceptance.py and printed after capture ends
 ACCEPTANCE_LINES = {}
+
+# the time-domain oracle's record spans at least this many modulation
+# periods and MIN_TIME_CONSTANTS time constants
+MIN_PERIODS = 200
+# records of this many time constants settle below 1e-17 at filter order 8
+SETTLED_TIME_CONSTANTS = 60.0
 
 # a one-stage chain of gain 1+0j: multiplying by it is exact, so the signal
 # path through it is the bare source
@@ -120,12 +127,23 @@ def dft_fundamental_rms(x, samples_per_period):
     return abs(c) / np.sqrt(2.0)
 
 
-def time_domain_point(index, f_m, scale, ens, geom, chain, cfg):
+def resolve_sampling(cfg, f_m, time_constants=MIN_TIME_CONSTANTS):
+    """Samples per period and period count of a time-domain record: 16
+    samples per modulation period over max(``time_constants`` time
+    constants, ``MIN_PERIODS`` periods)."""
+    n_per = max(int(math.ceil(time_constants * cfg.time_constant * f_m)),
+                MIN_PERIODS)
+    return SAMPLES_PER_PERIOD, n_per
+
+
+def time_domain_point(index, f_m, scale, ens, geom, chain, cfg,
+                      time_constants=MIN_TIME_CONSTANTS):
     """One sweep point by the full-record path the closed form replaced:
-    the source period tiled over the whole record, ``synthesize`` (FFT
-    filtering plus white noise from the (seed, index) stream) and
-    ``demodulate`` (mixing plus the IIR cascade, sample by sample)."""
-    spp, n_per = _resolve_sampling(cfg, f_m)
+    the source period tiled over a record of ``time_constants`` time
+    constants started from rest, ``synthesize`` (FFT filtering plus white
+    noise from the (seed, index) stream) and ``demodulate`` (mixing plus
+    the IIR cascade, sample by sample)."""
+    spp, n_per = resolve_sampling(cfg, f_m, time_constants)
     fs = spp * f_m
     rho = np.tile(rydberg_population(f_m, cfg.duty, ens, scale, spp), n_per)
     _, v_ac = image_charge_waveform(rho, geom, ens.n_s)
@@ -144,7 +162,7 @@ def lockin_noise_covariance(chain, cfg, f_m):
     the sqrt(2) sin reference (cos for Y).  So X = u . w with u = H^T c =
     irfft(conj(H) rfft(c)), and var X = sigma^2 |u|^2.
     """
-    spp, n_per = _resolve_sampling(cfg, f_m)
+    spp, n_per = resolve_sampling(cfg, f_m)
     fs = spp * f_m
     n = spp * n_per
     a = math.exp(-1.0 / (fs * cfg.time_constant))

@@ -18,7 +18,7 @@ from cryoreadout.cli import main as cli_main
 from cryoreadout.config import load_config
 from cryoreadout.device import (TransistorParams, calibrated_i_sat,
                                 power_dissipation, solve_operating_point)
-from cryoreadout.lockin import (_resolve_sampling, _run_point, demodulate,
+from cryoreadout.lockin import (SAMPLES_PER_PERIOD, _run_point, demodulate,
                                 sweep_fm, sweep_vbc)
 from cryoreadout.source import (image_charge_waveform, rms_image_current,
                                 rydberg_population)
@@ -174,11 +174,11 @@ def test_c09_lockin_vs_dft_oracle():
     # through _run_point, with a unit-gain chain and no noise
     ens, geom = reference().ensemble, reference().geometry
     syn = replace(reference().synthesis, input_noise_density=0.0)
-    spp_run, _ = _resolve_sampling(syn, f_ref)
     _, v_ac = image_charge_waveform(
-        rydberg_population(f_ref, syn.duty, ens, 1.0, spp_run), geom, ens.n_s)
+        rydberg_population(f_ref, syn.duty, ens, 1.0, SAMPLES_PER_PERIOD),
+        geom, ens.n_s)
     r = _run_point(0, f_ref, 1.0, ens, geom, UNIT_CHAIN, syn).amplitude_r
-    ref = dft_fundamental_rms(v_ac, spp_run)
+    ref = dft_fundamental_rms(v_ac, SAMPLES_PER_PERIOD)
     errs["population via _run_point"] = abs(r - ref) / ref
     ok = all(e <= 1e-3 for e in errs.values())
     detail = ", ".join(f"{k} {v * 100:.4f}%" for k, v in errs.items())

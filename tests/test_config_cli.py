@@ -632,6 +632,30 @@ def test_cli_sweep_time_constant_beyond_sample_rate(tmp_path, capsys):
     assert float(peak[0]) == pytest.approx(11.6)
 
 
+@pytest.mark.parametrize("axis, grid, tau_ms, code", [
+    ("vbc", "11.5:11.7:3:lin", "0.0019", 2),  # 7.6 samples at 250 kHz
+    ("vbc", "11.5:11.7:3:lin", "0.002", 0),   # 8 samples
+    ("fm", "2.5e5:1e6:3:log", "0.002", 0),    # 8 samples at the lowest f_m
+    ("fm", "1e5:1e6:3:log", "0.002", 2),      # 3.2 samples at 100 kHz
+])
+def test_cli_sweep_time_constant_floor(tmp_path, capsys, axis, grid, tau_ms,
+                                       code):
+    # a time constant below 8 samples (tau * f_m < 0.5) is an input error:
+    # exit 2, the key named, no CSV.  The fm grid that crosses the floor
+    # fails on its lowest point.
+    p = tmp_path / "fast.ini"
+    p.write_text(f"[synthesis]\ntime_constant_ms = {tau_ms}\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(p), "--out", str(out), "sweep",
+                 "--axis", axis, "--grid", grid]) == code
+    if code:
+        assert "time_constant" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        _, rows = _read_csv(out / f"sweep_{axis}.csv")
+        assert len(rows) == 3
+
+
 @pytest.mark.parametrize("command, setting", [
     ("s21", "r_source_ohm = 0"),
     ("s21", "r_source_ohm = -50"),

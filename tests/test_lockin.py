@@ -5,14 +5,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from cryoreadout import lockin
 from cryoreadout.lockin import demodulate, sweep_fm, sweep_vbc, synthesize
 from cryoreadout.source import image_charge_waveform, rydberg_population
-from conftest import (UNIT_CHAIN, dft_fundamental_rms, lockin_noise_covariance,
-                      reference, time_domain_point)
+from conftest import (SETTLED_TIME_CONSTANTS, UNIT_CHAIN, dft_fundamental_rms,
+                      lockin_noise_covariance, reference, resolve_sampling,
+                      time_domain_point)
 
 FS = 4e6
 F_REF = 1e5
@@ -239,6 +240,19 @@ def test_noise_std_matches_exact_covariance(tau, f_m):
     assert abs(cov) / math.sqrt(var_x * var_y) <= 1e-9
 
 
+@pytest.mark.parametrize("order", range(1, lockin.MAX_FILTER_ORDER + 1))
+def test_noise_std_at_time_constant_floor(order):
+    # at tau = 8 samples the noise-bandwidth sigma is within 1.3e-3 of the
+    # sampled cascade's, X and Y averaged (order 2 is the worst, 1.29e-3)
+    f_m = 250e3
+    cfg = _synthesis(filter_order=order,
+                     time_constant=lockin.MIN_TAU_SAMPLES
+                     / (lockin.SAMPLES_PER_PERIOD * f_m))
+    var_x, var_y, _ = lockin_noise_covariance(UNIT_CHAIN, cfg, f_m)
+    assert math.sqrt(0.5 * (var_x + var_y)) == pytest.approx(
+        lockin._noise_std(cfg, 1.0), rel=1.3e-3)
+
+
 def test_sweep_point_noise_is_one_draw():
     # a point adds s * z to (X, Y), z = the first two standard normals of
     # the (seed, index) stream, X first
@@ -284,18 +298,23 @@ def test_noise_statistics_match_time_domain():
        duty=st.floats(0.05, 0.95),
        scale=st.floats(0.01, 1.0),
        with_chain=st.booleans())
+@example(f_m=250e3, tau_periods=50.0, order=8, duty=0.5, scale=1.0,
+         with_chain=True)
 def test_closed_form_matches_time_domain(f_m, tau_periods, order, duty, scale,
                                          with_chain):
-    # 200 to 1001 periods (20 time constants), records of at most
-    # 16 * 1001 samples
+    # the periodic steady state against a record of 60 time constants
+    # started from rest (200 to 3003 periods, at most 16 * 3003 samples),
+    # whose settling term is below 1e-17 at order 8
     tau = tau_periods / f_m
+    # tau_periods = 0.5 is the floor, which tau * 16 f_m may round below
+    assume(lockin.SAMPLES_PER_PERIOD * f_m * tau >= lockin.MIN_TAU_SAMPLES)
     cfg = _synthesis(input_noise_density=0.0, time_constant=tau,
                      filter_order=order, duty=duty)
     resp = _reference_chain() if with_chain else UNIT_CHAIN
     point = (3, f_m, scale, reference().ensemble,
              reference().geometry, resp, cfg)
     fast = lockin._run_point(*point)
-    slow = time_domain_point(*point)
+    slow = time_domain_point(*point, time_constants=SETTLED_TIME_CONSTANTS)
     assert fast.amplitude_r == pytest.approx(slow.amplitude_r, rel=1e-9)
     # X and Y rather than the phase, which wraps at +-pi
     err = np.subtract(_xy(fast), _xy(slow))
@@ -309,7 +328,7 @@ def test_closed_form_extreme_record():
     resp = _reference_chain()
     f_m = 10e6
     cfg = _synthesis(time_constant=1.0, input_noise_density=0.0, duty=0.5)
-    spp, n_per = lockin._resolve_sampling(cfg, f_m)
+    spp, n_per = resolve_sampling(cfg, f_m)
     assert spp * n_per == 3_200_000_000
     tracemalloc.start()
     try:
