@@ -11,10 +11,10 @@ The 2 f_m ripple that the cascade passes stays in the reading.  White
 input noise adds a bivariate Gaussian to (X, Y) of standard deviation
 density * |H(f_m)| * sqrt(B), B the cascade's noise bandwidth; this holds
 while |H| is flat across that band.  Each point draws it from its own
-``(seed, index)`` stream.  The time constant must span at least
-``MIN_TAU_SAMPLES`` = 8 samples (tau * f_m >= 0.5), where that sigma is
-within 1.3e-3 of the sampled cascade's (X and Y averaged), and it must not
-be so long that the one-sample decay exp(-1/(16 f_m tau)) rounds to 1.
+``(seed, index)`` stream.  The time constant has one range: it must span
+at least ``MIN_TAU_SAMPLES`` = 8 samples (tau * f_m >= 0.5), where that
+sigma is within 1.3e-3 of the sampled cascade's (X and Y averaged), and
+16 f_m tau must be finite.  The steady state is exact at any longer tau.
 
 ``synthesize`` and ``demodulate`` are the time-domain path the closed form
 replaces, kept as its oracle: the full record filtered by the chain via
@@ -149,8 +149,16 @@ def _noise_std(cfg: SynthesisConfig, gain):
     standard deviation is density * gain * sqrt(B), and X and Y are
     uncorrelated.  This holds while |H| is flat across the band of width
     ~1/time_constant around f_m and the time constant is well above one
-    sample, 1/(16 f_m): within about 1e-5 relative of the exact covariance
-    for the default chain at f_m >= 100 kHz and time constants >= 0.2 ms.
+    sample, 1/(16 f_m): at order 4, within about 1e-5 relative of the exact
+    covariance for the default chain at f_m >= 100 kHz and tau >= 0.2 ms.
+    From the floor, tau f_m = 0.5, up, the mean of var X and var Y is within
+    2.6e-3 of s^2, but at low orders each channel alone is not: a short
+    cascade passes the 2 f_m part of the mixed noise.  With the unit chain
+    at 250 kHz, var X / s^2 - 1, var Y / s^2 - 1 and corr(X, Y) at the floor
+    are +3.0 %, -3.3 %, -0.31 at order 1 (beyond it, at most about +-0.06
+    and about -0.155, over tau f_m) and +2.5 %, -2.0 %, +0.017 at order 2
+    (within 2.5e-3 from tau f_m = 1); orders 3, 4 and 5-8 are within 3.8e-3,
+    1.1e-3 and 9.5e-4, with |corr| within 1e-3, 2.5e-4 and 2e-5.
     """
     k = cfg.filter_order
     bandwidth = math.comb(2 * k - 2, k - 1) / (4 ** k * cfg.time_constant)
@@ -171,28 +179,26 @@ def _run_point(index, f_m, scale, ens, geom, chain, cfg):
     The noise adds (X, Y) drawn iid from N(0, s^2), s from ``_noise_std``,
     from the RNG stream keyed by (seed, index), X first.
 
-    The time constant must span at least ``MIN_TAU_SAMPLES`` samples, where
-    ``_noise_std`` holds, and its one-sample decay must not round to 1;
-    either raises ``ValueError``.
+    The time constant in samples, 16 f_m tau, must be at least
+    ``MIN_TAU_SAMPLES``, where ``_noise_std`` holds, and finite (where it
+    overflows, 1-a is 0 and the DC bin reads 0/0); else ``ValueError``.
     """
     spp = SAMPLES_PER_PERIOD
     fs = spp * f_m
-    if fs * cfg.time_constant < MIN_TAU_SAMPLES:
+    tau_samples = fs * cfg.time_constant
+    if not MIN_TAU_SAMPLES <= tau_samples < math.inf:
         raise ValueError(
-            f"time_constant {cfg.time_constant:g} s is shorter than "
-            f"{MIN_TAU_SAMPLES} samples at the sample rate {fs:g} Hz "
-            f"(needs time_constant * f_m >= {MIN_TAU_SAMPLES / spp:g})")
-    if math.exp(-1.0 / (fs * cfg.time_constant)) == 1.0:
-        raise ValueError(
-            f"time_constant {cfg.time_constant:g} s is too long for the "
-            f"sample rate {fs:g} Hz: the lock-in filter would pass nothing")
+            f"time_constant {cfg.time_constant:g} s spans {tau_samples:g} "
+            f"samples at the sample rate {fs:g} Hz; it must span at least "
+            f"{MIN_TAU_SAMPLES} (time_constant * f_m >= "
+            f"{MIN_TAU_SAMPLES / spp:g}) and a finite number")
     rho = rydberg_population(f_m, cfg.duty, ens, scale, spp)
     _, v_ac = image_charge_waveform(rho, geom, ens.n_s)
     h = chain.evaluate(np.fft.rfftfreq(spp, 1.0 / fs))
     v_out = np.fft.irfft(np.fft.rfft(v_ac) * h, spp)
     mixed = math.sqrt(2.0) * np.roll(np.fft.fft(v_out), 1)
     z = np.exp(-2j * math.pi * np.arange(spp) / spp)
-    g = -math.expm1(-1.0 / (fs * cfg.time_constant))
+    g = -math.expm1(-1.0 / tau_samples)
     # inverse DFT at the last sample, n = spp - 1: e^{2 pi j k n / spp} = z
     y = np.mean(z * mixed * (g / ((1.0 - z) + g * z)) ** cfg.filter_order)
     s = _noise_std(cfg, abs(h[1]))      # harmonic 1 is f_m
@@ -208,9 +214,6 @@ def sweep_vbc(grid, ens: EnsembleParams, geom: CellGeometry,
               chain: ChainResponse, syn: SynthesisConfig):
     """Resonance sweep: lock-in amplitude versus bottom-plate voltage, at
     the modulation frequency ``syn.f_m``."""
-    grid = list(grid)
-    if any(b < a for a, b in zip(grid, grid[1:])):
-        raise ValueError("v_bc grid must be sorted ascending")
     out = []
     for k, v_bc in enumerate(grid):
         scale = stark_excitation_fraction(v_bc, ens)
@@ -223,9 +226,6 @@ def sweep_fm(grid, ens: EnsembleParams, geom: CellGeometry,
              chain: ChainResponse, syn: SynthesisConfig):
     """Modulation-frequency sweep on resonance, at the ensemble's
     CW-calibrated drive rate; ``syn.f_m`` is not used."""
-    grid = list(grid)
-    if any(b < a for a, b in zip(grid, grid[1:])):
-        raise ValueError("f_m grid must be sorted ascending")
     out = []
     for k, f_m in enumerate(grid):
         res = _run_point(k, f_m, 1.0, ens, geom, chain, syn)

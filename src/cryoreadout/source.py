@@ -105,8 +105,6 @@ def rydberg_population(f_m: float, duty: float, ens: EnsembleParams,
         raise ValueError("f_m must be positive")
     if not 0.0 < duty < 1.0:
         raise ValueError("duty must lie in (0, 1)")
-    if samples_per_period < 16:
-        raise ValueError("need at least 16 samples per period")
     tau = ens.tau_relax
     r = cw_rate_for_occupancy(ens.rho22_target, tau) * excitation_scale
     if r < 0:

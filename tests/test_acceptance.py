@@ -10,6 +10,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from scipy.constants import epsilon_0
 
 from cryoreadout import chain as chain_mod, device, ivfit
@@ -26,6 +27,9 @@ from cryoreadout.source import (image_charge_waveform, rms_image_current,
 import conftest
 from conftest import (UNIT_CHAIN, dft_fundamental_rms,
                       grid_search_operating_point, noiseless_family, reference)
+
+# a numpy overflow or invalid value on the signal path fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _report(num, ok, detail):

@@ -613,23 +613,26 @@ def test_cli_sweep_long_relaxation(tmp_path, axis, grid):
     assert all(math.isfinite(float(x)) for row in rows for x in row)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_sweep_time_constant_beyond_sample_rate(tmp_path, capsys):
-    # at tau = 1e12 s the one-sample decay exp(-1/(16 f_m tau)) rounds to 1
-    # and the lock-in filter would pass nothing: exit 2, no CSV.  At 1e6 s
-    # it does not, and the sweep still finds the resonance.
+    # at tau = 1e12 s the one-sample decay exp(-1/(16 f_m tau)) rounds to 1,
+    # and the steady state still reads the fundamental: the sweep finds the
+    # resonance.  At 1e302 s, 16 f_m tau overflows to inf at 250 kHz: exit
+    # 2, the key named, no CSV.
     p = tmp_path / "slow.ini"
     p.write_text("[synthesis]\ntime_constant_ms = 1e15\n")
     out = tmp_path / "out"
-    assert main(["--config", str(p), "--out", str(out), "sweep",
-                 "--axis", "vbc"]) == 2
-    assert "time_constant" in capsys.readouterr().err
-    assert not out.exists()
-    p.write_text("[synthesis]\ntime_constant_ms = 1e9\n")
     assert main(["--config", str(p), "--out", str(out), "sweep",
                  "--axis", "vbc"]) == 0
     _, rows = _read_csv(out / "sweep_vbc.csv")
     peak = max(rows, key=lambda row: float(row[1]))
     assert float(peak[0]) == pytest.approx(11.6)
+    p.write_text("[synthesis]\ntime_constant_ms = 1e305\n")
+    out = tmp_path / "out_inf"
+    assert main(["--config", str(p), "--out", str(out), "sweep",
+                 "--axis", "vbc"]) == 2
+    assert "time_constant" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("axis, grid, tau_ms, code", [

@@ -15,6 +15,9 @@ from conftest import (SETTLED_TIME_CONSTANTS, UNIT_CHAIN, dft_fundamental_rms,
                       lockin_noise_covariance, reference, resolve_sampling,
                       time_domain_point)
 
+# a numpy overflow or invalid value on the signal path fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 FS = 4e6
 F_REF = 1e5
 TAU = 2e-4
@@ -172,12 +175,17 @@ def test_sweep_vbc_zero_rate_flat_zero():
     assert all(r.amplitude_r < 1e-15 for _, r in out)
 
 
-def test_sweep_grid_must_be_sorted():
+def test_sweep_grid_order_is_kept():
+    # each point is computed on its own: a permuted grid gives the sorted
+    # grid's rows, permuted
     ens, geom, cfg = _sweep_fixtures()
-    with pytest.raises(ValueError):
-        sweep_vbc([11.7, 11.5], ens, geom, UNIT_CHAIN, cfg)
-    with pytest.raises(ValueError):
-        sweep_fm([1e6, 1e5], ens, geom, UNIT_CHAIN, cfg)
+    grid = [2.5e5, 5e5, 1e6, 2e6, 4e6]
+    perm = [3, 0, 4, 2, 1]
+    rows = [(f, r.amplitude_r, r.phase)
+            for f, r in sweep_fm(grid, ens, geom, UNIT_CHAIN, cfg)]
+    permuted = [(f, r.amplitude_r, r.phase) for f, r in
+                sweep_fm([grid[k] for k in perm], ens, geom, UNIT_CHAIN, cfg)]
+    assert permuted == [rows[k] for k in perm]
 
 
 def test_sweep_fm_no_mechanism_is_flat():
@@ -240,17 +248,35 @@ def test_noise_std_matches_exact_covariance(tau, f_m):
     assert abs(cov) / math.sqrt(var_x * var_y) <= 1e-9
 
 
+# per order at the floor, as the _noise_std docstring states them:
+# (var X / s^2 - 1, var Y / s^2 - 1, corr(X, Y)) and the tolerances on the
+# variances and on the correlation (half a unit of the last stated digit at
+# orders 1 and 2, the stated bounds from order 3 on)
+_FLOOR_NOISE = {1: ((3.0e-2, -3.3e-2, -0.31), (5e-4, 5e-3)),
+                2: ((2.5e-2, -2.0e-2, 0.017), (5e-4, 5e-4)),
+                3: ((0.0, 0.0, 0.0), (3.8e-3, 1e-3)),
+                4: ((0.0, 0.0, 0.0), (1.1e-3, 2.5e-4))}
+
+
 @pytest.mark.parametrize("order", range(1, lockin.MAX_FILTER_ORDER + 1))
 def test_noise_std_at_time_constant_floor(order):
     # at tau = 8 samples the noise-bandwidth sigma is within 1.3e-3 of the
-    # sampled cascade's, X and Y averaged (order 2 is the worst, 1.29e-3)
+    # sampled cascade's, X and Y averaged (order 2 is the worst, 1.29e-3);
+    # each channel on its own is off by the 2 f_m part of the mixed noise,
+    # which a short cascade passes
     f_m = 250e3
     cfg = _synthesis(filter_order=order,
                      time_constant=lockin.MIN_TAU_SAMPLES
                      / (lockin.SAMPLES_PER_PERIOD * f_m))
-    var_x, var_y, _ = lockin_noise_covariance(UNIT_CHAIN, cfg, f_m)
+    var_x, var_y, cov = lockin_noise_covariance(UNIT_CHAIN, cfg, f_m)
+    s2 = lockin._noise_std(cfg, 1.0) ** 2
     assert math.sqrt(0.5 * (var_x + var_y)) == pytest.approx(
-        lockin._noise_std(cfg, 1.0), rel=1.3e-3)
+        math.sqrt(s2), rel=1.3e-3)
+    (dx, dy, corr), (var_tol, corr_tol) = _FLOOR_NOISE.get(
+        order, ((0.0, 0.0, 0.0), (9.5e-4, 2e-5)))
+    assert abs(var_x / s2 - 1.0 - dx) <= var_tol
+    assert abs(var_y / s2 - 1.0 - dy) <= var_tol
+    assert abs(cov / math.sqrt(var_x * var_y) - corr) <= corr_tol
 
 
 def test_sweep_point_noise_is_one_draw():
@@ -342,3 +368,19 @@ def test_closed_form_extreme_record():
     want = abs(resp.evaluate(f_m)) * dft_fundamental_rms(v_ac, spp)
     assert math.isfinite(res.amplitude_r)
     assert res.amplitude_r == pytest.approx(want, rel=1e-5)
+
+
+@pytest.mark.parametrize("tau", [1e9, 1e12, 4e301])
+def test_closed_form_long_time_constant(tau):
+    # the steady state reads |H(f_m)| times the fundamental at any tau whose
+    # 16 f_m tau is finite, also where the one-sample decay rounds to 1
+    # (from about 2e9 s at 250 kHz)
+    ens, geom = reference().ensemble, reference().geometry
+    resp = _reference_chain()
+    f_m, spp = 250e3, lockin.SAMPLES_PER_PERIOD
+    cfg = _synthesis(time_constant=tau, input_noise_density=0.0, duty=0.5)
+    res = lockin._run_point(0, f_m, 1.0, ens, geom, resp, cfg)
+    rho = rydberg_population(f_m, 0.5, ens, 1.0, spp)
+    _, v_ac = image_charge_waveform(rho, geom, ens.n_s)
+    want = abs(resp.evaluate(f_m)) * dft_fundamental_rms(v_ac, spp)
+    assert res.amplitude_r == pytest.approx(want, rel=1e-12)
