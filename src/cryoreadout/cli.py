@@ -118,9 +118,14 @@ def cmd_fit_iv(args, cfg):
         report.append(("v_early_V", early.v_early))
         report.append(("early_fit_r_squared", early.r_squared))
         try:
-            beta_fit = ivfit.fit_beta(ds, *args.beta_at)
+            gain = ivfit.fit_beta(ds, *args.beta_at)
         except ValueError as exc:
             raise ConfigError(f"--beta-at: {exc}") from None
+        # the differential gain carries the Early factor; beta_f is its
+        # v_ce -> 0 value, the [device] quantity
+        beta_fit = gain / (1.0 + args.beta_at[1] / early.v_early)
+        if not math.isfinite(beta_fit):
+            raise ivfit.FitError(f"non-finite beta: {beta_fit!r}")
         report.append(("beta_f", beta_fit))
         cls = ivfit.classify_transistor(ds)
         verdict = cls.verdict
@@ -152,15 +157,9 @@ def cmd_fit_iv(args, cfg):
 
 
 def cmd_gen_iv(args, cfg):
-    params = cfg.transistor
-    rng = np.random.default_rng(cfg.seed)
-    if args.kind == "input":
-        ds = ivfit.synth_input_curve(params.i_sat, params.v_teff, params.beta_f,
-                                     noise=args.noise, rng=rng)
-    else:
-        ds = ivfit.synth_output_family(beta_f=params.beta_f,
-                                       v_early=params.v_early,
-                                       noise=args.noise, rng=rng)
+    synth = ivfit.synth_input_curve if args.kind == "input" \
+        else ivfit.synth_output_family
+    ds = synth(cfg.transistor, args.noise, np.random.default_rng(cfg.seed))
     ivfit.save_iv_dataset(ds, args.path)
     print(args.path)
     return EXIT_OK

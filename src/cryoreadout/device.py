@@ -1,18 +1,23 @@
 """Nonlinear HBT device model and DC bias-point analysis.
 
-The transistor is modeled with a single exponential junction law plus a
-linear Early-effect factor and a constant forward current gain:
+The transistor follows the forward-active Gummel-Poon law (I. Getreu,
+*Modeling the Bipolar Transistor*, 1976): with the junction factor
+j = i_sat * exp(v_be / v_teff),
 
-    i_c = i_sat * exp(v_be / v_teff) * (1 + v_ce / v_early)
-    i_b = i_c / beta_f
+    i_b = j / beta_f
+    i_c = j * (1 + v_ce / v_early)
 
-The effective thermal voltage ``v_teff`` is a fitted quantity (cryogenic
-devices do not follow kT/q).  The common-emitter bias
-network is solved for its DC operating point by bisection on the exact 1-D
+so the Early factor tilts the collector current alone: beta_f is the
+current gain at v_ce -> 0, which is how fit-iv reports it, and the
+small-signal r_pi is v_teff/i_b.  `forward_currents` is the one statement
+of this law; the bias point, the synthetic IV files and their fits all use
+it.  The effective thermal voltage ``v_teff`` is a fitted quantity
+(cryogenic devices do not follow kT/q).  The common-emitter bias network
+is solved for its DC operating point by bisection on the exact 1-D
 reduction, checked by the two-node residuals: for fixed v_be the collector
-loop is linear in i_c and solves in closed form, which leaves one monotone
-base-node equation in v_be; the two-node Kirchhoff residuals of the full
-model then confirm the result.
+loop is linear in v_ce and solves in closed form, which leaves one
+monotone base-node equation in v_be; the two-node Kirchhoff residuals of
+the full model then confirm the result.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ __all__ = [
     "OperatingPoint",
     "SmallSignalParams",
     "ConvergenceError",
+    "forward_currents",
     "evaluate_dc",
     "solve_operating_point",
     "small_signal",
@@ -121,6 +127,12 @@ class SmallSignalParams:
     r_o: float    # output resistance, ohm
 
 
+def forward_currents(params: TransistorParams, j, v_ce):
+    """The forward-active law at junction factor ``j`` = i_sat*exp(v_be/v_teff):
+    ``(i_b, i_c)`` = (j/beta_f, j*(1 + v_ce/v_early)).  Works on arrays."""
+    return j / params.beta_f, j * (1.0 + v_ce / params.v_early)
+
+
 def evaluate_dc(params: TransistorParams, v_be: float, v_ce: float):
     """Evaluate the large-signal model, returning ``(i_b, i_c)``.
 
@@ -133,8 +145,7 @@ def evaluate_dc(params: TransistorParams, v_be: float, v_ce: float):
     if x > EXP_CAP:
         raise ValueError(
             f"v_be/v_teff = {x:.1f} exceeds cap {EXP_CAP:.0f} (exponential overflow)")
-    i_c = params.i_sat * math.exp(x) * (1.0 + v_ce / params.v_early)
-    return i_c / params.beta_f, i_c
+    return forward_currents(params, params.i_sat * math.exp(x), v_ce)
 
 
 def _residuals(network: BiasNetwork, params: TransistorParams, v_be, v_ce):
@@ -149,32 +160,27 @@ def _residuals(network: BiasNetwork, params: TransistorParams, v_be, v_ce):
 
 
 def _collector_loop(network: BiasNetwork, params: TransistorParams, v_be):
-    """Solve the collector/emitter loop analytically for a given v_be.
+    """Solve the collector/emitter loop analytically for a given v_be;
+    return ``(i_b, i_c, v_ce)``.
 
-    With the junction factor A = i_sat*exp(v_be/v_teff) fixed, the Early
-    term makes i_c linear in v_ce, and v_ce is linear in i_c through the
-    collector and emitter resistors, so i_c follows in closed form.  v_ce
-    is clamped at zero (deep saturation) when the loop would drive it
-    negative.
+    With the junction factor j fixed, i_b = j/beta_f is fixed and i_c is
+    linear in v_ce, while v_ce is linear in i_c through the collector and
+    emitter resistors, so v_ce follows in closed form.  v_ce is clamped at
+    zero (deep saturation) when the loop would drive it negative.
     """
-    a = params.i_sat * math.exp(v_be / params.v_teff)
-    k_e = (1.0 + 1.0 / params.beta_f)
-    r_loop = network.r_collector + network.r_emitter * k_e
-    i_c = a * (1.0 + network.v_supply / params.v_early) / \
-        (1.0 + a * r_loop / params.v_early)
-    v_ce = network.v_supply - i_c * r_loop
-    if v_ce < 0.0:
-        v_ce = 0.0
-        i_c = a
-    return i_c, v_ce
+    j = params.i_sat * math.exp(v_be / params.v_teff)
+    r_loop = network.r_collector + network.r_emitter
+    v_ce = (network.v_supply - j * (r_loop + network.r_emitter / params.beta_f)) \
+        / (1.0 + j * r_loop / params.v_early)
+    v_ce = max(v_ce, 0.0)
+    return (*forward_currents(params, j, v_ce), v_ce)
 
 
 def _bisect_base_node(network: BiasNetwork, params: TransistorParams):
     """Bisect the base-node residual, which is strictly decreasing in v_be,
     down to adjacent floats; return ``(v_be, v_ce)``."""
     def base_residual(v_be):
-        i_c, _ = _collector_loop(network, params, v_be)
-        i_b = i_c / params.beta_f
+        i_b, i_c, _ = _collector_loop(network, params, v_be)
         v_b = v_be + (i_b + i_c) * network.r_emitter
         return (network.v_supply - v_b) / network.r_upper \
             - v_b / network.r_lower - i_b
@@ -199,8 +205,7 @@ def _bisect_base_node(network: BiasNetwork, params: TransistorParams):
         else:
             hi = mid
     v_be = 0.5 * (lo + hi)
-    _, v_ce = _collector_loop(network, params, v_be)
-    return v_be, v_ce
+    return v_be, _collector_loop(network, params, v_be)[2]
 
 
 def solve_operating_point(network: BiasNetwork,
@@ -229,14 +234,14 @@ def solve_operating_point(network: BiasNetwork,
 
 
 def small_signal(op: OperatingPoint, params: TransistorParams) -> SmallSignalParams:
-    """Linearize at an operating point: g_m = i_c/v_teff, r_pi = beta/g_m,
+    """Linearize at an operating point: g_m = i_c/v_teff, r_pi = v_teff/i_b,
     r_o = (v_early + v_ce)/i_c."""
-    if op.i_c <= 0:
-        raise ValueError("i_c must be positive to linearize")
+    if not (op.i_c > 0 and op.i_b > 0):
+        raise ValueError("i_c and i_b must be positive to linearize")
     g_m = op.i_c / params.v_teff
     return SmallSignalParams(
         g_m=g_m,
-        r_pi=params.beta_f / g_m,
+        r_pi=params.v_teff / op.i_b,
         r_o=(params.v_early + op.v_ce) / op.i_c,
     )
 
@@ -265,22 +270,28 @@ def calibrated_i_sat(network: BiasNetwork, v_teff: float, v_early: float,
                      beta_f: float, i_c_target: float) -> float:
     """Back-solve the saturation current so the network biases at i_c_target.
 
-    The bias network fixes (v_be, v_ce) once i_c is prescribed, so i_sat
-    follows directly from the junction law.
+    With i_c prescribed, the collector loop and the law make the junction
+    factor j the root of (r_emitter/(beta_f v_early)) j^2 - p j + i_c = 0,
+    p = 1 + (v_supply - i_c (r_collector + r_emitter))/v_early; the smaller
+    root, taken in its stable form, fixes (v_be, v_ce), and i_sat follows
+    from j = i_sat*exp(v_be/v_teff).
     """
     if not i_c_target > 0:
         raise ValueError(f"i_c_target must be positive, got {i_c_target:g} A")
-    i_b = i_c_target / beta_f
-    i_e = i_c_target + i_b
-    v_e = i_e * network.r_emitter
-    v_b = network.thevenin_voltage - i_b * network.thevenin_resistance
-    v_be = v_b - v_e
+    p = 1.0 + (network.v_supply - i_c_target
+               * (network.r_collector + network.r_emitter)) / v_early
+    q = network.r_emitter / (beta_f * v_early)
+    d = 1.0 - 4.0 * q * i_c_target / p / p if p > 0 else -1.0
+    # with no real root j is NaN, and so are v_be and v_ce below
+    j = 2.0 * i_c_target / (p * (1.0 + math.sqrt(d))) if d >= 0 else math.nan
+    i_b = j / beta_f
+    v_e = (i_c_target + i_b) * network.r_emitter
+    v_be = network.thevenin_voltage - i_b * network.thevenin_resistance - v_e
     v_ce = network.v_supply - i_c_target * network.r_collector - v_e
-    if v_ce <= 0 or v_be <= 0:
+    if not (v_ce > 0 and v_be > 0):
         raise ValueError("target collector current is not reachable in this network")
     x = v_be / v_teff
     if x > EXP_CAP:
         raise ValueError(f"v_be/v_teff = {x:.1f} at the target current "
                          f"exceeds cap {EXP_CAP:.0f}")
-    return i_c_target / (math.exp(x) * (1.0 + v_ce / v_early))
-
+    return j / math.exp(x)

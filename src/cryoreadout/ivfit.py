@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .device import TransistorParams, forward_currents
+
 __all__ = [
     "IVSweep",
     "IVDataset",
@@ -459,19 +461,17 @@ def classify_transistor(ds: IVDataset) -> DeviceClassification:
     return DeviceClassification(verdict=verdict, evidence=tuple(evidence))
 
 
-def synth_output_family(beta_f: float, v_early: float, noise: float,
+def synth_output_family(params: TransistorParams, noise: float,
                         rng: np.random.Generator) -> IVDataset:
-    """Synthesize a measured-style output family i_c = beta*i_b*(1 + v_ce/V_A)
-    over ``SYNTH_V_CE``, one forward curve per label of
-    ``SYNTH_I_B_LABELS``.
+    """Synthesize a measured-style output family from the device law over
+    ``SYNTH_V_CE``, one forward curve per base-current label of
+    ``SYNTH_I_B_LABELS`` (junction factor beta_f * i_b).
 
-    A fixed-base-current sweep tracks the junction's own i_b(v_be) law,
-    which carries no Early factor, so the measured family shows the linear
-    Early tilt even though the bias-point model keeps i_c/i_b constant.
-    ``noise`` is a multiplicative Gaussian sigma, drawn from ``rng`` in
-    one (labels x v_ce) draw, row by row.
+    ``noise`` is a multiplicative Gaussian sigma, drawn from ``rng`` in one
+    (labels x v_ce) draw, row by row.
     """
-    ic = beta_f * SYNTH_I_B_LABELS[:, None] * (1.0 + SYNTH_V_CE / v_early)
+    _, ic = forward_currents(params, params.beta_f * SYNTH_I_B_LABELS[:, None],
+                             SYNTH_V_CE)
     if noise > 0:
         ic = ic * (1.0 + noise * rng.standard_normal(ic.shape))
     bad = ~np.all(np.isfinite(ic), axis=1)
@@ -483,12 +483,13 @@ def synth_output_family(beta_f: float, v_early: float, noise: float,
         for ib, row in zip(SYNTH_I_B_LABELS, ic)))
 
 
-def synth_input_curve(i_sat: float, v_teff: float, beta_f: float,
-                      noise: float, rng: np.random.Generator) -> IVSweep:
-    """Synthesize input characteristics i_b = (i_sat/beta_f)*exp(v_be/v_teff)
-    over ``SYNTH_V_BE``, with multiplicative Gaussian noise of sigma
-    ``noise`` drawn from ``rng``."""
-    ib = (i_sat / beta_f) * np.exp(SYNTH_V_BE / v_teff)
+def synth_input_curve(params: TransistorParams, noise: float,
+                      rng: np.random.Generator) -> IVSweep:
+    """Synthesize input characteristics i_b(v_be) from the device law over
+    ``SYNTH_V_BE``, with multiplicative Gaussian noise of sigma ``noise``
+    drawn from ``rng``."""
+    ib, _ = forward_currents(
+        params, params.i_sat * np.exp(SYNTH_V_BE / params.v_teff), 0.0)
     if noise > 0:
         ib = ib * (1.0 + noise * rng.standard_normal(ib.size))
     if not np.all(np.isfinite(ib)):

@@ -3,6 +3,7 @@ reporting."""
 
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import strategies as st
@@ -52,7 +53,9 @@ def grid_search_operating_point(network, params, step=1e-4):
     """Brute-force DC solution on a (v_be, v_ce) grid.
 
     Independent of the solver's bisection on the exact 1-D reduction:
-    evaluates the raw node equations on a dense grid.  For each v_be the
+    evaluates the raw node equations on a dense grid, with its own statement
+    of the forward-active law: i_b = i_sat exp(v_be/v_teff)/beta_f and
+    i_c = i_sat exp(v_be/v_teff) (1 + v_ce/v_early).  For each v_be the
     collector-node residual picks the best v_ce cell, then the base-node
     residual picks the best v_be; this nested argmin avoids mixing the two
     residuals' very different current scales.
@@ -75,13 +78,13 @@ def grid_search_operating_point(network, params, step=1e-4):
     for k0 in range(0, vbe.size, chunk):
         vb = vbe[k0:k0 + chunk]
         a = params.i_sat * np.exp(vb / params.v_teff)      # per-v_be junction factor
+        ib = a / params.beta_f                             # no Early factor
         ic = a[:, None] * early[None, :]
         f2 = (network.v_supply - vce[None, :]
-              - (ic / params.beta_f + ic) * network.r_emitter) \
+              - (ib[:, None] + ic) * network.r_emitter) \
             / network.r_collector - ic
         j = np.argmin(np.abs(f2), axis=1)
         ic_best = ic[np.arange(vb.size), j]
-        ib = ic_best / params.beta_f
         v_b = vb + (ib + ic_best) * network.r_emitter
         f1 = (network.v_supply - v_b) / network.r_upper \
             - v_b / network.r_lower - ib
@@ -92,16 +95,17 @@ def grid_search_operating_point(network, params, step=1e-4):
 
 
 def noiseless_family(beta_f=160.0, v_early=124.0):
-    """The synthetic output family with no noise: its generator is never
-    drawn from."""
-    return synth_output_family(beta_f, v_early, 0.0, np.random.default_rng(0))
+    """The synthetic output family of the reference device with ``beta_f``
+    and ``v_early``, with no noise: its generator is never drawn from."""
+    params = replace(reference().transistor, beta_f=beta_f, v_early=v_early)
+    return synth_output_family(params, 0.0, np.random.default_rng(0))
 
 
 def noiseless_diode(i_sat=6.35e-8):
-    """Noise-free synthetic input characteristics at v_teff = 25 mV and
-    beta_f = 160."""
-    return synth_input_curve(i_sat, 25e-3, 160.0, 0.0,
-                             np.random.default_rng(0))
+    """Noise-free synthetic input characteristics of the reference device
+    (v_teff = 25 mV, beta_f = 160) with saturation current ``i_sat``."""
+    params = replace(reference().transistor, i_sat=i_sat)
+    return synth_input_curve(params, 0.0, np.random.default_rng(0))
 
 
 def csv_file(directory, text, name="iv.csv"):

@@ -74,7 +74,7 @@ def test_c04_early_voltage_recovery():
     err0 = abs(fit0.v_early - 124.0) / 124.0
     vals = []
     for seed in range(100):
-        ds = ivfit.synth_output_family(160.0, 124.0, noise=0.01,
+        ds = ivfit.synth_output_family(reference().transistor, noise=0.01,
                                        rng=np.random.default_rng(seed))
         vals.append(ivfit.fit_early_voltage(ds).v_early)
     err_noisy = abs(np.mean(vals) - 124.0) / 124.0
@@ -85,7 +85,11 @@ def test_c04_early_voltage_recovery():
 
 
 def test_c05_beta_recovery():
-    beta = ivfit.fit_beta(noiseless_family(), 1e-4, 0.9)
+    # the differential gain at 0.9 V over the fitted Early factor, as
+    # fit-iv reports it: beta_F at v_ce -> 0
+    family = noiseless_family()
+    beta = ivfit.fit_beta(family, 1e-4, 0.9) / (
+        1.0 + 0.9 / ivfit.fit_early_voltage(family).v_early)
     err = abs(beta - 160.0) / 160.0
     ok = err <= 0.01
     _report(5, ok, f"beta_F = {beta:.2f} at (0.1 mA, 0.9 V), err "

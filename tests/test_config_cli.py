@@ -39,7 +39,7 @@ def test_defaults_match_module_defaults():
         # scale multiplication may differ from the literal by one ULP
         assert getattr(net, f) == pytest.approx(value, rel=1e-14)
     params = cfg.transistor
-    assert params.i_sat == pytest.approx(6.352589914763768e-08, rel=1e-12)
+    assert params.i_sat == pytest.approx(6.1650833450086793e-08, rel=1e-12)
     assert params.beta_f == 160.0 and params.v_early == 124.0
     geom = cfg.geometry
     assert geom.s_over_d == pytest.approx(5.65e-3)
@@ -305,6 +305,30 @@ def test_cli_gen_and_fit_iv(tmp_path):
     assert float(report["intrinsic_gain"]) == pytest.approx(4960.0, rel=0.02)
 
 
+def test_gen_iv_fit_iv_round_trip(tmp_path):
+    # noise-free files drawn from the configured device fit back to it, and
+    # the diode fit gives one i_sat whether beta_f comes from the family fit
+    # or from [device]
+    family, diode = tmp_path / "family.csv", tmp_path / "diode.csv"
+    assert main(["gen-iv", "--kind", "output", "--path", str(family)]) == 0
+    assert main(["gen-iv", "--kind", "input", "--path", str(diode)]) == 0
+    reports = []
+    for name, args in (("alone", ["--input", str(diode)]),
+                       ("both", ["--output-chars", str(family),
+                                 "--input", str(diode)])):
+        assert main(["--out", str(tmp_path / name), "fit-iv", *args]) == 0
+        _, rows = _read_csv(tmp_path / name / "fit_iv_report.csv")
+        reports.append(dict(rows))
+    alone, both = reports
+    params = reference().transistor
+    for key, want in (("i_sat_A", params.i_sat), ("v_teff_V", params.v_teff),
+                      ("beta_f", params.beta_f),
+                      ("v_early_V", params.v_early)):
+        assert float(both[key]) == pytest.approx(want, rel=1e-12), key
+    assert float(alone["i_sat_A"]) == pytest.approx(float(both["i_sat_A"]),
+                                                    rel=1e-12)
+
+
 def test_cli_fit_iv_ndr_exit_code(tmp_path):
     ds = noiseless_family()
     sweeps = list(ds.forward)
@@ -518,6 +542,8 @@ def test_cli_negative_seed(capsys):
 _BAD_VALUES = [
     ("network", "r_upper_kohm = -1"),
     ("device", "beta_f = 0.5"),
+    # the auto i_sat's junction factor has no real root at this target
+    ("device", "i_c_target_mA = 120.859375"),
     ("geometry", "c_cell_pF = -3"),
     ("ensemble", "rho22_target = 0.7"),
     ("ensemble", "n_s_per_cm2 = -1e8"),

@@ -11,15 +11,18 @@ from cryoreadout.device import (ConvergenceError, OperatingPoint,
                                 evaluate_dc, power_dissipation, small_signal,
                                 solve_operating_point, thermal_budget_check)
 
-from conftest import grid_search_operating_point, reference
+from conftest import grid_search_operating_point, noiseless_family, reference
+
+# a math-module overflow raises; a numpy one in the oracle fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 PARAMS = TransistorParams(i_sat=1e-12, v_teff=25e-3, v_early=124.0, beta_f=160.0)
 
-# solved default bias point, frozen from an independent run of the analytic
-# back-substitution (calibrated_i_sat fixes i_c = 0.1 mA exactly)
-DEFAULT_I_SAT = 6.352589914763768e-08
-DEFAULT_V_BE = 0.18385663164400495
-DEFAULT_V_CE = 0.897585
+# solved default bias point, frozen from an independent 40-digit run of the
+# analytic back-substitution (calibrated_i_sat fixes i_c = 0.1 mA exactly)
+DEFAULT_I_SAT = 6.1650833450086793e-08
+DEFAULT_V_BE = 0.18460565499140901
+DEFAULT_V_CE = 0.89758510779853434
 
 
 def test_cutoff_limit():
@@ -35,13 +38,18 @@ def test_early_factor_doubles_at_v_early():
 
 
 def test_fitted_model_beta_point():
-    # on the family curve with i_b = 600 nA, i_c(v_ce = 0.9 V) = 160 * 600 nA
+    # the v_be that draws i_b = 600 nA puts the bias-point model on the
+    # synthetic family's 600 nA curve: i_c = 160 * 600 nA * (1 + v_ce/V_A)
     params = reference().transistor
-    v_be = params.v_teff * math.log(
-        600e-9 * params.beta_f / (params.i_sat * (1.0 + 0.9 / params.v_early)))
-    i_b, i_c = evaluate_dc(params, v_be, 0.9)
+    v_be = params.v_teff * math.log(600e-9 * params.beta_f / params.i_sat)
+    curve = noiseless_family().forward[8]
+    assert curve.label == pytest.approx(600e-9, rel=1e-12)
+    v_ce = curve.voltage[180]
+    assert v_ce == pytest.approx(0.9, rel=1e-12)
+    i_b, i_c = evaluate_dc(params, v_be, v_ce)
     assert i_b == pytest.approx(600e-9, rel=1e-12)
-    assert i_c == pytest.approx(96e-6, rel=1e-12)
+    assert i_c == pytest.approx(96e-6 * (1.0 + 0.9 / 124.0), rel=1e-12)
+    assert i_c == pytest.approx(curve.current[180], rel=1e-12)
 
 
 def test_exponential_cap_rejected():
@@ -103,13 +111,14 @@ def test_solver_constructed_solution():
     v_be, v_ce = 0.95, 0.90
     beta, v_early, v_teff = 160.0, 124.0, 25e-3
     i_c = 1e-3
-    i_b = i_c / beta
+    j = i_c / (1.0 + v_ce / v_early)     # the junction factor
+    i_b = j / beta
     r_emitter, r_collector, r_lower = 10.0, 1e3, 10e3
     v_e = (i_b + i_c) * r_emitter
     v_supply = v_ce + i_c * r_collector + v_e
     v_b = v_be + v_e
     r_upper = (v_supply - v_b) / (v_b / r_lower + i_b)
-    i_sat = i_c / (math.exp(v_be / v_teff) * (1.0 + v_ce / v_early))
+    i_sat = j / math.exp(v_be / v_teff)
 
     net = replace(reference().network, v_supply=v_supply, r_upper=r_upper,
                   r_lower=r_lower, r_collector=r_collector,
@@ -136,7 +145,8 @@ def test_solver_default_point():
     assert params.i_sat == pytest.approx(DEFAULT_I_SAT, rel=1e-12)
     assert op.v_be == pytest.approx(DEFAULT_V_BE, rel=1e-9)
     assert op.v_ce == pytest.approx(DEFAULT_V_CE, rel=1e-9)
-    assert op.i_b == pytest.approx(op.i_c / params.beta_f, rel=1e-12)
+    assert op.i_b == pytest.approx(
+        op.i_c / (params.beta_f * (1.0 + op.v_ce / params.v_early)), rel=1e-12)
 
 
 def test_isat_doubling_shifts_vbe_by_vteff_ln2():
@@ -253,10 +263,47 @@ def test_thermal_budget():
         thermal_budget_check(-1e-6, 1e-3)
 
 
+# i_c_target such that p = 1 + (v_supply - i_c (r_c + r_e))/v_early is 0.01
+# for the reference network: the junction factor's quadratic has no real root
+NO_ROOT_TARGET = (125.0 - 1.24) / 1024.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(v_teff=st.floats(0.015, 0.04), beta_f=st.floats(50.0, 300.0),
+       v_early=st.floats(30.0, 300.0), v_supply=st.floats(0.7, 1.2),
+       r_upper=_log_uniform(10 ** 4.5, 10 ** 5.9),
+       r_lower=_log_uniform(10 ** 4.5, 10 ** 5.7),
+       r_collector=_log_uniform(10 ** 2.7, 10 ** 3.7),
+       r_emitter=st.floats(5.0, 50.0), i_c_target=_log_uniform(1e-6, 1.0))
+@example(v_teff=25e-3, beta_f=160.0, v_early=124.0, v_supply=1.0,
+         r_upper=574e3, r_lower=235e3, r_collector=1e3, r_emitter=24.0,
+         i_c_target=NO_ROOT_TARGET)
+def test_calibrated_i_sat_biases_at_target(v_teff, beta_f, v_early, v_supply,
+                                           r_upper, r_lower, r_collector,
+                                           r_emitter, i_c_target):
+    # over c08-style networks and targets from 1 uA to 1 A: the calibrated
+    # device biases at the target, or the target is rejected as unreachable
+    # (never by a math domain error)
+    net = replace(reference().network, v_supply=v_supply, r_upper=r_upper,
+                  r_lower=r_lower, r_collector=r_collector,
+                  r_emitter=r_emitter)
+    try:
+        i_sat = calibrated_i_sat(net, v_teff, v_early, beta_f, i_c_target)
+    except ValueError as exc:
+        assert "not reachable in this network" in str(exc)
+        return
+    op = solve_operating_point(net, TransistorParams(
+        i_sat=i_sat, v_teff=v_teff, v_early=v_early, beta_f=beta_f))
+    assert op.i_c == pytest.approx(i_c_target, rel=1e-9)
+
+
 def test_calibrated_i_sat_unreachable_target():
-    with pytest.raises(ValueError):
-        calibrated_i_sat(reference().network, 25e-3, 124.0, 160.0,
-                         i_c_target=1.5e-3)   # drives v_ce below zero
+    for target in (1.5e-3,            # drives v_ce below zero
+                   NO_ROOT_TARGET,    # no real junction factor
+                   0.13):             # p < 0
+        with pytest.raises(ValueError, match="not reachable in this network"):
+            calibrated_i_sat(reference().network, 25e-3, 124.0, 160.0,
+                             i_c_target=target)
     # v_be / v_teff beyond the junction law's cap: exp() would overflow
     with pytest.raises(ValueError, match="exceeds cap"):
         calibrated_i_sat(reference().network, 1e-6, 124.0, 160.0,

@@ -12,7 +12,8 @@ from cryoreadout.ivfit import (FitError, IVDataset, IVParseError, IVSweep,
                                fit_early_voltage, intrinsic_gain,
                                load_iv_dataset, save_iv_dataset)
 
-from conftest import csv_file, iv_csv_text, noiseless_diode, noiseless_family
+from conftest import (csv_file, iv_csv_text, noiseless_diode, noiseless_family,
+                      reference)
 
 
 def test_input_csv_parse(tmp_path):
@@ -530,7 +531,7 @@ def test_descending_family_loads_ascending(tmp_path):
 def test_noisy_family_matches_per_label_draws():
     # one (labels x v_ce) draw is the stream of one 401-point draw per
     # label, in label order
-    ds = ivfit.synth_output_family(160.0, 124.0, 0.01,
+    ds = ivfit.synth_output_family(reference().transistor, 0.01,
                                    np.random.default_rng(0))
     rng = np.random.default_rng(0)
     for ib, s in zip(ivfit.SYNTH_I_B_LABELS, ds.forward):
