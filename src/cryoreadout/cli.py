@@ -108,25 +108,15 @@ def cmd_sweep(args, cfg):
 def cmd_fit_iv(args, cfg):
     if args.input is None and args.output_chars is None:
         raise ConfigError("fit-iv needs --input and/or --output-chars")
-    beta_cfg = cfg[("device", "beta_f")]
     report = []
 
-    beta_fit = early = verdict = None
+    early = verdict = None
     if args.output_chars is not None:
         ds = ivfit.load_iv_dataset(args.output_chars)
         early = ivfit.fit_early_voltage(ds)
         report.append(("v_early_V", early.v_early))
         report.append(("early_fit_r_squared", early.r_squared))
-        try:
-            gain = ivfit.fit_beta(ds, *args.beta_at)
-        except ValueError as exc:
-            raise ConfigError(f"--beta-at: {exc}") from None
-        # the differential gain carries the Early factor; beta_f is its
-        # v_ce -> 0 value, the [device] quantity
-        beta_fit = gain / (1.0 + args.beta_at[1] / early.v_early)
-        if not math.isfinite(beta_fit):
-            raise ivfit.FitError(f"non-finite beta: {beta_fit!r}")
-        report.append(("beta_f", beta_fit))
+        report.append(("beta_f", early.beta_f))
         cls = ivfit.classify_transistor(ds)
         verdict = cls.verdict
         report.append(("classification", cls.verdict))
@@ -136,8 +126,8 @@ def cmd_fit_iv(args, cfg):
 
     if args.input is not None:
         ds_in = ivfit.load_iv_dataset(args.input)
-        dio = ivfit.fit_diode_params(
-            ds_in, beta_f=beta_fit if beta_fit is not None else beta_cfg)
+        beta_f = cfg[("device", "beta_f")] if early is None else early.beta_f
+        dio = ivfit.fit_diode_params(ds_in, beta_f=beta_f)
         report.append(("i_sat_A", dio.i_sat))
         report.append(("v_teff_V", dio.v_teff))
         report.append(("diode_fit_residual", dio.residual))
@@ -176,17 +166,6 @@ def _overrides(args):
             if getattr(args, dest, None) is not None}
 
 
-def _beta_at(text):
-    try:
-        ic, vce = (float(p) for p in text.split(","))
-        if math.isfinite(ic) and math.isfinite(vce):
-            return ic, vce
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(
-        f"expected finite 'i_c_A,v_ce_V', got {text!r}")
-
-
 def _noise(text):
     try:
         sigma = float(text)
@@ -214,9 +193,6 @@ def build_parser():
                     help="input characteristics (v_be_V,i_b_A)")
     sp.add_argument("--output-chars", metavar="CSV",
                     help="output characteristics (i_b_A,v_ce_V,i_c_A[,direction])")
-    sp.add_argument("--beta-at", type=_beta_at, default=(1e-4, 0.9),
-                    metavar="IC_A,VCE_V",
-                    help="target point for the beta fit (default 1e-4,0.9)")
     sp.set_defaults(func=cmd_fit_iv)
 
     sp = sub.add_parser("opp", help="DC operating point and thermal budget")

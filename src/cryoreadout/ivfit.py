@@ -29,7 +29,6 @@ __all__ = [
     "load_iv_dataset",
     "save_iv_dataset",
     "fit_early_voltage",
-    "fit_beta",
     "intrinsic_gain",
     "fit_diode_params",
     "classify_transistor",
@@ -119,6 +118,7 @@ class IVDataset:
 @dataclass(frozen=True)
 class EarlyFit:
     v_early: float
+    beta_f: float
     r_squared: float
 
 
@@ -296,15 +296,18 @@ def _line_fit(x, y):
 
 
 def fit_early_voltage(ds: IVDataset) -> EarlyFit:
-    """Extract the Early voltage by backward extrapolation.
+    """Extract the Early voltage by backward extrapolation, and beta_f from
+    the same lines.
 
     The forward curves labelled inside ``EARLY_FIT_IB_RANGE`` are each
-    fitted with a least-squares line over the window
-    [``EARLY_FIT_V_CE_MIN``, data max]; a line's v_ce-axis intercept is
-    -b/m.  The reported Early voltage is the slope-weighted mean of the
-    intercept magnitudes.  Curves with fewer than 2 points in the window or
-    a rise across it of at most ``EARLY_FIT_MIN_RISE`` are left out; a
-    family with none left is a fit error.
+    fitted with a least-squares line i_c = m*v_ce + b over the window
+    [``EARLY_FIT_V_CE_MIN``, data max].  Under the device law
+    i_c = beta_f*i_b*(1 + v_ce/V_A) a line's v_ce-axis intercept -b/m is
+    -V_A and its i_c-axis intercept b is beta_f*i_b.  The reported Early
+    voltage is the slope-weighted mean of the |b/m|, and beta_f that of
+    the b/i_b.  Curves with fewer than 2 points in the window or a rise
+    across it of at most ``EARLY_FIT_MIN_RISE`` are left out; a family with
+    none left, or a beta_f that is not positive, is a fit error.
     """
     _require_kind(ds, IVDataset, "Early fit")
     ib_lo, ib_hi = EARLY_FIT_IB_RANGE
@@ -312,7 +315,7 @@ def fit_early_voltage(ds: IVDataset) -> EarlyFit:
     if not sweeps:
         raise FitError("no curves inside the base-current range")
 
-    intercepts, slopes, r2s = [], [], []
+    intercepts, gains, slopes, r2s = [], [], [], []
     for s in sweeps:
         m_sel = s.voltage >= EARLY_FIT_V_CE_MIN
         if m_sel.sum() < 2:
@@ -325,6 +328,7 @@ def fit_early_voltage(ds: IVDataset) -> EarlyFit:
         ss_tot = np.sum((y - y.mean()) ** 2)
         r2 = 1.0 - np.sum(resid ** 2) / ss_tot if ss_tot > 0 else 0.0
         intercepts.append(-b / m)
+        gains.append(b / s.label)
         slopes.append(m)
         r2s.append(r2)
     if not intercepts:
@@ -332,35 +336,12 @@ def fit_early_voltage(ds: IVDataset) -> EarlyFit:
     w = np.asarray(slopes)
     v_early = _finite("Early voltage",
                       float(np.sum(w * np.abs(intercepts)) / np.sum(w)))
+    beta_f = _finite("beta", float(np.sum(w * np.asarray(gains)) / np.sum(w)))
+    if beta_f <= 0:
+        raise FitError(f"non-positive beta: {beta_f!r}")
     r_squared = _finite("Early fit r^2", float(
         np.clip(np.sum(w * np.asarray(r2s)) / np.sum(w), 0.0, 1.0)))
-    return EarlyFit(v_early=v_early, r_squared=r_squared)
-
-
-def _interp_ic(sweep: IVSweep, v_ce: float) -> float:
-    v, i = sweep.voltage, sweep.current
-    if not (v[0] <= v_ce <= v[-1]):
-        raise ValueError(f"v_ce={v_ce:g} outside sweep range [{v[0]:g}, {v[-1]:g}]")
-    return float(np.interp(v_ce, v, i))
-
-
-def fit_beta(ds: IVDataset, i_c: float, v_ce: float) -> float:
-    """Differential current gain dI_c/dI_b near a target point.
-
-    Uses the two family curves whose interpolated collector currents at
-    ``v_ce`` bracket the target ``i_c``; a target outside the data raises
-    ValueError.
-    """
-    _require_kind(ds, IVDataset, "beta fit")
-    sweeps = ds.forward
-    if len(sweeps) < 2:
-        raise FitError("need at least two curves to bracket the target")
-    ics = [_interp_ic(s, v_ce) for s in sweeps]
-    for k in range(len(sweeps) - 1):
-        if ics[k] <= i_c <= ics[k + 1]:
-            d_ib = sweeps[k + 1].label - sweeps[k].label
-            return _finite("beta", (ics[k + 1] - ics[k]) / d_ib)
-    raise ValueError(f"target i_c={i_c:g} A at v_ce={v_ce:g} V outside the data hull")
+    return EarlyFit(v_early=v_early, beta_f=beta_f, r_squared=r_squared)
 
 
 def intrinsic_gain(v_early: float, v_teff: float) -> float:

