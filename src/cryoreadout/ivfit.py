@@ -49,12 +49,10 @@ EARLY_FIT_V_CE_MIN = 0.5
 EARLY_FIT_MIN_RISE = 1e-9
 # a diode fit whose v_teff would exceed this (V) has no usable slope
 V_TEFF_MAX = 10.0
-# classification: NDR below this smoothed slope (-S), the current first
-# smoothed by a moving average of this many points; hysteresis above this
-# |I_fwd - I_bwd| / max|I|
-NDR_THRESHOLD = 1e-6
-NDR_SMOOTH_WIDTH = 5
-HYSTERESIS_THRESHOLD = 0.02
+# classification: a defect is a current off its reference (NDR: the forward
+# sweep's running maximum; hysteresis: the backward branch) by more than
+# this fraction of the larger |current| of the two
+DEFECT_THRESHOLD = 0.02
 # synthetic datasets: output-family base-current labels (A) and v_ce grid (V),
 # input-curve v_be grid (V)
 SYNTH_I_B_LABELS = np.arange(200e-9, 1000e-9 + 1e-12, 50e-9)
@@ -132,7 +130,9 @@ class DiodeFit:
 @dataclass(frozen=True)
 class DeviceClassification:
     verdict: str     # usable | hysteretic | negative_differential_resistance | both_defects
-    evidence: tuple[tuple, ...]   # (kind, sweep label, (v_lo, v_hi), metric value)
+    # (kind, sweep label, (v_lo, v_hi), metric): the metric is the largest
+    # |I - I_ref| / max|I, I_ref| found, a fraction for both kinds
+    evidence: tuple[tuple, ...]
 
 
 def _parse_float(text, line):
@@ -375,35 +375,21 @@ def fit_diode_params(sweep: IVSweep, beta_f: float) -> DiodeFit:
                     residual=float(np.sqrt(np.mean(resid ** 2))))
 
 
-def _smoothed_slope(v, i):
-    """Local dI/dV after a moving-average smooth of the current."""
-    kernel = np.ones(NDR_SMOOTH_WIDTH) / NDR_SMOOTH_WIDTH
-    pad = NDR_SMOOTH_WIDTH // 2
-    ipad = np.concatenate([np.full(pad, i[0]), i, np.full(pad, i[-1])])
-    ism = np.convolve(ipad, kernel, mode="valid")
-    return np.gradient(ism, v)
-
-
 def classify_transistor(ds: IVDataset) -> DeviceClassification:
     """Flag negative differential resistance and forward/backward hysteresis.
 
-    NDR: smoothed local slope of a forward sweep below -NDR_THRESHOLD (S).
-    Hysteresis: each backward sweep against the forward sweep of the same
-    label, |I_fwd - I_bwd| / max|I| above HYSTERESIS_THRESHOLD, over the
-    forward points inside the backward sweep's voltage range; fewer than 2
-    such points is a ValueError.  The verdict is "usable" iff no evidence
+    Both are one test: a current against a reference curve, flagged where
+    |I - I_ref| / max|I, I_ref| exceeds DEFECT_THRESHOLD.  NDR: each forward
+    sweep against its own running maximum, so the metric is the largest
+    fall below an earlier current.  Hysteresis: each backward sweep,
+    interpolated onto the forward points of the same label inside its
+    voltage range; fewer than 2 such points is a ValueError.  A curve with
+    no current gives no evidence.  The verdict is "usable" iff no evidence
     is found.
     """
     _require_kind(ds, IVDataset, "classification")
-    evidence = []
-
-    for s in ds.forward:
-        slope = _smoothed_slope(s.voltage, s.current)
-        bad = slope < -NDR_THRESHOLD
-        if np.any(bad):
-            v_bad = s.voltage[bad]
-            evidence.append(("ndr", s.label, (float(v_bad.min()), float(v_bad.max())),
-                             _finite("NDR slope", float(slope[bad].min()))))
+    checks = [("ndr", s.label, s.voltage, s.current,
+               np.maximum.accumulate(s.current)) for s in ds.forward]
 
     fwd_by_label = {s.label: s for s in ds.forward}
     for sb in ds.backward:
@@ -418,17 +404,22 @@ def classify_transistor(ds: IVDataset) -> DeviceClassification:
         if on.sum() < 2:
             raise ValueError(f"backward sweep label {sb.label:g} overlaps its "
                              "forward sweep at fewer than 2 points")
-        v_f, i_f = sf.voltage[on], sf.current[on]
-        i_b_on_f = np.interp(v_f, vb, ib)
-        scale = max(np.abs(i_f).max(), np.abs(i_b_on_f).max())
-        rel = np.abs(i_f - i_b_on_f) / scale if scale > 0 else \
-            np.zeros_like(i_f)
-        bad = rel > HYSTERESIS_THRESHOLD
+        v_f = sf.voltage[on]
+        checks.append(("hysteresis", sb.label, v_f, sf.current[on],
+                       np.interp(v_f, vb, ib)))
+
+    evidence = []
+    for kind, label, v, i, ref in checks:
+        scale = max(np.abs(i).max(), np.abs(ref).max())
+        if scale == 0:
+            continue
+        # scaled before the difference, which then cannot overflow
+        rel = np.abs(i / scale - ref / scale)
+        bad = rel > DEFECT_THRESHOLD
         if np.any(bad):
-            v_bad = v_f[bad]
-            evidence.append(("hysteresis", sb.label,
-                             (float(v_bad.min()), float(v_bad.max())),
-                             _finite("hysteresis", float(rel[bad].max()))))
+            v_bad = v[bad]
+            evidence.append((kind, label, (float(v_bad.min()), float(v_bad.max())),
+                             float(rel[bad].max())))
 
     kinds = {e[0] for e in evidence}
     if not kinds:

@@ -377,9 +377,36 @@ def test_diode_fit_filters_nonpositive(tmp_path):
 
 
 def test_classify_clean_family():
-    cls = classify_transistor(noiseless_family())
-    assert cls.verdict == "usable"
-    assert cls.evidence == ()
+    # the noise-free family never falls below its running maximum; a
+    # family whose every current is 0, backward branches too, has no
+    # scale to compare against and gives no evidence (and no warning)
+    fwd = [IVSweep(label=s.label, voltage=s.voltage,
+                   current=np.zeros_like(s.current))
+           for s in noiseless_family().forward]
+    zero = _with_backward(fwd, [(s.label, s.voltage, s.current) for s in fwd])
+    for ds in (noiseless_family(), zero):
+        cls = classify_transistor(ds)
+        assert cls.verdict == "usable"
+        assert cls.evidence == ()
+
+
+@pytest.mark.parametrize("backward", [False, True],
+                         ids=["forward", "with-backward"])
+def test_classify_noisy_family_usable(backward):
+    # multiplicative noise of 0.1 % is no defect: its largest fall below
+    # the running maximum is about 0.74 % of a curve's largest current,
+    # and an independently drawn backward branch stays as close
+    params = reference().transistor
+    flagged = []
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        ds = ivfit.synth_output_family(params, 1e-3, rng)
+        if backward:
+            bwd = ivfit.synth_output_family(params, 1e-3, rng)
+            ds = IVDataset(forward=ds.forward, backward=bwd.forward)
+        if classify_transistor(ds).verdict != "usable":
+            flagged.append(seed)
+    assert flagged == []
 
 
 def test_classify_ndr_dip():
@@ -395,7 +422,12 @@ def test_classify_ndr_dip():
     kind, label, (v_lo, v_hi), metric = cls.evidence[0]
     assert kind == "ndr" and label == s.label
     assert 0.9 <= v_lo <= 1.05 and 1.0 <= v_hi <= 1.35
-    assert metric < 0
+    # the largest fall is at the dip's first point, below the point before
+    # it, as a fraction of the curve's largest current
+    k = np.argmax(dip)
+    fall = (s.current[k - 1] - 0.9 * s.current[k]) / s.current.max()
+    assert metric == pytest.approx(fall, rel=1e-12)
+    assert metric == pytest.approx(0.0992, abs=1e-4)
 
 
 def _with_backward(fwd, bwd):
