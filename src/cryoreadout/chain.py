@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import BiasNetwork, ConvergenceError, SmallSignalParams
+from .device import BiasNetwork, SmallSignalParams
 
 __all__ = [
     "StageResponse",
@@ -144,32 +144,21 @@ def hbt_stage_response(ss: SmallSignalParams, net: BiasNetwork,
     )
 
 
-def unity_gain_load(ss: SmallSignalParams, net: BiasNetwork,
-                    source_resistance: float) -> float:
-    """Load resistance for which the stage reaches unity gain at
-    ``DEFAULT_REFERENCE_FREQUENCY``.
+def unity_gain_load(ss: SmallSignalParams, net: BiasNetwork) -> float:
+    """Load resistance that sets the stage's mid-band gain
+    g_m*(R_c || r_o || R_load) to unity: R_load = 1/(g_m - 1/R_c - 1/r_o).
 
-    Fixed-point iteration: the output coupling corner depends weakly on the
-    load, so a few passes suffice.  Raises ``ConvergenceError`` if 40
-    passes do not settle.
+    Every shelf and coupling factor of the stage is below 1, so its |H|
+    rises to unity from below.  Raises ``ValueError`` when g_m does not
+    exceed 1/R_c + 1/r_o.
     """
-    r_load = 1.0 / ss.g_m
-    for _ in range(40):
-        stage = hbt_stage_response(ss, net, r_load, source_resistance)
-        h = abs(stage.evaluate(DEFAULT_REFERENCE_FREQUENCY))
-        # |H| scales with R_c||r_o||R_load; invert that relation for R_load
-        r_par = 1.0 / (1.0 / net.r_collector + 1.0 / ss.r_o + 1.0 / r_load)
-        r_par_target = r_par / h
-        inv = 1.0 / r_par_target - 1.0 / net.r_collector - 1.0 / ss.r_o
-        if inv <= 0:
-            raise ValueError("unity gain unreachable: stage too weak")
-        r_new = 1.0 / inv
-        step = abs(r_new - r_load) / r_load
-        r_load = r_new
-        if step <= 1e-12:
-            return r_load
-    raise ConvergenceError("unity-gain load did not settle in 40 passes",
-                           residual=step)
+    g_out = 1.0 / net.r_collector + 1.0 / ss.r_o
+    inv = ss.g_m - g_out
+    if not inv > 0:
+        raise ValueError(
+            f"unity gain unreachable: stage too weak (g_m = {ss.g_m:.6g} S, "
+            f"1/R_c + 1/r_o = {g_out:.6g} S)")
+    return 1.0 / inv
 
 
 def fixed_gain_stage(gain_db: float, f_low: float, f_high: float,

@@ -111,6 +111,8 @@ def grid_points(start, stop, points, spacing):
         raise ConfigError(f"grid spacing must be log or lin, got {spacing!r}")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ConfigError(f"grid bounds must be finite, got {start:g}:{stop:g}")
+    if not math.isfinite(stop - start):
+        raise ConfigError(f"grid span {start:g}:{stop:g} overflows")
     if points < 1 or stop < start:
         raise ConfigError("grid needs stop >= start and points >= 1")
     if points > MAX_GRID_POINTS:
@@ -184,10 +186,9 @@ class RunConfig:
         ``[chain] stage`` is ``first``."""
         op = device.solve_operating_point(self.network, self.transistor)
         ss = device.small_signal(op, self.transistor)
-        r_src = self["chain", "r_source_ohm"]
-        r_load = chain_mod.unity_gain_load(ss, self.network, r_src)
         first = chain_mod.hbt_stage_response(
-            ss, self.network, r_load, r_src,
+            ss, self.network, chain_mod.unity_gain_load(ss, self.network),
+            self["chain", "r_source_ohm"],
             noise_temperature=self["chain", "first_stage_noise_K"])
         if self["chain", "stage"] == "first":
             return chain_mod.ChainResponse(stages=(first,))

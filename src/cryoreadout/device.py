@@ -55,9 +55,9 @@ DC_TOL = 1e-9
 
 
 class ConvergenceError(RuntimeError):
-    """A numerical solve missed its tolerance: the DC bias point (bisection
-    on the exact 1-D reduction, checked by the two-node residuals) or the
-    unity-gain load.  ``residual`` holds the final residual if known."""
+    """The DC bias point (bisection on the exact 1-D reduction, checked by
+    the two-node residuals) missed its tolerance.  ``residual`` holds the
+    final residual if known."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)

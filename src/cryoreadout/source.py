@@ -84,8 +84,12 @@ def cw_rate_for_occupancy(rho22: float, tau: float) -> float:
 
 
 def stark_excitation_fraction(v_bc: float, ens: EnsembleParams) -> float:
-    """Lorentzian resonance factor, unit peak at the resonance voltage."""
-    x = 2.0 * (v_bc - ens.v_resonance) / ens.linewidth_v
+    """Lorentzian resonance factor, unit peak at the resonance voltage.
+
+    Python floats, unlike numpy scalars, overflow to inf without a warning,
+    so a V_BC far off resonance gives 0.
+    """
+    x = 2.0 * (float(v_bc) - ens.v_resonance) / ens.linewidth_v
     return 1.0 / (1.0 + x * x)
 
 

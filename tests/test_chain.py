@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cryoreadout import chain, device
+from cryoreadout import device
 from cryoreadout.chain import (ChainResponse, StageResponse, fixed_gain_stage,
                                hbt_stage_response, s21_db, unity_gain_load)
 from cryoreadout.config import load_config
@@ -129,11 +129,18 @@ def test_hbt_big_caps_flatten_response():
 
 
 def test_unity_gain_load():
+    # the load sets the mid-band gain g_m*(R_c || r_o || R_load) to unity;
+    # every shelf and coupling factor is below 1, so |H| rises to it from
+    # below and reaches it far above the corners
     ss, net = _default_first_stage()
-    r_load = unity_gain_load(ss, net, R_SOURCE)
-    st = hbt_stage_response(ss, net, r_load, R_SOURCE)
-    assert abs(st.evaluate(chain.DEFAULT_REFERENCE_FREQUENCY)) == \
-        pytest.approx(1.0, rel=1e-9)
+    r_load = unity_gain_load(ss, net)
+    r_par = 1.0 / (1.0 / net.r_collector + 1.0 / ss.r_o + 1.0 / r_load)
+    assert ss.g_m * r_par == pytest.approx(1.0, rel=1e-14)
+    first = load_config(overrides={("chain", "stage"): "first"}) \
+        .amplifier_chain()
+    mag = np.abs(first.evaluate(np.geomspace(1e3, 1e12, 400)))
+    assert np.all(mag <= 1.0)
+    assert mag[-1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_first_stage_flat_at_unity():

@@ -455,6 +455,10 @@ def test_cli_bad_grid_spec(tmp_path):
                  "--grid", "nan:12:5"]) == 2
     assert main(["--out", str(tmp_path), "sweep", "--axis", "vbc",
                  "--grid", "11:inf:5"]) == 2
+    # finite bounds whose span overflows: np.linspace would warn and give
+    # [nan, inf, 1e308]
+    assert main(["--out", str(tmp_path), "sweep", "--axis", "vbc",
+                 "--grid=-1e308:1e308:3:lin"]) == 2
 
 
 @pytest.mark.parametrize("args, setting", [
@@ -719,30 +723,31 @@ def test_cli_overflow_writes_nothing(tmp_path, args, setting):
     assert not out.exists() and not path.exists()
 
 
-def test_cli_unity_gain_load_not_converging(tmp_path, monkeypatch):
-    # a stage whose |H| goes as (R_c || r_o || R_load)^2 / q0^2 makes the
-    # fixed-point update q -> q0^2 / q, which alternates forever
-    real = chain_mod.hbt_stage_response
-    q0 = []
+def test_cli_unity_gain_unreachable(tmp_path, capsys):
+    # I_c = 20 uA gives g_m = 0.8 mS, below 1/R_c = 1 mS: no load gives the
+    # first stage unity gain, so the chain commands fail up front; opp needs
+    # no chain
+    p = tmp_path / "weak.ini"
+    p.write_text("[device]\ni_c_target_mA = 0.02\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(p), "--out", str(out), "opp"]) == 0
+    for args in (["s21"], ["sweep", "--axis", "vbc", "--grid", "11:12:3"]):
+        capsys.readouterr()
+        assert main(["--config", str(p), "--out", str(out), *args]) == 2
+        err = capsys.readouterr().err
+        assert "unity gain unreachable" in err
+        assert "g_m = 0.0008 S" in err and "1/R_c + 1/r_o = 0.001" in err
+    assert not out.exists()
 
-    def oscillating(ss, net, load_resistance, source_resistance,
-                    noise_temperature=0.0):
-        q = 1.0 / (1.0 / net.r_collector + 1.0 / ss.r_o
-                   + 1.0 / load_resistance)
-        if not q0:
-            q0.append(0.5 * q)
-        stage = real(ss, net, load_resistance, source_resistance,
-                     noise_temperature)
-        h = abs(stage.evaluate(chain_mod.DEFAULT_REFERENCE_FREQUENCY))
-        return chain_mod.StageResponse(
-            gain_factor=stage.gain_factor * (q / q0[0]) ** 2 / h,
-            zeros=stage.zeros, poles=stage.poles,
-            hp_corners=stage.hp_corners)
 
-    monkeypatch.setattr(chain_mod, "hbt_stage_response", oscillating)
-    with pytest.raises(device.ConvergenceError):
-        load_config(None).amplifier_chain()
-    assert main(["--out", str(tmp_path), "s21"]) == 3
+def test_cli_sweep_vbc_far_off_resonance(tmp_path):
+    # the resonance factor overflows to 0 without a warning: R is the noise
+    p = tmp_path / "out"
+    assert main(["--out", str(p), "sweep", "--axis", "vbc",
+                 "--grid", "1e200:1e201:3:lin"]) == 0
+    _, rows = _read_csv(p / "sweep_vbc.csv")
+    assert len(rows) == 3
+    assert all(0 < float(r) < 1e-7 for _, r, _ in rows)
 
 
 @pytest.mark.parametrize("axis, grid", [("vbc", "11.5:11.7:3:lin"),
