@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import sys
 
@@ -166,17 +165,6 @@ def _overrides(args):
             if getattr(args, dest, None) is not None}
 
 
-def _noise(text):
-    try:
-        sigma = float(text)
-        if math.isfinite(sigma) and sigma >= 0:
-            return sigma
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(
-        f"expected a finite fraction >= 0, got {text!r}")
-
-
 def build_parser():
     p = argparse.ArgumentParser(
         prog="cryoreadout",
@@ -217,7 +205,7 @@ def build_parser():
     sp = sub.add_parser("gen-iv", help="generate a synthetic IV dataset")
     sp.add_argument("--kind", choices=("input", "output"), required=True)
     sp.add_argument("--path", required=True, metavar="CSV")
-    sp.add_argument("--noise", type=_noise, default=0.0,
+    sp.add_argument("--noise", type=float, default=0.0,
                     help="multiplicative noise sigma (fraction)")
     sp.set_defaults(func=cmd_gen_iv)
     return p

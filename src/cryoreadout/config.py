@@ -290,7 +290,8 @@ def _parse_value(section, key, raw):
 
 
 def load_config(path=None, overrides=None) -> RunConfig:
-    """Load a RunConfig from an INI file (or defaults when path is None).
+    """Load a RunConfig from a UTF-8 INI file, with or without a byte-order
+    mark (or defaults when path is None).
 
     ``overrides`` is a {(section, key): raw-string} mapping applied on top
     (used for CLI flags).  Every value is checked here, for every command.
@@ -299,7 +300,7 @@ def load_config(path=None, overrides=None) -> RunConfig:
     parser.optionxform = str   # unit suffixes are case-sensitive
     if path is not None:
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 parser.read_file(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc

@@ -16,8 +16,8 @@ it.  The effective thermal voltage ``v_teff`` is a fitted quantity
 is solved for its DC operating point by bisection on the exact 1-D
 reduction, checked by the two-node residuals: for fixed v_be the collector
 loop is linear in v_ce and solves in closed form, which leaves one
-monotone base-node equation in v_be; the two-node Kirchhoff residuals of
-the full model then confirm the result.
+monotone base-node equation in v_be; its bisection walks the base-node
+residual of the two-node Kirchhoff residuals that then check the result.
 """
 
 from __future__ import annotations
@@ -159,9 +159,8 @@ def _residuals(network: BiasNetwork, params: TransistorParams, v_be, v_ce):
     return f1, f2, i_b, i_c
 
 
-def _collector_loop(network: BiasNetwork, params: TransistorParams, v_be):
-    """Solve the collector/emitter loop analytically for a given v_be;
-    return ``(i_b, i_c, v_ce)``.
+def _collector_v_ce(network: BiasNetwork, params: TransistorParams, v_be):
+    """Solve the collector/emitter loop analytically for v_ce at a given v_be.
 
     With the junction factor j fixed, i_b = j/beta_f is fixed and i_c is
     linear in v_ce, while v_ce is linear in i_c through the collector and
@@ -172,30 +171,38 @@ def _collector_loop(network: BiasNetwork, params: TransistorParams, v_be):
     r_loop = network.r_collector + network.r_emitter
     v_ce = (network.v_supply - j * (r_loop + network.r_emitter / params.beta_f)) \
         / (1.0 + j * r_loop / params.v_early)
-    v_ce = max(v_ce, 0.0)
-    return (*forward_currents(params, j, v_ce), v_ce)
+    return max(v_ce, 0.0)
 
 
-def _bisect_base_node(network: BiasNetwork, params: TransistorParams):
-    """Bisect the base-node residual, which is strictly decreasing in v_be,
-    down to adjacent floats; return ``(v_be, v_ce)``."""
+def solve_operating_point(network: BiasNetwork,
+                          params: TransistorParams) -> OperatingPoint:
+    """Solve the bias network for its DC operating point.
+
+    Bisection on the exact 1-D reduction: v_be is bisected down to adjacent
+    floats on [-1 kV, min(V_th, 0.995 EXP_CAP v_teff)], walking the
+    base-node residual of ``_residuals`` (strictly decreasing in v_be) at
+    the collector loop's closed-form v_ce.  The two-node residuals then
+    check the point: each must lie below ``DC_TOL`` times the larger of
+    |i_c| and that node's own current scale (v_supply/r_upper for the base
+    node, v_supply/r_collector for the collector node), else
+    ``ConvergenceError`` carries the larger residual.  A node's residual is
+    a difference of currents of that scale, so rounding alone leaves it a
+    few ulps of the scale.  Deterministic for fixed inputs.
+    """
     def base_residual(v_be):
-        i_b, i_c, _ = _collector_loop(network, params, v_be)
-        v_b = v_be + (i_b + i_c) * network.r_emitter
-        return (network.v_supply - v_b) / network.r_upper \
-            - v_b / network.r_lower - i_b
+        return _residuals(network, params, v_be,
+                          _collector_v_ce(network, params, v_be))[0]
 
+    lo = -1e3
     hi = min(network.thevenin_voltage, 0.995 * EXP_CAP * params.v_teff)
-    lo = hi - max(1.0, abs(hi))
     f_hi = base_residual(hi)
     if f_hi > 0:
         raise ConvergenceError("no DC solution below the Thevenin voltage",
                                residual=f_hi)
-    while base_residual(lo) < 0:
-        lo -= max(1.0, abs(lo))
-        if lo < -1e3:
-            raise ConvergenceError("base-node residual never changes sign",
-                                   residual=base_residual(lo))
+    f_lo = base_residual(lo)
+    if f_lo < 0:
+        raise ConvergenceError("base-node residual never changes sign",
+                               residual=f_lo)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -205,23 +212,7 @@ def _bisect_base_node(network: BiasNetwork, params: TransistorParams):
         else:
             hi = mid
     v_be = 0.5 * (lo + hi)
-    return v_be, _collector_loop(network, params, v_be)[2]
-
-
-def solve_operating_point(network: BiasNetwork,
-                          params: TransistorParams) -> OperatingPoint:
-    """Solve the bias network for its DC operating point.
-
-    Bisection on the exact 1-D reduction (closed-form collector loop, base
-    node bisected in v_be), checked by the two-node residuals: each
-    Kirchhoff residual of the full model must lie below ``DC_TOL`` times
-    the larger of |i_c| and that node's own current scale (v_supply/r_upper
-    for the base node, v_supply/r_collector for the collector node), else
-    ``ConvergenceError`` carries the larger residual.  A node's residual is
-    a difference of currents of that scale, so rounding alone leaves it a
-    few ulps of the scale.  Deterministic for fixed inputs.
-    """
-    v_be, v_ce = _bisect_base_node(network, params)
+    v_ce = _collector_v_ce(network, params, v_be)
     f1, f2, i_b, i_c = _residuals(network, params, v_be, v_ce)
     limit1 = DC_TOL * max(abs(i_c), network.v_supply / network.r_upper)
     limit2 = DC_TOL * max(abs(i_c), network.v_supply / network.r_collector)

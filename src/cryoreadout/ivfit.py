@@ -164,7 +164,8 @@ def _finite(what, value):
 def load_iv_dataset(path) -> IVSweep | IVDataset:
     """Load an IV file from a path (any ``str`` or path-like).
 
-    Two CSV layouts (UTF-8, header row required):
+    Two CSV layouts (UTF-8, with or without a byte-order mark; header row
+    required):
 
     * input characteristics: ``v_be_V,i_b_A``, loaded as one `IVSweep`
       with its rows sorted by v_be
@@ -179,7 +180,7 @@ def load_iv_dataset(path) -> IVSweep | IVDataset:
     a branch split; a descending group is stored reversed, in ascending
     voltage.
     """
-    with open(path, newline="", encoding="utf-8") as stream:
+    with open(path, newline="", encoding="utf-8-sig") as stream:
         reader = csv.reader(stream)
         try:
             try:
@@ -433,6 +434,11 @@ def classify_transistor(ds: IVDataset) -> DeviceClassification:
     return DeviceClassification(verdict=verdict, evidence=tuple(evidence))
 
 
+def _check_noise(noise):
+    if not (math.isfinite(noise) and noise >= 0):
+        raise ValueError(f"noise must be a finite fraction >= 0, got {noise!r}")
+
+
 def synth_output_family(params: TransistorParams, noise: float,
                         rng: np.random.Generator) -> IVDataset:
     """Synthesize a measured-style output family from the device law over
@@ -440,8 +446,10 @@ def synth_output_family(params: TransistorParams, noise: float,
     ``SYNTH_I_B_LABELS`` (junction factor beta_f * i_b).
 
     ``noise`` is a multiplicative Gaussian sigma, drawn from ``rng`` in one
-    (labels x v_ce) draw, row by row.
+    (labels x v_ce) draw, row by row; a non-finite or negative ``noise`` is
+    a ``ValueError``.
     """
+    _check_noise(noise)
     _, ic = forward_currents(params, params.beta_f * SYNTH_I_B_LABELS[:, None],
                              SYNTH_V_CE)
     if noise > 0:
@@ -459,7 +467,9 @@ def synth_input_curve(params: TransistorParams, noise: float,
                       rng: np.random.Generator) -> IVSweep:
     """Synthesize input characteristics i_b(v_be) from the device law over
     ``SYNTH_V_BE``, with multiplicative Gaussian noise of sigma ``noise``
-    drawn from ``rng``."""
+    drawn from ``rng``; a non-finite or negative ``noise`` is a
+    ``ValueError``."""
+    _check_noise(noise)
     ib, _ = forward_currents(
         params, params.i_sat * np.exp(SYNTH_V_BE / params.v_teff), 0.0)
     if noise > 0:

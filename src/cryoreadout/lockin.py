@@ -184,7 +184,7 @@ def _run_point(index, f_m, scale, ens, geom, chain, cfg):
     overflows, 1-a is 0 and the DC bin reads 0/0); else ``ValueError``.
     """
     spp = SAMPLES_PER_PERIOD
-    fs = spp * f_m
+    fs = spp * float(f_m)
     tau_samples = fs * cfg.time_constant
     if not MIN_TAU_SAMPLES <= tau_samples < math.inf:
         raise ValueError(

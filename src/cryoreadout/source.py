@@ -132,10 +132,12 @@ def rydberg_population(f_m: float, duty: float, ens: EnsembleParams,
             / math.expm1(-t_on / tau_on - t_off / tau))
     rho_end_on = rho_inf + (rho0 - rho_inf) * a
     on = t < t_on
+    # np.where evaluates both branches on every sample; the clamp keeps the
+    # off-segment decay from overflowing on the on-samples when tau is short
     return np.where(
         on,
         rho_inf + (rho0 - rho_inf) * np.exp(-t / tau_on),
-        rho_end_on * np.exp(-(t - t_on) / tau),
+        rho_end_on * np.exp(-np.maximum(t - t_on, 0.0) / tau),
     )
 
 

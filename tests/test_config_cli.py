@@ -114,6 +114,16 @@ def test_config_roundtrip(tmp_path):
     assert cfg2._values == cfg._values
 
 
+def test_config_reads_byte_order_mark(tmp_path):
+    # a UTF-8 byte-order mark before the first section header is skipped
+    text = "[network]\nr_upper_kohm = 100\n[run]\nseed = 7\n"
+    plain, bom = tmp_path / "plain.ini", tmp_path / "bom.ini"
+    plain.write_text(text, encoding="utf-8")
+    bom.write_text(text, encoding="utf-8-sig")
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_config(bom)._values == load_config(plain)._values
+
+
 # keys that load_config checks for > 0; any finite value elsewhere, but for
 # the ranges _numeric_value draws
 _POSITIVE_KEYS = {("network", key) for key in _SCHEMA["network"]} | {
@@ -346,11 +356,22 @@ def test_cli_fit_iv_ndr_exit_code(tmp_path):
 @pytest.mark.parametrize("noise", ["inf", "nan", "-1"])
 def test_cli_gen_iv_rejects_bad_noise(tmp_path, noise):
     path = tmp_path / "family.csv"
-    with pytest.raises(SystemExit) as info:
-        main(["gen-iv", "--kind", "output", "--path", str(path),
-              "--noise", noise])
-    assert info.value.code == 2
+    assert main(["gen-iv", "--kind", "output", "--path", str(path),
+                 "--noise", noise]) == 2
     assert not path.exists()
+
+
+def test_cli_fit_iv_reads_byte_order_mark(tmp_path):
+    # a BOM-prefixed diode file fits to the same report as the plain one
+    plain, bom = tmp_path / "diode.csv", tmp_path / "diode_bom.csv"
+    assert main(["gen-iv", "--kind", "input", "--path", str(plain)]) == 0
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    reports = []
+    for name, path in (("plain", plain), ("bom", bom)):
+        assert main(["--out", str(tmp_path / name), "fit-iv",
+                     "--input", str(path)]) == 0
+        reports.append((tmp_path / name / "fit_iv_report.csv").read_bytes())
+    assert reports[1] == reports[0]
 
 
 def test_cli_fit_iv_non_finite_data(tmp_path):
@@ -604,6 +625,19 @@ def test_cli_sweep_non_finite_config(tmp_path, value):
     assert not (out / "sweep_vbc.csv").exists()
 
 
+def test_cli_sweep_short_relaxation(tmp_path):
+    # a relaxation time of 1 ns is far below the MW-on time of every point
+    # of the default fm grid: the off-segment decay must not overflow on the
+    # on-samples, and R stays finite
+    p = tmp_path / "fast.ini"
+    p.write_text("[ensemble]\ntau_relax_us = 0.001\n")
+    assert main(["--config", str(p), "--out", str(tmp_path), "sweep",
+                 "--axis", "fm"]) == 0
+    _, rows = _read_csv(tmp_path / "sweep_fm.csv")
+    assert len(rows) == 25
+    assert all(math.isfinite(float(row[1])) for row in rows)
+
+
 @pytest.mark.parametrize("axis, grid", [("vbc", "11.5:11.7:3:lin"),
                                         ("fm", "2e5:1e6:3:log")])
 def test_cli_sweep_long_relaxation(tmp_path, axis, grid):
@@ -644,12 +678,14 @@ def test_cli_sweep_time_constant_beyond_sample_rate(tmp_path, capsys):
     ("vbc", "11.5:11.7:3:lin", "0.002", 0),   # 8 samples
     ("fm", "2.5e5:1e6:3:log", "0.002", 0),    # 8 samples at the lowest f_m
     ("fm", "1e5:1e6:3:log", "0.002", 2),      # 3.2 samples at 100 kHz
+    ("fm", "1e307:1e308:2", "0.002", 2),      # sample rate 16 f_m is inf
 ])
 def test_cli_sweep_time_constant_floor(tmp_path, capsys, axis, grid, tau_ms,
                                        code):
     # a time constant below 8 samples (tau * f_m < 0.5) is an input error:
     # exit 2, the key named, no CSV.  The fm grid that crosses the floor
-    # fails on its lowest point.
+    # fails on its lowest point.  So does an f_m whose sample rate
+    # overflows, without an overflow warning first.
     p = tmp_path / "fast.ini"
     p.write_text(f"[synthesis]\ntime_constant_ms = {tau_ms}\n")
     out = tmp_path / "out"

@@ -168,6 +168,22 @@ def test_solver_failure_carries_residual():
     assert info.value.residual is not None
 
 
+@pytest.mark.parametrize("i_sat, v_teff, beta_f, message, sign", [
+    # the junction cap 199 v_teff = 0.2 V sits below V_th = 0.29 V, and the
+    # junction passes 26 fA there: the base node still sources current at
+    # the bracket top
+    (1e-100, 1e-3, 160.0, "no DC solution below the Thevenin voltage", 1.0),
+    # v_teff = 10 kV: at -1 kV the junction still sinks 0.9 A
+    (1.0, 1e4, 1.0, "base-node residual never changes sign", -1.0),
+])
+def test_solver_bracket_errors(i_sat, v_teff, beta_f, message, sign):
+    params = TransistorParams(i_sat=i_sat, v_teff=v_teff, v_early=124.0,
+                              beta_f=beta_f)
+    with pytest.raises(ConvergenceError, match=message) as info:
+        solve_operating_point(reference().network, params)
+    assert sign * info.value.residual > 0
+
+
 def test_solver_node_scale():
     # i_c = 9 nA through a 1.2 ohm collector resistor: the collector node's
     # currents are of order v_supply/r_collector = 1 A, so rounding alone

@@ -318,6 +318,15 @@ def test_fit_wrong_kind(fit, ds, header):
         fit(ds)
 
 
+@pytest.mark.parametrize("synth", [ivfit.synth_input_curve,
+                                   ivfit.synth_output_family])
+@pytest.mark.parametrize("noise", [math.nan, math.inf, -0.5])
+def test_synth_rejects_bad_noise(synth, noise):
+    # a noise sigma the draw cannot use is an error, not a noise-free dataset
+    with pytest.raises(ValueError, match="noise"):
+        synth(reference().transistor, noise, np.random.default_rng(0))
+
+
 def test_beta_f_under_noise():
     # the line intercepts average the noise over each curve's window: at 1%
     # multiplicative noise beta_f stays within 1% of the device's on every
