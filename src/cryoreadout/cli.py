@@ -85,14 +85,13 @@ def cmd_s21(args, cfg):
 def cmd_sweep(args, cfg):
     axis = cfg[("sweep", "axis")]
     sweep = sweep_vbc if axis == "vbc" else sweep_fm
-    results = sweep(cfg.sweep_grid, cfg.ensemble, cfg.geometry,
-                    cfg.amplifier_chain(), cfg.synthesis)
+    rows = sweep(cfg.sweep_grid, cfg.ensemble, cfg.geometry,
+                 cfg.amplifier_chain(), cfg.synthesis)
 
     out_dir = args.out or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"sweep_{axis}.csv")
-    _write_csv(csv_path, ["x_value", "R_V", "phase_rad"],
-               [(x, r.amplitude_r, r.phase) for x, r in results])
+    _write_csv(csv_path, ["x_value", "R_V", "phase_rad"], rows)
 
     manifest_path = os.path.join(out_dir, f"sweep_{axis}_manifest.ini")
     with open(manifest_path, "w", encoding="utf-8") as fh:

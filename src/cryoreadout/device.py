@@ -144,7 +144,7 @@ def evaluate_dc(params: TransistorParams, v_be: float, v_ce: float):
     x = v_be / params.v_teff
     if x > EXP_CAP:
         raise ValueError(
-            f"v_be/v_teff = {x:.1f} exceeds cap {EXP_CAP:.0f} (exponential overflow)")
+            f"v_be/v_teff = {x:.4g} exceeds cap {EXP_CAP:.0f} (exponential overflow)")
     return forward_currents(params, params.i_sat * math.exp(x), v_ce)
 
 
@@ -283,6 +283,6 @@ def calibrated_i_sat(network: BiasNetwork, v_teff: float, v_early: float,
         raise ValueError("target collector current is not reachable in this network")
     x = v_be / v_teff
     if x > EXP_CAP:
-        raise ValueError(f"v_be/v_teff = {x:.1f} at the target current "
+        raise ValueError(f"v_be/v_teff = {x:.4g} at the target current "
                          f"exceeds cap {EXP_CAP:.0f}")
     return j / math.exp(x)

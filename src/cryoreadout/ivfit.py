@@ -308,7 +308,10 @@ def fit_early_voltage(ds: IVDataset) -> EarlyFit:
     voltage is the slope-weighted mean of the |b/m|, and beta_f that of
     the b/i_b.  Curves with fewer than 2 points in the window or a rise
     across it of at most ``EARLY_FIT_MIN_RISE`` are left out; a family with
-    none left, or a beta_f that is not positive, is a fit error.
+    none left, or a beta_f that is not positive, is a fit error.  The lines
+    are fitted to the currents in units of the family's largest |i_c|, so
+    no square or sum overflows and the fit is scale-invariant: currents
+    scaled by c give the same V_A and r^2, and beta_f times c.
     """
     _require_kind(ds, IVDataset, "Early fit")
     ib_lo, ib_hi = EARLY_FIT_IB_RANGE
@@ -316,12 +319,14 @@ def fit_early_voltage(ds: IVDataset) -> EarlyFit:
     if not sweeps:
         raise FitError("no curves inside the base-current range")
 
+    # a family with no current at all is fitted unscaled, and left out as flat
+    unit = float(max(np.abs(s.current).max() for s in sweeps)) or 1.0
     intercepts, gains, slopes, r2s = [], [], [], []
     for s in sweeps:
         m_sel = s.voltage >= EARLY_FIT_V_CE_MIN
         if m_sel.sum() < 2:
             continue
-        x, y = s.voltage[m_sel], s.current[m_sel]
+        x, y = s.voltage[m_sel], s.current[m_sel] / unit
         m, b = _line_fit(x, y)
         if m * np.ptp(x) <= EARLY_FIT_MIN_RISE * np.abs(y).max():
             continue
@@ -337,7 +342,9 @@ def fit_early_voltage(ds: IVDataset) -> EarlyFit:
     w = np.asarray(slopes)
     v_early = _finite("Early voltage",
                       float(np.sum(w * np.abs(intercepts)) / np.sum(w)))
-    beta_f = _finite("beta", float(np.sum(w * np.asarray(gains)) / np.sum(w)))
+    # a Python float product overflows to inf without a warning
+    beta_f = _finite("beta", unit * float(np.sum(w * np.asarray(gains))
+                                          / np.sum(w)))
     if beta_f <= 0:
         raise FitError(f"non-positive beta: {beta_f!r}")
     r_squared = _finite("Early fit r^2", float(

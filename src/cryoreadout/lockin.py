@@ -1,17 +1,20 @@
 """Lock-in readout of the source through the amplifier chain.
 
-Sweeps compute each point in closed form.  The source is exactly periodic
-and the chain and the lock-in are linear, so the reading is the periodic
-steady state, the one a record started from rest reaches after infinitely
-many periods.  One period of 16 samples is filtered by the chain at its
-harmonics and mixed with the unit-RMS references, which shifts its
-spectrum up one bin; the low-pass cascade multiplies that spectrum by its
-response at the same bins, and the reading is the period's last sample.
-The 2 f_m ripple that the cascade passes stays in the reading.  White
-input noise adds a bivariate Gaussian to (X, Y) of standard deviation
+A sweep is one array pass over its grid, ``SWEEP_BLOCK`` points at a
+time, that computes every point in closed form; ``sweep_vbc`` and
+``sweep_fm`` differ only in the input that varies, the excitation scale or
+f_m.  The source is exactly periodic and the chain and the lock-in are
+linear, so the reading is the periodic steady state, the one a record
+started from rest reaches after infinitely many periods.  Each point's
+period of 16 samples is filtered by the chain at its harmonics and mixed
+with the unit-RMS references, which shifts its spectrum up one bin; the
+low-pass cascade multiplies that spectrum by its response at the same
+bins, and the reading is the period's last sample.  The 2 f_m ripple that
+the cascade passes stays in the reading.  White input noise adds a
+bivariate Gaussian to (X, Y) of standard deviation
 density * |H(f_m)| * sqrt(B), B the cascade's noise bandwidth; this holds
-while |H| is flat across that band.  Each point draws it from its own
-``(seed, index)`` stream.  The time constant has one range: it must span
+while |H| is flat across that band.  Point k still draws it from its own
+``(seed, k)`` stream.  The time constant has one range: it must span
 at least ``MIN_TAU_SAMPLES`` = 8 samples (tau * f_m >= 0.5), where that
 sigma is within 1.3e-3 of the sampled cascade's (X and Y averaged), and
 16 f_m tau must be finite.  The steady state is exact at any longer tau.
@@ -47,6 +50,8 @@ __all__ = [
 SAMPLES_PER_PERIOD = 16
 # shortest time constant a sweep accepts, in samples: 0.5 / f_m
 MIN_TAU_SAMPLES = 8
+# sweep points computed together: 16 samples of each are in memory at once
+SWEEP_BLOCK = 4096
 MIN_TIME_CONSTANTS = 20.0
 # low-pass cascade orders lock-in amplifiers offer: 6 to 48 dB/octave
 MAX_FILTER_ORDER = 8
@@ -129,14 +134,14 @@ def demodulate(x, f_ref: float, time_constant: float, filter_order: int,
     for _ in range(filter_order):
         xi = lfilter(b_coef, a_coef, xi)
         xq = lfilter(b_coef, a_coef, xq)
-    return _result(xi[-1], xq[-1])
+    return LockInResult(*(float(v) for v in _polar(xi[-1], xq[-1])))
 
 
-def _result(x_f, y_f) -> LockInResult:
-    phase = math.atan2(y_f, x_f)
-    if phase <= -math.pi:
-        phase += 2.0 * math.pi
-    return LockInResult(amplitude_r=float(math.hypot(x_f, y_f)), phase=phase)
+def _polar(x_f, y_f):
+    """R = sqrt(X^2 + Y^2) and the phase in (-pi, pi] of X and Y."""
+    phase = np.arctan2(y_f, x_f)
+    return (np.hypot(x_f, y_f),
+            np.where(phase <= -math.pi, phase + 2.0 * math.pi, phase))
 
 
 def _noise_std(cfg: SynthesisConfig, gain):
@@ -165,69 +170,83 @@ def _noise_std(cfg: SynthesisConfig, gain):
     return cfg.input_noise_density * gain * math.sqrt(bandwidth)
 
 
-def _run_point(index, f_m, scale, ens, geom, chain, cfg):
-    """Lock-in output of one sweep point in closed form.
+def _sweep(grid, f_m, scale, ens, geom, chain, cfg):
+    """Rows (x, R, phase) of a sweep over ``grid``, in closed form.
 
-    The reading is the periodic steady state at a period's last sample.
-    The chain filters one period of the source at its harmonics; mixing
-    with sqrt(2) e^{j w t} (Y + jX, w = 2 pi f_m) shifts that spectrum up
-    one bin, and each of the ``filter_order`` = K sections
-    y[n] = a y[n-1] + (1-a) x[n] multiplies bin k by
-    (1-a) / (1 - a z), z = e^{-2 pi j k / 16}.  The denominator is written
-    (1 - z) + (1-a) z, with 1-a from ``expm1``, so the DC gain is exactly 1
-    at any a.  The 2 f_m ripple the cascade passes stays in the reading.
-    The noise adds (X, Y) drawn iid from N(0, s^2), s from ``_noise_std``,
-    from the RNG stream keyed by (seed, index), X first.
+    Each point runs at modulation frequency ``f_m`` and excitation scale
+    ``scale``, each one value or one per point, and reads the periodic
+    steady state at a period's last sample.  The chain filters one period
+    of the source at its harmonics; mixing with sqrt(2) e^{j w t} (Y + jX,
+    w = 2 pi f_m) shifts that spectrum up one bin, and each of the
+    ``filter_order`` = K sections y[n] = a y[n-1] + (1-a) x[n] multiplies
+    bin k by (1-a) / (1 - a z), z = e^{-2 pi j k / 16}.  The denominator is
+    written (1 - z) + (1-a) z, with 1-a from ``expm1``, so the DC gain is
+    exactly 1 at any a.  The 2 f_m ripple the cascade passes stays in the
+    reading.  The noise adds (X, Y) drawn iid from N(0, s^2), s from
+    ``_noise_std``, from the RNG stream keyed by (seed, k), X first.
 
-    The time constant in samples, 16 f_m tau, must be at least
-    ``MIN_TAU_SAMPLES``, where ``_noise_std`` holds, and finite (where it
-    overflows, 1-a is 0 and the DC bin reads 0/0); else ``ValueError``.
+    Points go through as arrays, ``SWEEP_BLOCK`` at a time, so the
+    temporaries stay bounded at any grid length.  The time constant in
+    samples, 16 f_m tau, must be at least ``MIN_TAU_SAMPLES``, where
+    ``_noise_std`` holds, and finite (where it overflows, 1-a is 0 and the
+    DC bin reads 0/0); else ``ValueError`` before any point is computed.
+    A non-finite output raises ``FloatingPointError``.  Both name the first
+    bad point.
     """
     spp = SAMPLES_PER_PERIOD
-    fs = spp * float(f_m)
-    tau_samples = fs * cfg.time_constant
-    if not MIN_TAU_SAMPLES <= tau_samples < math.inf:
+    x, f_m, scale = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (grid, f_m, scale)))
+    # an f_m near the float limit overflows fs to inf, which the check
+    # below rejects
+    with np.errstate(over="ignore"):
+        fs = spp * f_m
+        tau_samples = fs * cfg.time_constant
+    bad = np.flatnonzero(~((tau_samples >= MIN_TAU_SAMPLES)
+                           & (tau_samples < math.inf)))
+    if bad.size:
+        k = bad[0]
         raise ValueError(
-            f"time_constant {cfg.time_constant:g} s spans {tau_samples:g} "
-            f"samples at the sample rate {fs:g} Hz; it must span at least "
+            f"time_constant {cfg.time_constant:g} s spans {tau_samples[k]:g} "
+            f"samples at the sample rate {fs[k]:g} Hz; it must span at least "
             f"{MIN_TAU_SAMPLES} (time_constant * f_m >= "
             f"{MIN_TAU_SAMPLES / spp:g}) and a finite number")
-    rho = rydberg_population(f_m, cfg.duty, ens, scale, spp)
-    _, v_ac = image_charge_waveform(rho, geom, ens.n_s)
-    h = chain.evaluate(np.fft.rfftfreq(spp, 1.0 / fs))
-    v_out = np.fft.irfft(np.fft.rfft(v_ac) * h, spp)
-    mixed = math.sqrt(2.0) * np.roll(np.fft.fft(v_out), 1)
+    rows = np.empty((x.size, 3))
+    rows[:, 0] = x
     z = np.exp(-2j * math.pi * np.arange(spp) / spp)
-    g = -math.expm1(-1.0 / tau_samples)
-    # inverse DFT at the last sample, n = spp - 1: e^{2 pi j k n / spp} = z
-    y = np.mean(z * mixed * (g / ((1.0 - z) + g * z)) ** cfg.filter_order)
-    s = _noise_std(cfg, abs(h[1]))      # harmonic 1 is f_m
-    draw = np.random.default_rng((cfg.noise_seed, index)).standard_normal(2)
-    res = _result(y.imag + s * draw[0], y.real + s * draw[1])
-    if not (math.isfinite(res.amplitude_r) and math.isfinite(res.phase)):
-        raise FloatingPointError(
-            f"non-finite lock-in output at sweep point {index} (f_m={f_m:g})")
-    return res
+    for lo in range(0, x.size, SWEEP_BLOCK):
+        blk = slice(lo, lo + SWEEP_BLOCK)
+        rho = rydberg_population(f_m[blk], cfg.duty, ens, scale[blk], spp)
+        _, v_ac = image_charge_waveform(rho, geom, ens.n_s)
+        h = chain.evaluate(np.arange(spp // 2 + 1) * f_m[blk, None])
+        v_out = np.fft.irfft(np.fft.rfft(v_ac) * h, spp)
+        mixed = math.sqrt(2.0) * np.roll(np.fft.fft(v_out), 1, axis=-1)
+        g = -np.expm1(-1.0 / tau_samples[blk, None])
+        # inverse DFT at the last sample, n = spp - 1: e^{2 pi j k n / spp} = z
+        y = np.mean(z * mixed * (g / ((1.0 - z) + g * z)) ** cfg.filter_order,
+                    axis=-1)
+        s = _noise_std(cfg, np.abs(h[:, 1]))      # harmonic 1 is f_m
+        draw = np.array([
+            np.random.default_rng((cfg.noise_seed, k)).standard_normal(2)
+            for k in range(x.size)[blk]])
+        rows[blk, 1], rows[blk, 2] = _polar(y.imag + s * draw[:, 0],
+                                            y.real + s * draw[:, 1])
+    bad = np.flatnonzero(~np.isfinite(rows[:, 1:]).all(axis=1))
+    if bad.size:
+        raise FloatingPointError(f"non-finite lock-in output at sweep point "
+                                 f"{bad[0]} (f_m={f_m[bad[0]]:g})")
+    return rows
 
 
 def sweep_vbc(grid, ens: EnsembleParams, geom: CellGeometry,
               chain: ChainResponse, syn: SynthesisConfig):
-    """Resonance sweep: lock-in amplitude versus bottom-plate voltage, at
-    the modulation frequency ``syn.f_m``."""
-    out = []
-    for k, v_bc in enumerate(grid):
-        scale = stark_excitation_fraction(v_bc, ens)
-        res = _run_point(k, syn.f_m, scale, ens, geom, chain, syn)
-        out.append((v_bc, res))
-    return out
+    """Resonance sweep: rows (V_BC, R, phase) of the lock-in output versus
+    bottom-plate voltage, at the modulation frequency ``syn.f_m``."""
+    return _sweep(grid, syn.f_m, stark_excitation_fraction(grid, ens), ens,
+                  geom, chain, syn)
 
 
 def sweep_fm(grid, ens: EnsembleParams, geom: CellGeometry,
              chain: ChainResponse, syn: SynthesisConfig):
-    """Modulation-frequency sweep on resonance, at the ensemble's
-    CW-calibrated drive rate; ``syn.f_m`` is not used."""
-    out = []
-    for k, f_m in enumerate(grid):
-        res = _run_point(k, f_m, 1.0, ens, geom, chain, syn)
-        out.append((f_m, res))
-    return out
+    """Modulation-frequency sweep on resonance: rows (f_m, R, phase), at
+    the ensemble's CW-calibrated drive rate; ``syn.f_m`` is not used."""
+    return _sweep(grid, grid, 1.0, ens, geom, chain, syn)

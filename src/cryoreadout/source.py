@@ -83,18 +83,20 @@ def cw_rate_for_occupancy(rho22: float, tau: float) -> float:
     return rho22 / (tau * (1.0 - 2.0 * rho22))
 
 
-def stark_excitation_fraction(v_bc: float, ens: EnsembleParams) -> float:
-    """Lorentzian resonance factor, unit peak at the resonance voltage.
+def stark_excitation_fraction(v_bc, ens: EnsembleParams):
+    """Lorentzian resonance factor, unit peak at the resonance voltage, of
+    one V_BC or an array of them.
 
-    Python floats, unlike numpy scalars, overflow to inf without a warning,
-    so a V_BC far off resonance gives 0.
+    A V_BC so far off resonance that x^2 overflows to inf gives 0.
     """
-    x = 2.0 * (float(v_bc) - ens.v_resonance) / ens.linewidth_v
-    return 1.0 / (1.0 + x * x)
+    with np.errstate(over="ignore"):
+        x = 2.0 * (np.asarray(v_bc, dtype=float) - ens.v_resonance) \
+            / ens.linewidth_v
+        return 1.0 / (1.0 + x * x)
 
 
-def rydberg_population(f_m: float, duty: float, ens: EnsembleParams,
-                       excitation_scale: float, samples_per_period: int):
+def rydberg_population(f_m, duty: float, ens: EnsembleParams,
+                       excitation_scale, samples_per_period: int):
     """Periodic steady-state excited-state occupancy over one period of
     the microwave drive, pulsed at ``f_m`` with MW-on fraction ``duty``.
 
@@ -103,15 +105,18 @@ def rydberg_population(f_m: float, duty: float, ens: EnsembleParams,
     waveform is exactly periodic, so a longer record is this one tiled.
     The drive rate is the ensemble's CW-calibrated rate,
     ``cw_rate_for_occupancy(ens.rho22_target, ens.tau_relax)``, scaled by
-    ``excitation_scale``.
+    ``excitation_scale``.  ``f_m`` and ``excitation_scale`` broadcast: the
+    result has their shape plus a last axis of ``samples_per_period``.
     """
-    if not f_m > 0:
+    f_m = np.asarray(f_m, dtype=float)[..., None]
+    if not np.all(f_m > 0):
         raise ValueError("f_m must be positive")
     if not 0.0 < duty < 1.0:
         raise ValueError("duty must lie in (0, 1)")
     tau = ens.tau_relax
-    r = cw_rate_for_occupancy(ens.rho22_target, tau) * excitation_scale
-    if r < 0:
+    r = cw_rate_for_occupancy(ens.rho22_target, tau) \
+        * np.asarray(excitation_scale, dtype=float)[..., None]
+    if np.any(r < 0):
         raise ValueError("excitation rate must be non-negative")
 
     period = 1.0 / f_m
@@ -119,17 +124,15 @@ def rydberg_population(f_m: float, duty: float, ens: EnsembleParams,
     t_off = period - t_on
     t = np.arange(samples_per_period) * (period / samples_per_period)
 
-    if r == 0.0:
-        return np.zeros(samples_per_period)
     tau_on = 1.0 / (2.0 * r + 1.0 / tau)
     rho_inf = r * tau_on
-    a = math.exp(-t_on / tau_on)
-    b = math.exp(-t_off / tau)
+    a = np.exp(-t_on / tau_on)
+    b = np.exp(-t_off / tau)
     # periodic fixed point at the start of the on segment, rho_inf (1 - a)
     # b / (1 - a b), with expm1 keeping both differences exact when tau is
     # long against the period
-    rho0 = (rho_inf * math.expm1(-t_on / tau_on) * b
-            / math.expm1(-t_on / tau_on - t_off / tau))
+    rho0 = (rho_inf * np.expm1(-t_on / tau_on) * b
+            / np.expm1(-t_on / tau_on - t_off / tau))
     rho_end_on = rho_inf + (rho0 - rho_inf) * a
     on = t < t_on
     # np.where evaluates both branches on every sample; the clamp keeps the

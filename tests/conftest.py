@@ -9,12 +9,13 @@ import numpy as np
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
+from cryoreadout import lockin
 from cryoreadout.chain import ChainResponse, StageResponse
 from cryoreadout.config import load_config
 from cryoreadout.device import EXP_CAP
 from cryoreadout.ivfit import synth_input_curve, synth_output_family
 from cryoreadout.lockin import (MIN_TIME_CONSTANTS, SAMPLES_PER_PERIOD,
-                               demodulate, synthesize)
+                               LockInResult, demodulate, synthesize)
 from cryoreadout.source import image_charge_waveform, rydberg_population
 
 # one "[ACCEPTANCE nn] PASS/FAIL - ..." line per criterion, filled in by
@@ -138,6 +139,15 @@ def resolve_sampling(cfg, f_m, time_constants=MIN_TIME_CONSTANTS):
     n_per = max(int(math.ceil(time_constants * cfg.time_constant * f_m)),
                 MIN_PERIODS)
     return SAMPLES_PER_PERIOD, n_per
+
+
+def sweep_point(index, f_m, scale, ens, geom, chain, cfg):
+    """One sweep point in closed form: row ``index`` of a sweep of
+    ``index + 1`` points at (``f_m``, ``scale``), so its noise comes from
+    the (seed, index) stream."""
+    rows = lockin._sweep(np.full(index + 1, f_m), f_m, scale, ens, geom,
+                         chain, cfg)
+    return LockInResult(amplitude_r=rows[index, 1], phase=rows[index, 2])
 
 
 def time_domain_point(index, f_m, scale, ens, geom, chain, cfg,

@@ -19,14 +19,15 @@ from cryoreadout.cli import main as cli_main
 from cryoreadout.config import load_config
 from cryoreadout.device import (TransistorParams, calibrated_i_sat,
                                 power_dissipation, solve_operating_point)
-from cryoreadout.lockin import (SAMPLES_PER_PERIOD, _run_point, demodulate,
-                                sweep_fm, sweep_vbc)
+from cryoreadout.lockin import (SAMPLES_PER_PERIOD, demodulate, sweep_fm,
+                                sweep_vbc)
 from cryoreadout.source import (image_charge_waveform, rms_image_current,
                                 rydberg_population)
 
 import conftest
 from conftest import (UNIT_CHAIN, dft_fundamental_rms,
-                      grid_search_operating_point, noiseless_family, reference)
+                      grid_search_operating_point, noiseless_family, reference,
+                      sweep_point)
 
 
 def _report(num, ok, detail):
@@ -173,15 +174,15 @@ def test_c09_lockin_vs_dft_oracle():
         errs[name] = abs(r - ref) / ref
 
     # the closed form the sweeps run: the population's image-charge voltage
-    # through _run_point, with a unit-gain chain and no noise
+    # through a one-point sweep, with a unit-gain chain and no noise
     ens, geom = reference().ensemble, reference().geometry
     syn = replace(reference().synthesis, input_noise_density=0.0)
     _, v_ac = image_charge_waveform(
         rydberg_population(f_ref, syn.duty, ens, 1.0, SAMPLES_PER_PERIOD),
         geom, ens.n_s)
-    r = _run_point(0, f_ref, 1.0, ens, geom, UNIT_CHAIN, syn).amplitude_r
+    r = sweep_point(0, f_ref, 1.0, ens, geom, UNIT_CHAIN, syn).amplitude_r
     ref = dft_fundamental_rms(v_ac, SAMPLES_PER_PERIOD)
-    errs["population via _run_point"] = abs(r - ref) / ref
+    errs["population via sweep"] = abs(r - ref) / ref
     ok = all(e <= 1e-3 for e in errs.values())
     detail = ", ".join(f"{k} {v * 100:.4f}%" for k, v in errs.items())
     _report(9, ok, f"lock-in R vs DFT fundamental: {detail} (each <=0.1%)")
@@ -195,7 +196,7 @@ def _fm_sweep(second_stage_f_low_khz=None, noise=35e-12):
     cfg = replace(ref.synthesis, input_noise_density=noise, duty=0.5)
     grid = np.geomspace(1e5, 1e7, 25)
     out = sweep_fm(grid, ref.ensemble, ref.geometry, resp, cfg)
-    return grid, np.array([r.amplitude_r for _, r in out])
+    return grid, out[:, 1]
 
 
 def test_c10_fm_sweep_shape():
@@ -233,7 +234,7 @@ def _vbc_sweep(v_resonance, noise):
                   duty=0.5)
     grid = np.linspace(10.0, 12.5, 51)
     out = sweep_vbc(grid, ens, ref.geometry, ref.amplifier_chain(), cfg)
-    return grid, np.array([r.amplitude_r for _, r in out])
+    return grid, out[:, 1]
 
 
 def test_c11_vbc_sweep_peak_and_shift():

@@ -391,12 +391,12 @@ def test_cli_fit_iv_non_finite_data(tmp_path):
 
 def test_cli_fit_iv_non_finite_fit(tmp_path):
     # finite data whose fit overflows: two curves 1 ulp of i_b apart, one
-    # at 1e300 A, so beta and the Early fit's r^2 are not finite: exit 3
+    # at 1e303 A, so beta_f = i_c / i_b, about 2e309, is not finite: exit 3
     v = np.linspace(0.0, 2.0, 21)
     low = 5e-7
     sweeps = tuple(
         ivfit.IVSweep(label=ib, voltage=v, current=i0 * (1.0 + v / 124.0))
-        for ib, i0 in ((low, 1e-5), (float(np.nextafter(low, 1.0)), 1e300)))
+        for ib, i0 in ((low, 1e-5), (float(np.nextafter(low, 1.0)), 1e303)))
     path = tmp_path / "overflow.csv"
     ivfit.save_iv_dataset(ivfit.IVDataset(forward=sweeps), path)
     out = tmp_path / "out"
@@ -609,10 +609,17 @@ def test_i_c_target_named():
         load_config(None, overrides={("device", "i_c_target_mA"): "-1"})
 
 
-def test_cli_bad_config_exit_code(tmp_path):
+def test_cli_bad_config_exit_code(tmp_path, capsys):
     p = tmp_path / "bad.ini"
     p.write_text("[mystery]\nx = 1\n")
     assert main(["--config", str(p), "opp"]) == 2
+    # v_be / v_teff near 2e302 is beyond the exponential cap; the message
+    # gives it to 4 digits, not in its 300 digits of fixed point
+    p.write_text("[device]\nv_teff_mV = 1e-300\n")
+    capsys.readouterr()
+    assert main(["--config", str(p), "opp"]) == 2
+    err = capsys.readouterr().err
+    assert "exceeds cap" in err and len(err) < 120
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

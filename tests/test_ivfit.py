@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -297,6 +298,23 @@ def test_early_fit_label_shift_invariance():
     a = fit_early_voltage(ds)
     b = fit_early_voltage(shifted)
     assert b.v_early == pytest.approx(a.v_early, rel=1e-12)
+
+
+def test_early_fit_current_scale_invariance():
+    # currents scaled by 2^1000, finite but with squares far past the float
+    # range: the same V_A and r^2, beta_f times 2^1000, and no warning
+    ds = noiseless_family()
+    scale = 2.0 ** 1000
+    scaled = IVDataset(forward=tuple(
+        IVSweep(label=s.label, voltage=s.voltage, current=s.current * scale)
+        for s in ds.forward))
+    a = fit_early_voltage(ds)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b = fit_early_voltage(scaled)
+    assert b.v_early == pytest.approx(a.v_early, rel=1e-12)
+    assert b.r_squared == pytest.approx(a.r_squared, rel=1e-12)
+    assert b.beta_f == pytest.approx(a.beta_f * scale, rel=1e-12)
 
 
 def test_early_fit_wrong_kind():

@@ -9,11 +9,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from cryoreadout import lockin
+from cryoreadout.config import load_config
 from cryoreadout.lockin import demodulate, sweep_fm, sweep_vbc, synthesize
 from cryoreadout.source import image_charge_waveform, rydberg_population
 from conftest import (SETTLED_TIME_CONSTANTS, UNIT_CHAIN, dft_fundamental_rms,
                       lockin_noise_covariance, reference, resolve_sampling,
-                      time_domain_point)
+                      sweep_point, time_domain_point)
 
 FS = 4e6
 F_REF = 1e5
@@ -169,7 +170,7 @@ def test_sweep_vbc_zero_rate_flat_zero():
     ens, geom, cfg = _sweep_fixtures()
     out = sweep_vbc([11.5, 11.6, 11.7], replace(ens, rho22_target=0.0),
                     geom, UNIT_CHAIN, cfg)
-    assert all(r.amplitude_r < 1e-15 for _, r in out)
+    assert np.all(out[:, 1] < 1e-15)
 
 
 def test_sweep_grid_order_is_kept():
@@ -178,11 +179,9 @@ def test_sweep_grid_order_is_kept():
     ens, geom, cfg = _sweep_fixtures()
     grid = [2.5e5, 5e5, 1e6, 2e6, 4e6]
     perm = [3, 0, 4, 2, 1]
-    rows = [(f, r.amplitude_r, r.phase)
-            for f, r in sweep_fm(grid, ens, geom, UNIT_CHAIN, cfg)]
-    permuted = [(f, r.amplitude_r, r.phase) for f, r in
-                sweep_fm([grid[k] for k in perm], ens, geom, UNIT_CHAIN, cfg)]
-    assert permuted == [rows[k] for k in perm]
+    rows = sweep_fm(grid, ens, geom, UNIT_CHAIN, cfg)
+    permuted = sweep_fm([grid[k] for k in perm], ens, geom, UNIT_CHAIN, cfg)
+    np.testing.assert_array_equal(permuted, rows[perm])
 
 
 def test_sweep_fm_no_mechanism_is_flat():
@@ -196,7 +195,7 @@ def test_sweep_fm_no_mechanism_is_flat():
     out = sweep_fm([2e5, 5e5, 2e6], ens, geom, UNIT_CHAIN, cfg)
     # the source sits ~1.4 uV DC; any f_m dependence would appear as a
     # nonzero fundamental
-    assert all(r.amplitude_r < 1e-12 for _, r in out)
+    assert np.all(out[:, 1] < 1e-12)
 
 
 def test_sweep_reproducibility():
@@ -204,8 +203,7 @@ def test_sweep_reproducibility():
     grid = [11.55, 11.6, 11.65]
     a = sweep_vbc(grid, ens, geom, UNIT_CHAIN, cfg)
     b = sweep_vbc(grid, ens, geom, UNIT_CHAIN, cfg)
-    assert [(x, r.amplitude_r, r.phase) for x, r in a] == \
-        [(x, r.amplitude_r, r.phase) for x, r in b]
+    np.testing.assert_array_equal(a, b)
 
 
 # -- closed form against the time-domain oracle ------------------------------
@@ -284,13 +282,50 @@ def test_sweep_point_noise_is_one_draw():
     point = (index, f_m, 1.0, reference().ensemble,
              reference().geometry, resp)
     cfg = _synthesis(noise_seed=seed, duty=0.5)
-    x0, y0 = _xy(lockin._run_point(
-        *point, replace(cfg, input_noise_density=0.0)))
-    x, y = _xy(lockin._run_point(*point, cfg))
+    x0, y0 = _xy(sweep_point(*point, replace(cfg, input_noise_density=0.0)))
+    x, y = _xy(sweep_point(*point, cfg))
     z = np.random.default_rng((seed, index)).standard_normal(2)
     s = lockin._noise_std(cfg, abs(resp.evaluate(f_m)))
     assert x - x0 == pytest.approx(s * z[0], rel=1e-9)
     assert y - y0 == pytest.approx(s * z[1], rel=1e-9)
+
+
+def test_sweep_blocks_keep_per_point_draws():
+    # a grid two points past one block: the rows on both sides of the block
+    # edge add the draws of their own (seed, index) streams, and the
+    # noise-free rows are the points swept one at a time (to the goldens'
+    # rtol: numpy may round a complex product of a large array an ulp
+    # apart from that of a small one)
+    resp = _reference_chain()
+    ens, geom, cfg = _sweep_fixtures(noise=35e-12)
+    cfg = replace(cfg, noise_seed=5)
+    n = lockin.SWEEP_BLOCK + 2
+    grid = np.linspace(10.0, 12.5, n)
+    noisy = sweep_vbc(grid, ens, geom, resp, cfg)
+    quiet = replace(cfg, input_noise_density=0.0)
+    clean = sweep_vbc(grid, ens, geom, resp, quiet)
+    s = lockin._noise_std(cfg, abs(resp.evaluate(cfg.f_m)))
+    for k in range(n - 3, n):
+        x, y = _xy(lockin.LockInResult(*noisy[k, 1:]))
+        x0, y0 = _xy(lockin.LockInResult(*clean[k, 1:]))
+        z = np.random.default_rng((cfg.noise_seed, k)).standard_normal(2)
+        assert x - x0 == pytest.approx(s * z[0], rel=1e-9)
+        assert y - y0 == pytest.approx(s * z[1], rel=1e-9)
+    one_at_a_time = np.array([sweep_vbc([v], ens, geom, resp, quiet)[0]
+                              for v in grid])
+    np.testing.assert_allclose(clean, one_at_a_time, rtol=1e-12, atol=0)
+
+
+def test_sweep_large_grid_peak():
+    # 20,000 seed-0 points in one call: finite rows on the grid, peaking
+    # within a tenth of the 0.1 V linewidth of the 11.6 V resonance
+    cfg = load_config(overrides={("sweep", "grid"): "10:12.5:20000"})
+    rows = sweep_vbc(cfg.sweep_grid, cfg.ensemble, cfg.geometry,
+                     cfg.amplifier_chain(), cfg.synthesis)
+    assert rows.shape == (20000, 3)
+    assert np.all(np.isfinite(rows))
+    np.testing.assert_array_equal(rows[:, 0], cfg.sweep_grid)
+    assert abs(rows[np.argmax(rows[:, 1]), 0] - 11.6) <= 0.01
 
 
 def test_noise_statistics_match_time_domain():
@@ -300,8 +335,7 @@ def test_noise_statistics_match_time_domain():
     f_m, n = 250e3, 1000
     point = (0, f_m, 1.0, ens, geom, resp)
     cfg = _synthesis(time_constant=2e-4, duty=0.5)
-    x0, y0 = _xy(lockin._run_point(*point,
-                                   replace(cfg, input_noise_density=0.0)))
+    x0, y0 = _xy(sweep_point(*point, replace(cfg, input_noise_density=0.0)))
     xy = np.array([
         _xy(time_domain_point(*point, replace(cfg, noise_seed=seed)))
         for seed in range(n)])
@@ -336,7 +370,7 @@ def test_closed_form_matches_time_domain(f_m, tau_periods, order, duty, scale,
     resp = _reference_chain() if with_chain else UNIT_CHAIN
     point = (3, f_m, scale, reference().ensemble,
              reference().geometry, resp, cfg)
-    fast = lockin._run_point(*point)
+    fast = sweep_point(*point)
     slow = time_domain_point(*point, time_constants=SETTLED_TIME_CONSTANTS)
     assert fast.amplitude_r == pytest.approx(slow.amplitude_r, rel=1e-9)
     # X and Y rather than the phase, which wraps at +-pi
@@ -355,7 +389,7 @@ def test_closed_form_extreme_record():
     assert spp * n_per == 3_200_000_000
     tracemalloc.start()
     try:
-        res = lockin._run_point(0, f_m, 1.0, ens, geom, resp, cfg)
+        res = sweep_point(0, f_m, 1.0, ens, geom, resp, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -376,7 +410,7 @@ def test_closed_form_long_time_constant(tau):
     resp = _reference_chain()
     f_m, spp = 250e3, lockin.SAMPLES_PER_PERIOD
     cfg = _synthesis(time_constant=tau, input_noise_density=0.0, duty=0.5)
-    res = lockin._run_point(0, f_m, 1.0, ens, geom, resp, cfg)
+    res = sweep_point(0, f_m, 1.0, ens, geom, resp, cfg)
     rho = rydberg_population(f_m, 0.5, ens, 1.0, spp)
     _, v_ac = image_charge_waveform(rho, geom, ens.n_s)
     want = abs(resp.evaluate(f_m)) * dft_fundamental_rms(v_ac, spp)
