@@ -54,13 +54,17 @@ class StageResponse:
         """Complex response at frequency/frequencies ``f`` (Hz)."""
         f = np.asarray(f, dtype=float)
         h = np.full(f.shape, self.gain_factor, dtype=complex)
+        # in place, so each product rounds in the written order at any
+        # array size (numpy may reuse a large temporary with the operands
+        # swapped)
         for fz in self.zeros:
-            h = h * (1.0 + 1j * f / fz)
+            h *= 1.0 + 1j * f / fz
         for fp in self.poles:
-            h = h / (1.0 + 1j * f / fp)
+            h /= 1.0 + 1j * f / fp
         for fc in self.hp_corners:
             x = 1j * f / fc
-            h = h * x / (1.0 + x)
+            h *= x
+            h /= 1.0 + x
         return h if h.shape else complex(h)
 
 
@@ -75,7 +79,7 @@ class ChainResponse:
     def evaluate(self, f):
         h = self.stages[0].evaluate(f)
         for s in self.stages[1:]:
-            h = h * s.evaluate(f)
+            h *= s.evaluate(f)
         return h
 
     def total_noise_temperature(self):

@@ -86,7 +86,8 @@ def cmd_sweep(args, cfg):
     axis = cfg[("sweep", "axis")]
     sweep = sweep_vbc if axis == "vbc" else sweep_fm
     rows = sweep(cfg.sweep_grid, cfg.ensemble, cfg.geometry,
-                 cfg.amplifier_chain(), cfg.synthesis)
+                 cfg.amplifier_chain(), cfg.synthesis,
+                 np.random.default_rng(cfg.seed))
 
     out_dir = args.out or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)

@@ -169,7 +169,6 @@ class RunConfig:
                 noise_temperature=chn["second_stage_noise_K"]))
         _build("[chain] first stage:", lambda: _check_first_stage(chn))
         self.synthesis = _build("[synthesis]", lambda: SynthesisConfig(
-            noise_seed=self.seed,
             input_noise_density=syn["input_noise_density_pV_rtHz"],
             time_constant=syn["time_constant_ms"],
             filter_order=syn["filter_order"], f_m=syn["f_m_kHz"],
@@ -259,6 +258,8 @@ def _sweep_grid(axis, spec):
 
 def _parse_value(section, key, raw):
     (kind, scale), _default = _SCHEMA[section][key]
+    if not raw:
+        raise ConfigError(f"[{section}] {key}: expected a value, got none")
     if kind == "str":
         # a manifest writes the value on one line
         if "\n" in raw or "\r" in raw:

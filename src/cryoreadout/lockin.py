@@ -13,8 +13,9 @@ bins, and the reading is the period's last sample.  The 2 f_m ripple that
 the cascade passes stays in the reading.  White input noise adds a
 bivariate Gaussian to (X, Y) of standard deviation
 density * |H(f_m)| * sqrt(B), B the cascade's noise bandwidth; this holds
-while |H| is flat across that band.  Point k still draws it from its own
-``(seed, k)`` stream.  The time constant has one range: it must span
+while |H| is flat across that band.  It is drawn from the caller's
+generator, one (X, Y) row per point in grid order, so row k depends only
+on the seed and k.  The time constant has one range: it must span
 at least ``MIN_TAU_SAMPLES`` = 8 samples (tau * f_m >= 0.5), where that
 sigma is within 1.3e-3 of the sampled cascade's (X and Y averaged), and
 16 f_m tau must be finite.  The steady state is exact at any longer tau.
@@ -62,7 +63,6 @@ class SynthesisConfig:
     """The ``[synthesis]`` section: drive modulation, input noise and
     lock-in settings of a run."""
 
-    noise_seed: int
     input_noise_density: float   # V/sqrt(Hz), referred to chain input
     time_constant: float         # lock-in time constant, s
     filter_order: int
@@ -170,7 +170,7 @@ def _noise_std(cfg: SynthesisConfig, gain):
     return cfg.input_noise_density * gain * math.sqrt(bandwidth)
 
 
-def _sweep(grid, f_m, scale, ens, geom, chain, cfg):
+def _sweep(grid, f_m, scale, ens, geom, chain, cfg, rng):
     """Rows (x, R, phase) of a sweep over ``grid``, in closed form.
 
     Each point runs at modulation frequency ``f_m`` and excitation scale
@@ -183,7 +183,10 @@ def _sweep(grid, f_m, scale, ens, geom, chain, cfg):
     written (1 - z) + (1-a) z, with 1-a from ``expm1``, so the DC gain is
     exactly 1 at any a.  The 2 f_m ripple the cascade passes stays in the
     reading.  The noise adds (X, Y) drawn iid from N(0, s^2), s from
-    ``_noise_std``, from the RNG stream keyed by (seed, k), X first.
+    ``_noise_std``: each block draws its rows' standard normals from
+    ``rng`` as one (points, 2) array, X in column 0.  The generator fills
+    them in order, so row k is the k-th pair of ``rng``'s stream however
+    the grid is split into blocks.
 
     Points go through as arrays, ``SWEEP_BLOCK`` at a time, so the
     temporaries stay bounded at any grid length.  The time constant in
@@ -225,9 +228,7 @@ def _sweep(grid, f_m, scale, ens, geom, chain, cfg):
         y = np.mean(z * mixed * (g / ((1.0 - z) + g * z)) ** cfg.filter_order,
                     axis=-1)
         s = _noise_std(cfg, np.abs(h[:, 1]))      # harmonic 1 is f_m
-        draw = np.array([
-            np.random.default_rng((cfg.noise_seed, k)).standard_normal(2)
-            for k in range(x.size)[blk]])
+        draw = rng.standard_normal((len(y), 2))
         rows[blk, 1], rows[blk, 2] = _polar(y.imag + s * draw[:, 0],
                                             y.real + s * draw[:, 1])
     bad = np.flatnonzero(~np.isfinite(rows[:, 1:]).all(axis=1))
@@ -238,15 +239,19 @@ def _sweep(grid, f_m, scale, ens, geom, chain, cfg):
 
 
 def sweep_vbc(grid, ens: EnsembleParams, geom: CellGeometry,
-              chain: ChainResponse, syn: SynthesisConfig):
+              chain: ChainResponse, syn: SynthesisConfig,
+              rng: np.random.Generator):
     """Resonance sweep: rows (V_BC, R, phase) of the lock-in output versus
-    bottom-plate voltage, at the modulation frequency ``syn.f_m``."""
+    bottom-plate voltage, at the modulation frequency ``syn.f_m``, with the
+    input noise drawn from ``rng``."""
     return _sweep(grid, syn.f_m, stark_excitation_fraction(grid, ens), ens,
-                  geom, chain, syn)
+                  geom, chain, syn, rng)
 
 
 def sweep_fm(grid, ens: EnsembleParams, geom: CellGeometry,
-             chain: ChainResponse, syn: SynthesisConfig):
+             chain: ChainResponse, syn: SynthesisConfig,
+             rng: np.random.Generator):
     """Modulation-frequency sweep on resonance: rows (f_m, R, phase), at
-    the ensemble's CW-calibrated drive rate; ``syn.f_m`` is not used."""
-    return _sweep(grid, grid, 1.0, ens, geom, chain, syn)
+    the ensemble's CW-calibrated drive rate, with the input noise drawn
+    from ``rng``; ``syn.f_m`` is not used."""
+    return _sweep(grid, grid, 1.0, ens, geom, chain, syn, rng)

@@ -141,27 +141,24 @@ def resolve_sampling(cfg, f_m, time_constants=MIN_TIME_CONSTANTS):
     return SAMPLES_PER_PERIOD, n_per
 
 
-def sweep_point(index, f_m, scale, ens, geom, chain, cfg):
-    """One sweep point in closed form: row ``index`` of a sweep of
-    ``index + 1`` points at (``f_m``, ``scale``), so its noise comes from
-    the (seed, index) stream."""
-    rows = lockin._sweep(np.full(index + 1, f_m), f_m, scale, ens, geom,
-                         chain, cfg)
-    return LockInResult(amplitude_r=rows[index, 1], phase=rows[index, 2])
+def sweep_point(f_m, scale, ens, geom, chain, cfg, rng):
+    """One sweep point in closed form at (``f_m``, ``scale``): a one-point
+    sweep, so its noise is the first (X, Y) pair drawn from ``rng``."""
+    rows = lockin._sweep([f_m], f_m, scale, ens, geom, chain, cfg, rng)
+    return LockInResult(amplitude_r=rows[0, 1], phase=rows[0, 2])
 
 
-def time_domain_point(index, f_m, scale, ens, geom, chain, cfg,
+def time_domain_point(f_m, scale, ens, geom, chain, cfg, rng,
                       time_constants=MIN_TIME_CONSTANTS):
     """One sweep point by the full-record path the closed form replaced:
     the source period tiled over a record of ``time_constants`` time
     constants started from rest, ``synthesize`` (FFT filtering plus white
-    noise from the (seed, index) stream) and ``demodulate`` (mixing plus
-    the IIR cascade, sample by sample)."""
+    noise drawn from ``rng``) and ``demodulate`` (mixing plus the IIR
+    cascade, sample by sample)."""
     spp, n_per = resolve_sampling(cfg, f_m, time_constants)
     fs = spp * f_m
     rho = np.tile(rydberg_population(f_m, cfg.duty, ens, scale, spp), n_per)
     _, v_ac = image_charge_waveform(rho, geom, ens.n_s)
-    rng = np.random.default_rng((cfg.noise_seed, index))
     v_out = synthesize(v_ac, chain, cfg, sample_rate=fs, rng=rng)
     return demodulate(v_out, f_m, cfg.time_constant, cfg.filter_order,
                       sample_rate=fs)

@@ -180,7 +180,8 @@ def test_c09_lockin_vs_dft_oracle():
     _, v_ac = image_charge_waveform(
         rydberg_population(f_ref, syn.duty, ens, 1.0, SAMPLES_PER_PERIOD),
         geom, ens.n_s)
-    r = sweep_point(0, f_ref, 1.0, ens, geom, UNIT_CHAIN, syn).amplitude_r
+    r = sweep_point(f_ref, 1.0, ens, geom, UNIT_CHAIN, syn,
+                    np.random.default_rng(0)).amplitude_r
     ref = dft_fundamental_rms(v_ac, SAMPLES_PER_PERIOD)
     errs["population via sweep"] = abs(r - ref) / ref
     ok = all(e <= 1e-3 for e in errs.values())
@@ -195,7 +196,8 @@ def _fm_sweep(second_stage_f_low_khz=None, noise=35e-12):
     resp = load_config(overrides=overrides).amplifier_chain()
     cfg = replace(ref.synthesis, input_noise_density=noise, duty=0.5)
     grid = np.geomspace(1e5, 1e7, 25)
-    out = sweep_fm(grid, ref.ensemble, ref.geometry, resp, cfg)
+    out = sweep_fm(grid, ref.ensemble, ref.geometry, resp, cfg,
+                   np.random.default_rng(ref.seed))
     return grid, out[:, 1]
 
 
@@ -233,7 +235,8 @@ def _vbc_sweep(v_resonance, noise):
     cfg = replace(ref.synthesis, input_noise_density=noise, f_m=250e3,
                   duty=0.5)
     grid = np.linspace(10.0, 12.5, 51)
-    out = sweep_vbc(grid, ens, ref.geometry, ref.amplifier_chain(), cfg)
+    out = sweep_vbc(grid, ens, ref.geometry, ref.amplifier_chain(), cfg,
+                    np.random.default_rng(ref.seed))
     return grid, out[:, 1]
 
 

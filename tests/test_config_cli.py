@@ -522,6 +522,8 @@ def test_cli_size_limits(tmp_path, monkeypatch, args, setting):
     # configparser joins an indented line onto the value above it; the
     # manifest would write that value over two lines and not replay
     ("[run]\noutput_dir = a\n  b\n", ["--axis", "vbc"], "[run] output_dir"),
+    # an empty directory name used to fail at the write, after the work
+    ("[run]\noutput_dir =\n", ["--axis", "vbc"], "[run] output_dir"),
     ("[sweep]\ngrid = 11:12:\n  3\n", ["--axis", "vbc"], "[sweep] grid"),
     ("", ["--axis", "vbc", "--grid", "11:12:\n3"], "[sweep] grid"),
     ("", ["--axis", "fm", "--grid", "0:1e6:5:lin"], "[sweep] grid"),
@@ -529,8 +531,9 @@ def test_cli_size_limits(tmp_path, monkeypatch, args, setting):
     ("", ["--axis", "fm", "--grid", "0:1e6:5:log"], "[sweep] grid"),
     ("", ["--axis", "vbc", "--grid", "2:1:5"], "[sweep] grid"),
     ("", ["--axis", "vbc", "--grid", "11:12:0"], "[sweep] grid"),
-], ids=["multiline-output_dir", "multiline-grid", "multiline-grid-flag",
-        "fm-zero", "log-zero-start", "descending", "zero-points"])
+], ids=["multiline-output_dir", "empty-output_dir", "multiline-grid",
+        "multiline-grid-flag", "fm-zero", "log-zero-start", "descending",
+        "zero-points"])
 def test_cli_sweep_error_names_key(tmp_path, monkeypatch, capsys, setting,
                                    args, key):
     # exit 2 with the key named, and nothing written

@@ -158,6 +158,10 @@ def test_synthesis_filter_order_range(order):
         _synthesis(filter_order=order)
 
 
+def _rng(seed=0):
+    return np.random.default_rng(seed)
+
+
 def _sweep_fixtures(noise=0.0):
     ens = reference().ensemble
     geom = reference().geometry
@@ -169,7 +173,7 @@ def _sweep_fixtures(noise=0.0):
 def test_sweep_vbc_zero_rate_flat_zero():
     ens, geom, cfg = _sweep_fixtures()
     out = sweep_vbc([11.5, 11.6, 11.7], replace(ens, rho22_target=0.0),
-                    geom, UNIT_CHAIN, cfg)
+                    geom, UNIT_CHAIN, cfg, _rng())
     assert np.all(out[:, 1] < 1e-15)
 
 
@@ -179,8 +183,9 @@ def test_sweep_grid_order_is_kept():
     ens, geom, cfg = _sweep_fixtures()
     grid = [2.5e5, 5e5, 1e6, 2e6, 4e6]
     perm = [3, 0, 4, 2, 1]
-    rows = sweep_fm(grid, ens, geom, UNIT_CHAIN, cfg)
-    permuted = sweep_fm([grid[k] for k in perm], ens, geom, UNIT_CHAIN, cfg)
+    rows = sweep_fm(grid, ens, geom, UNIT_CHAIN, cfg, _rng())
+    permuted = sweep_fm([grid[k] for k in perm], ens, geom, UNIT_CHAIN, cfg,
+                        _rng())
     np.testing.assert_array_equal(permuted, rows[perm])
 
 
@@ -192,7 +197,7 @@ def test_sweep_fm_no_mechanism_is_flat():
     ens = replace(reference().ensemble, tau_relax=tau,
                   rho22_target=r * tau / (1.0 + 2.0 * r * tau))
     _, geom, cfg = _sweep_fixtures()
-    out = sweep_fm([2e5, 5e5, 2e6], ens, geom, UNIT_CHAIN, cfg)
+    out = sweep_fm([2e5, 5e5, 2e6], ens, geom, UNIT_CHAIN, cfg, _rng())
     # the source sits ~1.4 uV DC; any f_m dependence would appear as a
     # nonzero fundamental
     assert np.all(out[:, 1] < 1e-12)
@@ -201,8 +206,8 @@ def test_sweep_fm_no_mechanism_is_flat():
 def test_sweep_reproducibility():
     ens, geom, cfg = _sweep_fixtures(noise=35e-12)
     grid = [11.55, 11.6, 11.65]
-    a = sweep_vbc(grid, ens, geom, UNIT_CHAIN, cfg)
-    b = sweep_vbc(grid, ens, geom, UNIT_CHAIN, cfg)
+    a = sweep_vbc(grid, ens, geom, UNIT_CHAIN, cfg, _rng(7))
+    b = sweep_vbc(grid, ens, geom, UNIT_CHAIN, cfg, _rng(7))
     np.testing.assert_array_equal(a, b)
 
 
@@ -274,46 +279,61 @@ def test_noise_std_at_time_constant_floor(order):
     assert abs(cov / math.sqrt(var_x * var_y) - corr) <= corr_tol
 
 
+def _noise_rows(noisy, clean):
+    """(X, Y) of each noisy row minus that of its noise-free row."""
+    return np.array([np.subtract(_xy(lockin.LockInResult(*a[1:])),
+                                 _xy(lockin.LockInResult(*b[1:])))
+                     for a, b in zip(noisy, clean)])
+
+
 def test_sweep_point_noise_is_one_draw():
-    # a point adds s * z to (X, Y), z = the first two standard normals of
-    # the (seed, index) stream, X first
+    # row k adds s * z[k] to (X, Y), z the generator's standard normals
+    # drawn as one (points, 2) array, X in column 0
     resp = _reference_chain()
-    f_m, seed, index = 1e6, 5, 7
-    point = (index, f_m, 1.0, reference().ensemble,
-             reference().geometry, resp)
-    cfg = _synthesis(noise_seed=seed, duty=0.5)
-    x0, y0 = _xy(sweep_point(*point, replace(cfg, input_noise_density=0.0)))
-    x, y = _xy(sweep_point(*point, cfg))
-    z = np.random.default_rng((seed, index)).standard_normal(2)
+    f_m, seed, n = 1e6, 5, 8
+    cfg = _synthesis(duty=0.5)
+    grid = np.full(n, f_m)
+    fixtures = (reference().ensemble, reference().geometry, resp)
+    noisy = sweep_fm(grid, *fixtures, cfg, _rng(seed))
+    clean = sweep_fm(grid, *fixtures, replace(cfg, input_noise_density=0.0),
+                     _rng(seed))
+    z = _rng(seed).standard_normal((n, 2))
     s = lockin._noise_std(cfg, abs(resp.evaluate(f_m)))
-    assert x - x0 == pytest.approx(s * z[0], rel=1e-9)
-    assert y - y0 == pytest.approx(s * z[1], rel=1e-9)
+    np.testing.assert_allclose(_noise_rows(noisy, clean), s * z, rtol=1e-9,
+                               atol=0)
 
 
 def test_sweep_blocks_keep_per_point_draws():
     # a grid two points past one block: the rows on both sides of the block
-    # edge add the draws of their own (seed, index) streams, and the
-    # noise-free rows are the points swept one at a time (to the goldens'
-    # rtol: numpy may round a complex product of a large array an ulp
-    # apart from that of a small one)
+    # edge add rows of the one (points, 2) draw, and the noise-free rows
+    # are the points swept one at a time, bit for bit
     resp = _reference_chain()
     ens, geom, cfg = _sweep_fixtures(noise=35e-12)
-    cfg = replace(cfg, noise_seed=5)
-    n = lockin.SWEEP_BLOCK + 2
+    seed, n = 5, lockin.SWEEP_BLOCK + 2
     grid = np.linspace(10.0, 12.5, n)
-    noisy = sweep_vbc(grid, ens, geom, resp, cfg)
+    noisy = sweep_vbc(grid, ens, geom, resp, cfg, _rng(seed))
     quiet = replace(cfg, input_noise_density=0.0)
-    clean = sweep_vbc(grid, ens, geom, resp, quiet)
+    clean = sweep_vbc(grid, ens, geom, resp, quiet, _rng(seed))
     s = lockin._noise_std(cfg, abs(resp.evaluate(cfg.f_m)))
-    for k in range(n - 3, n):
-        x, y = _xy(lockin.LockInResult(*noisy[k, 1:]))
-        x0, y0 = _xy(lockin.LockInResult(*clean[k, 1:]))
-        z = np.random.default_rng((cfg.noise_seed, k)).standard_normal(2)
-        assert x - x0 == pytest.approx(s * z[0], rel=1e-9)
-        assert y - y0 == pytest.approx(s * z[1], rel=1e-9)
-    one_at_a_time = np.array([sweep_vbc([v], ens, geom, resp, quiet)[0]
-                              for v in grid])
-    np.testing.assert_allclose(clean, one_at_a_time, rtol=1e-12, atol=0)
+    edge = slice(n - 3, n)
+    z = _rng(seed).standard_normal((n, 2))[edge]
+    np.testing.assert_allclose(_noise_rows(noisy[edge], clean[edge]), s * z,
+                               rtol=1e-9, atol=0)
+    one_at_a_time = np.array([sweep_vbc([v], ens, geom, resp, quiet,
+                                        _rng())[0] for v in grid])
+    np.testing.assert_array_equal(clean, one_at_a_time)
+
+
+@pytest.mark.parametrize("m", [1, 25, lockin.SWEEP_BLOCK + 1])
+def test_sweep_prefix_rows_are_exact(m):
+    # the first m points of a grid, swept on their own from the same seed,
+    # give the first m rows of the whole grid's sweep, noise included
+    resp = _reference_chain()
+    ens, geom, cfg = _sweep_fixtures(noise=35e-12)
+    grid = np.geomspace(1e5, 1e7, lockin.SWEEP_BLOCK + 2)
+    full = sweep_fm(grid, ens, geom, resp, cfg, _rng(3))
+    prefix = sweep_fm(grid[:m], ens, geom, resp, cfg, _rng(3))
+    np.testing.assert_array_equal(prefix, full[:m])
 
 
 def test_sweep_large_grid_peak():
@@ -321,11 +341,25 @@ def test_sweep_large_grid_peak():
     # within a tenth of the 0.1 V linewidth of the 11.6 V resonance
     cfg = load_config(overrides={("sweep", "grid"): "10:12.5:20000"})
     rows = sweep_vbc(cfg.sweep_grid, cfg.ensemble, cfg.geometry,
-                     cfg.amplifier_chain(), cfg.synthesis)
+                     cfg.amplifier_chain(), cfg.synthesis, _rng(cfg.seed))
     assert rows.shape == (20000, 3)
     assert np.all(np.isfinite(rows))
     np.testing.assert_array_equal(rows[:, 0], cfg.sweep_grid)
     assert abs(rows[np.argmax(rows[:, 1]), 0] - 11.6) <= 0.01
+
+
+@pytest.mark.parametrize("grid", ["10:12.5:51:lin", "11.5:11.7:5:lin"])
+def test_sweep_vbc_peak_at_nearest_point_for_every_seed(grid):
+    # the benchmark's vbc check at each seed it may run: R peaks at the
+    # grid point nearest the 11.6 V resonance
+    cfg = load_config(overrides={("sweep", "grid"): grid})
+    resp = cfg.amplifier_chain()
+    want = np.argmin(np.abs(cfg.sweep_grid - 11.6))
+    misses = [seed for seed in range(200)
+              if np.argmax(sweep_vbc(cfg.sweep_grid, cfg.ensemble,
+                                     cfg.geometry, resp, cfg.synthesis,
+                                     _rng(seed))[:, 1]) != want]
+    assert misses == []
 
 
 def test_noise_statistics_match_time_domain():
@@ -333,12 +367,12 @@ def test_noise_statistics_match_time_domain():
     ens, geom = reference().ensemble, reference().geometry
     resp = _reference_chain()
     f_m, n = 250e3, 1000
-    point = (0, f_m, 1.0, ens, geom, resp)
+    point = (f_m, 1.0, ens, geom, resp)
     cfg = _synthesis(time_constant=2e-4, duty=0.5)
-    x0, y0 = _xy(sweep_point(*point, replace(cfg, input_noise_density=0.0)))
-    xy = np.array([
-        _xy(time_domain_point(*point, replace(cfg, noise_seed=seed)))
-        for seed in range(n)])
+    x0, y0 = _xy(sweep_point(*point, replace(cfg, input_noise_density=0.0),
+                             _rng()))
+    xy = np.array([_xy(time_domain_point(*point, cfg, _rng(seed)))
+                   for seed in range(n)])
     s2 = lockin._noise_std(cfg, abs(resp.evaluate(f_m))) ** 2
     se = math.sqrt(s2 / n)
     assert abs(xy[:, 0].mean() - x0) <= 4.0 * se
@@ -368,8 +402,8 @@ def test_closed_form_matches_time_domain(f_m, tau_periods, order, duty, scale,
     cfg = _synthesis(input_noise_density=0.0, time_constant=tau,
                      filter_order=order, duty=duty)
     resp = _reference_chain() if with_chain else UNIT_CHAIN
-    point = (3, f_m, scale, reference().ensemble,
-             reference().geometry, resp, cfg)
+    point = (f_m, scale, reference().ensemble, reference().geometry, resp,
+             cfg, _rng())
     fast = sweep_point(*point)
     slow = time_domain_point(*point, time_constants=SETTLED_TIME_CONSTANTS)
     assert fast.amplitude_r == pytest.approx(slow.amplitude_r, rel=1e-9)
@@ -389,7 +423,7 @@ def test_closed_form_extreme_record():
     assert spp * n_per == 3_200_000_000
     tracemalloc.start()
     try:
-        res = sweep_point(0, f_m, 1.0, ens, geom, resp, cfg)
+        res = sweep_point(f_m, 1.0, ens, geom, resp, cfg, _rng())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -410,7 +444,7 @@ def test_closed_form_long_time_constant(tau):
     resp = _reference_chain()
     f_m, spp = 250e3, lockin.SAMPLES_PER_PERIOD
     cfg = _synthesis(time_constant=tau, input_noise_density=0.0, duty=0.5)
-    res = sweep_point(0, f_m, 1.0, ens, geom, resp, cfg)
+    res = sweep_point(f_m, 1.0, ens, geom, resp, cfg, _rng())
     rho = rydberg_population(f_m, 0.5, ens, 1.0, spp)
     _, v_ac = image_charge_waveform(rho, geom, ens.n_s)
     want = abs(resp.evaluate(f_m)) * dft_fundamental_rms(v_ac, spp)
