@@ -184,7 +184,8 @@ def fixed_gain_stage(gain_db: float, f_low: float, f_high: float,
 
 
 def s21_db(chain: ChainResponse, frequencies):
-    """Voltage-ratio transmission in dB at each frequency."""
+    """Rows (f, S21 in dB) of the voltage-ratio transmission, an (n, 2)
+    array."""
     frequencies = np.asarray(frequencies, dtype=float)
     if np.any(frequencies <= 0):
         raise ValueError("frequencies must be positive")
@@ -192,6 +193,5 @@ def s21_db(chain: ChainResponse, frequencies):
     if not np.all((mag > 0) & np.isfinite(mag)):
         raise FloatingPointError("chain gain is zero or not finite; "
                                  "S21 in dB is undefined")
-    db = 20.0 * np.log10(mag)
-    return list(zip(frequencies.tolist(), db.tolist()))
+    return np.column_stack((frequencies, 20.0 * np.log10(mag)))
 

@@ -18,7 +18,6 @@ that key, so a sweep's manifest records the whole setup.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
@@ -34,16 +33,9 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 
-def _fmt(x):
-    return f"{x:.17g}"
-
-
-def _write_csv(path, header, rows):
+def _write_csv(path, header, columns):
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([c if isinstance(c, str) else _fmt(c) for c in row])
+        ivfit.write_csv(fh, header, columns)
 
 
 def cmd_opp(args, cfg):
@@ -77,7 +69,7 @@ def cmd_s21(args, cfg):
     out_dir = args.out or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"s21_{cfg[('chain', 'stage')]}.csv")
-    _write_csv(path, ["f_Hz", "s21_dB"], rows)
+    _write_csv(path, ["f_Hz", "s21_dB"], rows.T)
     print(path)
     return EXIT_OK
 
@@ -92,7 +84,7 @@ def cmd_sweep(args, cfg):
     out_dir = args.out or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"sweep_{axis}.csv")
-    _write_csv(csv_path, ["x_value", "R_V", "phase_rad"], rows)
+    _write_csv(csv_path, ["x_value", "R_V", "phase_rad"], rows.T)
 
     manifest_path = os.path.join(out_dir, f"sweep_{axis}_manifest.ini")
     with open(manifest_path, "w", encoding="utf-8") as fh:
@@ -134,12 +126,14 @@ def cmd_fit_iv(args, cfg):
             report.append(("intrinsic_gain",
                            ivfit.intrinsic_gain(early.v_early, dio.v_teff)))
 
-    for key, val in report:
-        print(f"{key} = {val if isinstance(val, str) else _fmt(val)}")
+    report = [(k, v if isinstance(v, str) else ivfit.NUMBER_FORMAT % v)
+              for k, v in report]
+    for key, text in report:
+        print(f"{key} = {text}")
     out_dir = args.out or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(os.path.join(out_dir, "fit_iv_report.csv"),
-               ["quantity", "value"], report)
+               ["quantity", "value"], zip(*report))
     if verdict is not None and verdict != "usable":
         return EXIT_UNUSABLE
     return EXIT_OK

@@ -28,6 +28,7 @@ __all__ = [
     "FitError",
     "load_iv_dataset",
     "save_iv_dataset",
+    "write_csv",
     "fit_early_voltage",
     "intrinsic_gain",
     "fit_diode_params",
@@ -35,6 +36,11 @@ __all__ = [
     "synth_output_family",
     "synth_input_curve",
 ]
+
+# every CSV the package writes: numbers in 17 significant digits, which
+# read back to the same double; a bounded block of rows per write
+NUMBER_FORMAT = "%.17g"
+CSV_BLOCK = 4096
 
 INPUT_HEADER = ["v_be_V", "i_b_A"]
 OUTPUT_HEADER = ["i_b_A", "v_ce_V", "i_c_A"]
@@ -266,25 +272,41 @@ def _load_output(reader, has_direction):
     return IVDataset(forward=tuple(fwd), backward=tuple(bwd))
 
 
+def write_csv(fh, header, columns) -> None:
+    """Write ``header`` and the table ``columns`` (one float array or
+    sequence of ``str`` per field, all of one length) to ``fh``, opened
+    with ``newline=""``: fields joined by commas and never quoted, so no
+    text may hold a comma, quote or line break; numbers in
+    ``NUMBER_FORMAT``; lines ended by ``\\r\\n``; ``CSV_BLOCK`` rows
+    formatted per ``write``."""
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join("%s" if c.dtype.kind == "U" else NUMBER_FORMAT
+                   for c in columns) + "\r\n"
+    fh.write(",".join(header) + "\r\n")
+    for lo in range(0, len(columns[0]), CSV_BLOCK):
+        block = np.stack([c[lo:lo + CSV_BLOCK].astype(object)
+                          for c in columns], axis=-1)
+        fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
 def save_iv_dataset(ds: IVSweep | IVDataset, path) -> None:
     """Write input characteristics or an output family in its canonical CSV
     layout; a family writes its forward rows, then its backward rows."""
+    if isinstance(ds, IVSweep):
+        header, columns = INPUT_HEADER, [ds.voltage, ds.current]
+    else:
+        sweeps = (*ds.forward, *ds.backward)
+        sizes = [s.voltage.size for s in sweeps]
+        header = OUTPUT_HEADER
+        columns = [np.repeat([s.label for s in sweeps], sizes),
+                   np.concatenate([np.empty(0), *(s.voltage for s in sweeps)]),
+                   np.concatenate([np.empty(0), *(s.current for s in sweeps)])]
+        if ds.backward:
+            header = OUTPUT_HEADER + ["direction"]
+            columns.append(np.repeat(["fwd"] * len(ds.forward)
+                                     + ["bwd"] * len(ds.backward), sizes))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        if isinstance(ds, IVSweep):
-            w.writerow(INPUT_HEADER)
-            for v, i in zip(ds.voltage, ds.current):
-                w.writerow([f"{v:.17g}", f"{i:.17g}"])
-            return
-        has_dir = bool(ds.backward)
-        w.writerow(OUTPUT_HEADER + (["direction"] if has_dir else []))
-        for direction, sweeps in (("fwd", ds.forward), ("bwd", ds.backward)):
-            for s in sweeps:
-                for v, i in zip(s.voltage, s.current):
-                    row = [f"{s.label:.17g}", f"{v:.17g}", f"{i:.17g}"]
-                    if has_dir:
-                        row.append(direction)
-                    w.writerow(row)
+        write_csv(fh, header, columns)
 
 
 def _line_fit(x, y):

@@ -1,7 +1,10 @@
+import csv
+import io
 import math
 import re
 import tracemalloc
 import warnings
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from cryoreadout import ivfit
 from cryoreadout.ivfit import (FitError, IVDataset, IVParseError, IVSweep,
                                classify_transistor, fit_diode_params,
                                fit_early_voltage, intrinsic_gain,
-                               load_iv_dataset, save_iv_dataset)
+                               load_iv_dataset, save_iv_dataset, write_csv)
 
 from conftest import (csv_file, iv_csv_text, noiseless_diode, noiseless_family,
                       reference)
@@ -55,6 +58,50 @@ def test_bidirectional_parse(tmp_path):
     (fwd,), (bwd,) = ds.forward, ds.backward
     assert fwd.voltage.tolist() == bwd.voltage.tolist() == [0.0, 1.0]
     assert bwd.current.tolist() == [1.0e-5, 1.2e-5]
+
+
+# signed zero, the smallest subnormal, the largest finite of each sign and
+# a negative number far below 1
+EDGE_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308,
+               -1.7976931348623157e308, -1e-300]
+
+
+@pytest.mark.parametrize("n", [1, ivfit.CSV_BLOCK, ivfit.CSV_BLOCK + 1,
+                               2 * ivfit.CSV_BLOCK + 1])
+def test_write_csv_block_edges(n):
+    # the edge values sit in the first and last rows and on both sides of
+    # the first block boundary
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal((n, 5)) * 10.0 ** rng.integers(-300, 300,
+                                                                 (n, 5))
+    for k in (0, ivfit.CSV_BLOCK - 1, ivfit.CSV_BLOCK, n - 1):
+        if k < n:
+            values[k] = np.roll(EDGE_FLOATS, k)
+    labels = [("fwd", "bwd", "usable")[k % 3] for k in range(n)]
+    header = ["a", "b", "label", "c", "d", "e"]
+    out = io.StringIO(newline="")
+    write_csv(out, header, [values[:, 0], values[:, 1], labels,
+                            *values[:, 2:].T])
+
+    # the reference: csv.writer with one f"{x:.17g}" per number
+    ref = io.StringIO(newline="")
+    w = csv.writer(ref)
+    w.writerow(header)
+    for row, label in zip(values.tolist(), labels):
+        cells = [f"{x:.17g}" for x in row]
+        w.writerow([*cells[:2], label, *cells[2:]])
+    # the first line that differs, not a diff of the whole text
+    lines = zip_longest(out.getvalue().splitlines(keepends=True),
+                        ref.getvalue().splitlines(keepends=True))
+    assert next(((k, got, want) for k, (got, want) in enumerate(lines)
+                 if got != want), None) is None
+
+    rows = list(csv.reader(io.StringIO(out.getvalue(), newline="")))
+    assert rows[0] == header and [r[2] for r in rows[1:]] == labels
+    back = np.array([[float(x) for i, x in enumerate(r) if i != 2]
+                     for r in rows[1:]])
+    # bit for bit, so -0.0 keeps its sign
+    np.testing.assert_array_equal(back.view(np.int64), values.view(np.int64))
 
 
 def test_str_is_always_a_path(tmp_path):
