@@ -209,12 +209,14 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, load_config(args.config,
-                                           overrides=_overrides(args)))
-    except (ConfigError, ivfit.IVParseError, OSError, ValueError) as exc:
+        # a float error raises (FloatingPointError, exit 3), never warns
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args, load_config(args.config,
+                                               overrides=_overrides(args)))
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (device.ConvergenceError, ivfit.FitError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

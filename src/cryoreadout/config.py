@@ -281,13 +281,14 @@ def _parse_value(section, key, raw):
     if kind == "auto_num" and raw == "auto":
         return "auto"
     try:
-        value = float(raw)
+        value = float(raw) * scale
     except ValueError:
         raise ConfigError(f"[{section}] {key}: expected number, got {raw!r}")
+    # checked in SI units: 1e305 cm^-2 is inf m^-2
     if not math.isfinite(value):
-        raise ConfigError(f"[{section}] {key}: expected a finite number, "
-                          f"got {raw!r}")
-    return value * scale
+        raise ConfigError(f"[{section}] {key}: expected a number finite in "
+                          f"SI units, got {raw!r}")
+    return value
 
 
 def load_config(path=None, overrides=None) -> RunConfig:

@@ -54,7 +54,7 @@ THERMAL_MARGIN_RATIO = 10.0
 DC_TOL = 1e-9
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(ArithmeticError):
     """The DC bias point (bisection on the exact 1-D reduction, checked by
     the two-node residuals) missed its tolerance.  ``residual`` holds the
     final residual if known."""

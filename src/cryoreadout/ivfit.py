@@ -79,7 +79,7 @@ class IVParseError(ValueError):
         self.line = line
 
 
-class FitError(RuntimeError):
+class FitError(ArithmeticError):
     pass
 
 
@@ -400,6 +400,9 @@ def fit_diode_params(sweep: IVSweep, beta_f: float) -> DiodeFit:
         raise FitError("slope too small: v_teff diverges (constant-current data?)")
     v_teff = 1.0 / slope
     i_sat = _finite("saturation current", beta_f * math.exp(icpt))
+    # the config takes i_sat > 0 only: an underflowed fit is no result
+    if not i_sat > 0:
+        raise FitError(f"saturation current not positive: {i_sat!r}")
     resid = np.log(i) - (slope * v + icpt)
     return DiodeFit(i_sat=i_sat, v_teff=v_teff,
                     residual=float(np.sqrt(np.mean(resid ** 2))))

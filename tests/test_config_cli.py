@@ -339,18 +339,28 @@ def test_gen_iv_fit_iv_round_trip(tmp_path):
                                                     rel=1e-12)
 
 
-def test_cli_fit_iv_ndr_exit_code(tmp_path):
+def test_cli_fit_iv_ndr_exit_code(tmp_path, capsys):
+    # an NDR dip in one forward sweep exits 1; with a backward branch 10 %
+    # above every forward sweep too, the verdict is both defects
     ds = noiseless_family()
     sweeps = list(ds.forward)
     s = sweeps[5]
     current = s.current.copy()
     current[(s.voltage >= 1.0) & (s.voltage <= 1.3)] *= 0.85
     sweeps[5] = ivfit.IVSweep(label=s.label, voltage=s.voltage, current=current)
-    bad = ivfit.IVDataset(forward=tuple(sweeps))
+    backward = tuple(ivfit.IVSweep(label=f.label, voltage=f.voltage,
+                                   current=1.1 * f.current)
+                     for f in ds.forward)
     path = tmp_path / "ndr.csv"
-    ivfit.save_iv_dataset(bad, path)
-    assert main(["--out", str(tmp_path), "fit-iv",
-                 "--output-chars", str(path)]) == 1
+    for bwd, verdict in (((), "negative_differential_resistance"),
+                         (backward, "both_defects")):
+        bad = ivfit.IVDataset(forward=tuple(sweeps), backward=bwd)
+        ivfit.save_iv_dataset(bad, path)
+        capsys.readouterr()
+        assert main(["--out", str(tmp_path), "fit-iv",
+                     "--output-chars", str(path)]) == 1
+        assert f"classification = {verdict}" in \
+            capsys.readouterr().out.splitlines()
 
 
 @pytest.mark.parametrize("noise", ["inf", "nan", "-1"])
@@ -400,9 +410,8 @@ def test_cli_fit_iv_non_finite_fit(tmp_path):
     path = tmp_path / "overflow.csv"
     ivfit.save_iv_dataset(ivfit.IVDataset(forward=sweeps), path)
     out = tmp_path / "out"
-    with np.errstate(all="ignore"):
-        assert main(["--out", str(out), "fit-iv", "--output-chars",
-                     str(path)]) == 3
+    assert main(["--out", str(out), "fit-iv", "--output-chars",
+                 str(path)]) == 3
     assert not out.exists()
 
 
@@ -417,8 +426,7 @@ def test_cli_fit_iv_exit_contract(tmp_path, text, option):
     out = tmp_path / "out"
     report = out / "fit_iv_report.csv"
     report.unlink(missing_ok=True)
-    with np.errstate(all="ignore"):
-        code = main(["--out", str(out), "fit-iv", option, str(path)])
+    code = main(["--out", str(out), "fit-iv", option, str(path)])
     assert code in (0, 1, 2, 3)
     assert report.exists() == (code in (0, 1))
     if report.exists():
@@ -443,10 +451,17 @@ def test_cli_fit_iv_wrong_kind(tmp_path, capsys, option, kind, header):
     assert not out.exists()
 
 
-def test_cli_fit_iv_empty_file(tmp_path):
+def test_cli_fit_iv_empty_file(tmp_path, capsys):
     p = tmp_path / "empty.csv"
     p.write_text("")
     assert main(["fit-iv", "--input", str(p)]) == 2
+    # a family file with its header and no rows
+    p.write_text("i_b_A,v_ce_V,i_c_A\n")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "fit-iv", "--output-chars", str(p)]) == 2
+    assert "line 2: no data rows" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_fit_iv_numerical_failure(tmp_path):
@@ -459,6 +474,17 @@ def test_cli_fit_iv_numerical_failure(tmp_path):
     ivfit.save_iv_dataset(ivfit.IVDataset(forward=sweeps), path)
     assert main(["--out", str(tmp_path), "fit-iv",
                  "--output-chars", str(path)]) == 3
+
+
+def test_cli_fit_iv_underflowed_saturation_current(tmp_path, capsys):
+    # a finite fit whose i_sat underflows to 0, a value the config rejects:
+    # exit 3, no report (it used to print i_sat_A = 0 and exit 0)
+    path = csv_file(tmp_path, "v_be_V,i_b_A\n0.1,1e-300\n0.2,1e-10\n"
+                              "0.3,1e300\n")
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "fit-iv", "--input", str(path)]) == 3
+    assert "saturation current" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_fit_iv_requires_input():
@@ -531,9 +557,13 @@ def test_cli_size_limits(tmp_path, monkeypatch, args, setting):
     ("", ["--axis", "fm", "--grid", "0:1e6:5:log"], "[sweep] grid"),
     ("", ["--axis", "vbc", "--grid", "2:1:5"], "[sweep] grid"),
     ("", ["--axis", "vbc", "--grid", "11:12:0"], "[sweep] grid"),
+    ("[sweep]\ngrid = 1:2:3:cubic\n", ["--axis", "vbc"],
+     "[sweep] grid: grid spacing must be log or lin"),
+    # configparser rejects a key given twice in one section
+    ("[run]\nseed = 1\nseed = 2\n", ["--axis", "vbc"], "malformed config"),
 ], ids=["multiline-output_dir", "empty-output_dir", "multiline-grid",
         "multiline-grid-flag", "fm-zero", "log-zero-start", "descending",
-        "zero-points"])
+        "zero-points", "cubic-spacing", "duplicate-key"])
 def test_cli_sweep_error_names_key(tmp_path, monkeypatch, capsys, setting,
                                    args, key):
     # exit 2 with the key named, and nothing written
@@ -625,13 +655,19 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     assert "exceeds cap" in err and len(err) < 120
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_cli_sweep_non_finite_config(tmp_path, value):
+@pytest.mark.parametrize("key, value", [
+    ("tau_relax_us", "nan"),
+    ("tau_relax_us", "inf"),
+    # finite as written, inf in SI units: 1e305 cm^-2 is 1e309 m^-2
+    ("n_s_per_cm2", "1e305"),
+], ids=["nan", "inf", "n_s-1e305"])
+def test_cli_sweep_non_finite_config(tmp_path, capsys, key, value):
     p = tmp_path / "bad.ini"
-    p.write_text(f"[ensemble]\ntau_relax_us = {value}\n")
+    p.write_text(f"[ensemble]\n{key} = {value}\n")
     out = tmp_path / "out"
     assert main(["--config", str(p), "--out", str(out), "sweep", "--axis",
                  "vbc", "--grid", "11.5:11.7:3:lin"]) == 2
+    assert f"[ensemble] {key}" in capsys.readouterr().err
     assert not (out / "sweep_vbc.csv").exists()
 
 
@@ -732,9 +768,8 @@ def test_cli_sweep_overflow_exit_code(tmp_path):
     p.write_text("[ensemble]\nn_s_per_cm2 = 1e304\n"
                  "[geometry]\ndelta_z_nm = 1e29\n")
     out = tmp_path / "out"
-    with np.errstate(all="ignore"):
-        assert main(["--config", str(p), "--out", str(out), "sweep",
-                     "--axis", "vbc", "--grid", "11.5:11.7:3:lin"]) == 3
+    assert main(["--config", str(p), "--out", str(out), "sweep",
+                 "--axis", "vbc", "--grid", "11.5:11.7:3:lin"]) == 3
     assert not (out / "sweep_vbc.csv").exists()
 
 
@@ -762,10 +797,9 @@ def test_cli_overflow_writes_nothing(tmp_path, args, setting):
     p = tmp_path / "huge.ini"
     p.write_text(setting)
     out, path = tmp_path / "out", tmp_path / "iv.csv"
-    with np.errstate(all="ignore"):
-        assert main(["--config", str(p), "--out", str(out), *args,
-                     *(["--path", str(path)] if "gen-iv" in args else [])
-                     ]) == 3
+    assert main(["--config", str(p), "--out", str(out), *args,
+                 *(["--path", str(path)] if "gen-iv" in args else [])
+                 ]) == 3
     assert not out.exists() and not path.exists()
 
 
@@ -1052,9 +1086,8 @@ def test_cli_exit_contract(tmp_path, capsys, run):
             out.mkdir()
         capsys.readouterr()
         try:
-            with np.errstate(all="ignore"):
-                code = main(["--config", str(config), "--out", str(out),
-                             *argv])
+            code = main(["--config", str(config), "--out", str(out),
+                         *argv])
         except SystemExit as exc:
             code = exc.code
             assert code == 2

@@ -150,9 +150,11 @@ def test_parse_errors(tmp_path, text, fragment):
      "1e-7,1.0,1.1e-5\n1e-7,0.5,1.2e-5\n", "non-monotone v_ce", 3),
     # a quoted field that spans lines: the line is the physical one
     ('v_be_V,i_b_A\n"0.1\n",1e-9\n0.2,oops\n', "not a number: 'oops'", 4),
+    # blank rows are skipped, and their lines still counted
+    ("v_be_V,i_b_A\n\n0.1,1e-9\n\n0.2,nan\n", "finite", 5),
 ], ids=["nan", "inf", "output-inf", "one-point-sweep", "bare-cr",
         "field-limit", "interleaved-duplicate", "interleaved-non-monotone",
-        "quoted-newline"])
+        "quoted-newline", "blank-rows"])
 def test_parse_error_line(tmp_path, text, fragment, line):
     with pytest.raises(IVParseError, match=fragment) as info:
         load_iv_dataset(csv_file(tmp_path, text))
