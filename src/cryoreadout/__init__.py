@@ -2,5 +2,3 @@
 Rydberg-state electrons on liquid helium."""
 
 __version__ = "0.1.0"
-
-from . import chain, config, device, ivfit, lockin, source  # noqa: E402,F401

@@ -117,7 +117,7 @@ def cmd_fit_iv(args, cfg):
 
     if args.input is not None:
         ds_in = ivfit.load_iv_dataset(args.input)
-        beta_f = cfg[("device", "beta_f")] if early is None else early.beta_f
+        beta_f = cfg.transistor.beta_f if early is None else early.beta_f
         dio = ivfit.fit_diode_params(ds_in, beta_f=beta_f)
         report.append(("i_sat_A", dio.i_sat))
         report.append(("v_teff_V", dio.v_teff))

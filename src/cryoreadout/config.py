@@ -1,9 +1,10 @@
 """Sectioned INI run configuration with unit-suffixed keys.
 
 ``_SCHEMA`` is the one home of the reference values (the published device
-values, in file units): library classes and functions take them with no
-defaults of their own, so library callers get reference objects from
-``load_config()``, which resolves an empty config to the reference setup.
+values, in file units) and of the object field each key builds: library
+classes and functions take them with no defaults of their own, so library
+callers get reference objects from ``load_config()``, which resolves an
+empty config to the reference setup.
 Unknown sections or keys are rejected, and every module object is built
 once, at load, so a bad value fails there for every command.  A resolved
 config can be written back out as a manifest that keeps each key's text;
@@ -35,63 +36,71 @@ def _num(scale):
 
 
 # section -> key -> ((kind, SI scale | allowed strings | least integer |
-# None), default in file units)
+# None), default in file units, (object, field) the value builds | None)
 _SCHEMA = {
     "device": {
-        "i_sat_A": (("auto_num", 1.0), "auto"),
-        "v_teff_mV": (_num(1e-3), "25"),
-        "v_early_V": (_num(1.0), "124"),
-        "beta_f": (_num(1.0), "160"),
-        "i_c_target_mA": (_num(1e-3), "0.1"),
+        "i_sat_A": (("auto_num", 1.0), "auto", ("transistor", "i_sat")),
+        "v_teff_mV": (_num(1e-3), "25", ("transistor", "v_teff")),
+        "v_early_V": (_num(1.0), "124", ("transistor", "v_early")),
+        "beta_f": (_num(1.0), "160", ("transistor", "beta_f")),
+        "i_c_target_mA": (_num(1e-3), "0.1", None),
     },
     "network": {
-        "v_supply_V": (_num(1.0), "1"),
-        "r_upper_kohm": (_num(1e3), "574"),
-        "r_lower_kohm": (_num(1e3), "235"),
-        "r_collector_kohm": (_num(1e3), "1"),
-        "r_emitter_ohm": (_num(1.0), "24"),
-        "c_in_nF": (_num(1e-9), "12"),
-        "c_out_nF": (_num(1e-9), "12"),
-        "c_bypass_nF": (_num(1e-9), "220"),
+        "v_supply_V": (_num(1.0), "1", ("network", "v_supply")),
+        "r_upper_kohm": (_num(1e3), "574", ("network", "r_upper")),
+        "r_lower_kohm": (_num(1e3), "235", ("network", "r_lower")),
+        "r_collector_kohm": (_num(1e3), "1", ("network", "r_collector")),
+        "r_emitter_ohm": (_num(1.0), "24", ("network", "r_emitter")),
+        "c_in_nF": (_num(1e-9), "12", ("network", "c_in")),
+        "c_out_nF": (_num(1e-9), "12", ("network", "c_out")),
+        "c_bypass_nF": (_num(1e-9), "220", ("network", "c_bypass")),
     },
     "geometry": {
-        "c_cell_pF": (_num(1e-12), "1"),
-        "s_over_d_mm": (_num(1e-3), "5.65"),
-        "delta_z_nm": (_num(1e-9), "35"),
+        "c_cell_pF": (_num(1e-12), "1", ("geometry", "c_cell")),
+        "s_over_d_mm": (_num(1e-3), "5.65", ("geometry", "s_over_d")),
+        "delta_z_nm": (_num(1e-9), "35", ("geometry", "delta_z")),
     },
     "ensemble": {
-        "n_s_per_cm2": (_num(1e4), "1e8"),     # cm^-2 -> m^-2
-        "rho22_target": (_num(1.0), "0.1"),
-        "tau_relax_us": (_num(1e-6), "1"),
-        "v_resonance_V": (_num(1.0), "11.6"),
-        "linewidth_V": (_num(1.0), "0.1"),
+        "n_s_per_cm2": (_num(1e4), "1e8", ("ensemble", "n_s")),  # cm^-2 -> m^-2
+        "rho22_target": (_num(1.0), "0.1", ("ensemble", "rho22_target")),
+        "tau_relax_us": (_num(1e-6), "1", ("ensemble", "tau_relax")),
+        "v_resonance_V": (_num(1.0), "11.6", ("ensemble", "v_resonance")),
+        "linewidth_V": (_num(1.0), "0.1", ("ensemble", "linewidth_v")),
     },
     "chain": {
-        "c_parasitic_pF": (_num(1e-12), "10"),
-        "r_source_ohm": (_num(1.0), "50"),
-        "second_stage_gain_dB": (_num(1.0), "40"),
+        "c_parasitic_pF": (_num(1e-12), "10", ("geometry", "c_parasitic")),
+        "r_source_ohm": (_num(1.0), "50",
+                         ("first_stage", "source_resistance")),
+        "second_stage_gain_dB": (_num(1.0), "40",
+                                 ("second_stage", "gain_db")),
         # 40 kHz keeps the cascade within 1 dB of flat at 100 kHz
-        "second_stage_f_low_kHz": (_num(1e3), "40"),
-        "second_stage_f_high_GHz": (_num(1e9), "1.5"),
-        "first_stage_noise_K": (_num(1.0), "2"),
-        "second_stage_noise_K": (_num(1.0), "6"),
-        "stage": (("str", ("first", "both")), "both"),
+        "second_stage_f_low_kHz": (_num(1e3), "40",
+                                   ("second_stage", "f_low")),
+        "second_stage_f_high_GHz": (_num(1e9), "1.5",
+                                    ("second_stage", "f_high")),
+        "first_stage_noise_K": (_num(1.0), "2",
+                                ("first_stage", "noise_temperature")),
+        "second_stage_noise_K": (_num(1.0), "6",
+                                 ("second_stage", "noise_temperature")),
+        "stage": (("str", ("first", "both")), "both", None),
     },
     "synthesis": {
-        "input_noise_density_pV_rtHz": (_num(1e-12), "35"),
-        "time_constant_ms": (_num(1e-3), "1"),
-        "filter_order": (("int", None), "4"),
-        "duty": (_num(1.0), "0.5"),
-        "f_m_kHz": (_num(1e3), "250"),
+        "input_noise_density_pV_rtHz": (
+            _num(1e-12), "35", ("synthesis", "input_noise_density")),
+        "time_constant_ms": (_num(1e-3), "1",
+                             ("synthesis", "time_constant")),
+        "filter_order": (("int", None), "4", ("synthesis", "filter_order")),
+        "duty": (_num(1.0), "0.5", ("synthesis", "duty")),
+        "f_m_kHz": (_num(1e3), "250", ("synthesis", "f_m")),
     },
     "run": {
         # numpy seeds its generators from non-negative integers only
-        "seed": (("int", 0), "0"),
-        "output_dir": (("str", None), "."),
+        "seed": (("int", 0), "0", None),
+        "output_dir": (("str", None), ".", None),
     },
     "sweep": {
-        "axis": (("str", ("vbc", "fm")), "vbc"),
-        "grid": (("str", None), "auto"),
+        "axis": (("str", ("vbc", "fm")), "vbc", None),
+        "grid": (("str", None), "auto", None),
     },
 }
 
@@ -140,41 +149,31 @@ class RunConfig:
         self._texts = {sk: text.strip() for sk, text in texts.items()}
         self._values = {sk: _parse_value(*sk, text)
                         for sk, text in self._texts.items()}
-        v = {}
+        # object -> {field: value}, from each key's _SCHEMA target
+        kw = {}
         for (section, key), value in self._values.items():
-            v.setdefault(section, {})[key] = value
-        dev, net, geo, ens, chn, syn = (
-            v["device"], v["network"], v["geometry"], v["ensemble"],
-            v["chain"], v["synthesis"])
-        self.seed = v["run"]["seed"]
-        self.output_dir = v["run"]["output_dir"]
-        self.network = _build("[network]", lambda: device.BiasNetwork(
-            v_supply=net["v_supply_V"], r_upper=net["r_upper_kohm"],
-            r_lower=net["r_lower_kohm"], r_collector=net["r_collector_kohm"],
-            r_emitter=net["r_emitter_ohm"], c_in=net["c_in_nF"],
-            c_out=net["c_out_nF"], c_bypass=net["c_bypass_nF"]))
-        self.transistor = _build("[device]",
-                                 lambda: _transistor(dev, self.network))
-        self.geometry = _build("[geometry]", lambda: source.CellGeometry(
-            c_cell=geo["c_cell_pF"], s_over_d=geo["s_over_d_mm"],
-            delta_z=geo["delta_z_nm"], c_parasitic=chn["c_parasitic_pF"]))
-        self.ensemble = _build("[ensemble]", lambda: source.EnsembleParams(
-            n_s=ens["n_s_per_cm2"], rho22_target=ens["rho22_target"],
-            tau_relax=ens["tau_relax_us"], v_resonance=ens["v_resonance_V"],
-            linewidth_v=ens["linewidth_V"]))
-        self.second_stage = _build(
-            "[chain] second stage:", lambda: chain_mod.fixed_gain_stage(
-                chn["second_stage_gain_dB"], chn["second_stage_f_low_kHz"],
-                chn["second_stage_f_high_GHz"],
-                noise_temperature=chn["second_stage_noise_K"]))
-        _build("[chain] first stage:", lambda: _check_first_stage(chn))
-        self.synthesis = _build("[synthesis]", lambda: SynthesisConfig(
-            input_noise_density=syn["input_noise_density_pV_rtHz"],
-            time_constant=syn["time_constant_ms"],
-            filter_order=syn["filter_order"], f_m=syn["f_m_kHz"],
-            duty=syn["duty"]))
-        self.sweep_grid = _build("[sweep] grid:", lambda: _sweep_grid(
-            v["sweep"]["axis"], v["sweep"]["grid"]))
+            target = _SCHEMA[section][key][2]
+            if target is not None:
+                kw.setdefault(target[0], {})[target[1]] = value
+        self.seed = self["run", "seed"]
+        self.output_dir = self["run", "output_dir"]
+        self.network = _build("[network]", device.BiasNetwork, **kw["network"])
+        self.transistor = _build(
+            "[device]", _transistor, self.network,
+            i_c_target=self["device", "i_c_target_mA"], **kw["transistor"])
+        self.geometry = _build("[geometry]", source.CellGeometry,
+                               **kw["geometry"])
+        self.ensemble = _build("[ensemble]", source.EnsembleParams,
+                               **kw["ensemble"])
+        self.second_stage = _build("[chain] second stage:",
+                                   chain_mod.fixed_gain_stage,
+                                   **kw["second_stage"])
+        self._first_stage = kw["first_stage"]
+        _build("[chain] first stage:", _check_first_stage, **self._first_stage)
+        self.synthesis = _build("[synthesis]", SynthesisConfig,
+                                **kw["synthesis"])
+        self.sweep_grid = _build("[sweep] grid:", _sweep_grid,
+                                 self["sweep", "axis"], self["sweep", "grid"])
 
     def __getitem__(self, section_key):
         return self._values[section_key]
@@ -187,8 +186,7 @@ class RunConfig:
         ss = device.small_signal(op, self.transistor)
         first = chain_mod.hbt_stage_response(
             ss, self.network, chain_mod.unity_gain_load(ss, self.network),
-            self["chain", "r_source_ohm"],
-            noise_temperature=self["chain", "first_stage_noise_K"])
+            **self._first_stage)
         if self["chain", "stage"] == "first":
             return chain_mod.ChainResponse(stages=(first,))
         return chain_mod.ChainResponse(stages=(first, self.second_stage))
@@ -203,37 +201,34 @@ class RunConfig:
         return "\n".join(lines)
 
 
-def _build(label, make):
-    """``make()``, with a ValueError raised as a ConfigError led by
-    ``label``, the config section the object is built from."""
+def _build(label, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with a ValueError raised as a ConfigError
+    led by ``label``, the config section the object is built from."""
     try:
-        return make()
+        return make(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{label} {exc}") from None
 
 
-def _check_first_stage(chn):
+def _check_first_stage(source_resistance, noise_temperature):
     """``amplifier_chain`` builds the first stage after the DC solve; its
     own ``[chain]`` values are checked at load, as that stage checks them."""
-    if not chn["r_source_ohm"] > 0:
+    if not source_resistance > 0:
         raise ValueError(f"r_source_ohm must be positive, "
-                         f"got {chn['r_source_ohm']:g}")
+                         f"got {source_resistance:g}")
     chain_mod.StageResponse(gain_factor=1.0,
-                            noise_temperature=chn["first_stage_noise_K"])
+                            noise_temperature=noise_temperature)
 
 
-def _transistor(dev, network):
-    auto = dev["i_sat_A"] == "auto"
+def _transistor(network, i_c_target, i_sat, **fields):
+    auto = i_sat == "auto"
     # a stand-in i_sat lets TransistorParams check the other values before
     # the calibration divides by them
-    params = device.TransistorParams(
-        i_sat=1.0 if auto else dev["i_sat_A"], v_teff=dev["v_teff_mV"],
-        v_early=dev["v_early_V"], beta_f=dev["beta_f"])
+    params = device.TransistorParams(i_sat=1.0 if auto else i_sat, **fields)
     if not auto:
         return params
     return replace(params, i_sat=device.calibrated_i_sat(
-        network, params.v_teff, params.v_early, params.beta_f,
-        dev["i_c_target_mA"]))
+        network, params.v_teff, params.v_early, params.beta_f, i_c_target))
 
 
 def _sweep_grid(axis, spec):
@@ -257,7 +252,7 @@ def _sweep_grid(axis, spec):
 
 
 def _parse_value(section, key, raw):
-    (kind, scale), _default = _SCHEMA[section][key]
+    (kind, scale), _default, _target = _SCHEMA[section][key]
     if not raw:
         raise ConfigError(f"[{section}] {key}: expected a value, got none")
     if kind == "str":
@@ -318,7 +313,7 @@ def load_config(path=None, overrides=None) -> RunConfig:
 
     texts = {(section, key): parser.get(section, key, fallback=default)
              for section, keys in _SCHEMA.items()
-             for key, (_spec, default) in keys.items()}
+             for key, (_spec, default, _target) in keys.items()}
     for (section, key), text in (overrides or {}).items():
         if section not in _SCHEMA or key not in _SCHEMA[section]:
             raise ConfigError(f"unknown override [{section}] {key}")

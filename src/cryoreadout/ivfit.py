@@ -328,18 +328,21 @@ def fit_early_voltage(ds: IVDataset) -> EarlyFit:
     i_c = beta_f*i_b*(1 + v_ce/V_A) a line's v_ce-axis intercept -b/m is
     -V_A and its i_c-axis intercept b is beta_f*i_b.  The reported Early
     voltage is the slope-weighted mean of the |b/m|, and beta_f that of
-    the b/i_b.  Curves with fewer than 2 points in the window or a rise
-    across it of at most ``EARLY_FIT_MIN_RISE`` are left out; a family with
-    none left, or a beta_f that is not positive, is a fit error.  The lines
-    are fitted to the currents in units of the family's largest |i_c|, so
-    no square or sum overflows and the fit is scale-invariant: currents
-    scaled by c give the same V_A and r^2, and beta_f times c.
+    the b/i_b.  A family with no curve in the label range is an
+    ``IVParseError``.  Curves with fewer than 2 points in the window or a
+    rise across it of at most ``EARLY_FIT_MIN_RISE`` are left out; a family
+    with none left, or a beta_f that is not positive, is a fit error.  The
+    lines are fitted to the currents in units of the family's largest
+    |i_c|, so no square or sum overflows and the fit is scale-invariant:
+    currents scaled by c give the same V_A and r^2, and beta_f times c.
     """
     _require_kind(ds, IVDataset, "Early fit")
     ib_lo, ib_hi = EARLY_FIT_IB_RANGE
     sweeps = [s for s in ds.forward if ib_lo <= s.label <= ib_hi]
     if not sweeps:
-        raise FitError("no curves inside the base-current range")
+        # the file cannot serve the fit, as a file of the wrong kind cannot
+        raise IVParseError(f"Early fit needs a curve labelled inside the "
+                           f"base-current range {ib_lo:g}..{ib_hi:g} A")
 
     # a family with no current at all is fitted unscaled, and left out as flat
     unit = float(max(np.abs(s.current).max() for s in sweeps)) or 1.0

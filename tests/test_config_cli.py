@@ -79,6 +79,13 @@ def test_config_rejects_bad_input(tmp_path, text):
         load_config(p)
 
 
+@pytest.mark.parametrize("section, key", [("network", "bogus"),
+                                          ("mystery", "x")])
+def test_config_rejects_unknown_override(section, key):
+    with pytest.raises(ConfigError, match=r"unknown override"):
+        load_config(None, overrides={(section, key): "1"})
+
+
 @pytest.mark.parametrize("build", [
     lambda: replace(reference().ensemble, tau_relax=math.nan),
     lambda: replace(reference().ensemble, linewidth_v=math.nan),
@@ -179,7 +186,7 @@ def _sweep_keys(draw):
 
 
 _NUMERIC_KEYS = [(section, key) for section, keys in _SCHEMA.items()
-                 for key, ((kind, _), _) in keys.items() if kind != "str"]
+                 for key, ((kind, _), _, _) in keys.items() if kind != "str"]
 
 
 # some draws set one key to any finite number, which may be a bad value
@@ -226,6 +233,37 @@ def test_config_manifest_roundtrip_property(tmp_path, raw, sweep, any_value):
     assert np.array_equal(cfg2.sweep_grid, cfg.sweep_grid)
     assert cfg2.geometry.c_parasitic == \
         float(raw[("chain", "c_parasitic_pF")]) * 1e-12
+
+
+@pytest.mark.parametrize("non_default", [False, True],
+                         ids=["default", "non-default"])
+def test_schema_targets_are_object_fields(non_default):
+    # a key whose _SCHEMA target is a dataclass field holds that field's
+    # value, for the reference setup and for one that moves every such key
+    overrides = {}
+    if non_default:
+        for section, keys in _SCHEMA.items():
+            for key, ((kind, _), default, target) in keys.items():
+                if target is not None and kind == "num":
+                    overrides[section, key] = repr(float(default) * 1.5)
+        overrides.update({("device", "i_sat_A"): "1e-13",
+                          ("synthesis", "filter_order"): "2"})
+    cfg = load_config(None, overrides=overrides)
+    checked = 0
+    for section, keys in _SCHEMA.items():
+        for key, (_spec, default, target) in keys.items():
+            if target is None or target[0] not in (
+                    "network", "transistor", "geometry", "ensemble",
+                    "synthesis") or cfg[section, key] == "auto":
+                continue
+            obj, field = target
+            assert getattr(getattr(cfg, obj), field) == cfg[section, key], \
+                (section, key)
+            assert (cfg._texts[section, key] != default) == non_default
+            checked += 1
+    # every transistor, network, geometry, ensemble and synthesis field,
+    # less the calibrated i_sat of the reference setup
+    assert checked == (26 if non_default else 25)
 
 
 def test_explicit_i_sat(tmp_path):
@@ -461,6 +499,12 @@ def test_cli_fit_iv_empty_file(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["--out", str(out), "fit-iv", "--output-chars", str(p)]) == 2
     assert "line 2: no data rows" in capsys.readouterr().err
+    assert not out.exists()
+    # a family with no curve labelled inside the Early-fit window cannot
+    # serve the fit: an input error, as a file of the wrong kind is
+    p.write_text("i_b_A,v_ce_V,i_c_A\n1e-6,0.6,1e-4\n1e-6,0.7,1.1e-4\n")
+    assert main(["--out", str(out), "fit-iv", "--output-chars", str(p)]) == 2
+    assert "base-current range 2e-07..8e-07 A" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -963,6 +1007,23 @@ def test_cli_entry_point_installed():
         assert proc.stdout.strip() == project["version"]
 
 
+def test_module_import_loads_only_that_module():
+    # importing the package runs no submodule: device, chain, source and
+    # ivfit need numpy alone, and only lockin (so config and cli) loads scipy
+    import os
+    import subprocess
+    import sys
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys\n"
+            "import cryoreadout.device, cryoreadout.chain, "
+            "cryoreadout.source, cryoreadout.ivfit\n"
+            "assert 'scipy' not in sys.modules, sorted(sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
 # -- exit-code contract on random argv and configs --------------------------
 
 # junk, non-finite, negative, zero and huge values for any option
@@ -1001,8 +1062,8 @@ def _cli_run(draw):
                            if dirty else [])
     for section, key in draw(st.lists(st.sampled_from(keys), max_size=4,
                                       unique=True)):
-        (kind, allowed), default = _SCHEMA.get(section, {}).get(
-            key, (("num", None), "1"))
+        (kind, allowed), default, _ = _SCHEMA.get(section, {}).get(
+            key, (("num", None), "1", None))
         if kind == "str":
             valid = st.sampled_from(allowed or [default])
         elif key == "filter_order":

@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from dataclasses import replace
 from itertools import zip_longest
 
 import numpy as np
@@ -123,6 +124,7 @@ def test_empty_stream_is_parse_error(tmp_path):
     ("v_be_V,i_b_A\n0.1,abc\n", "not a number"),
     ("v_be_V,i_b_A\n0.1\n", "columns"),
     ("v_be_V,i_b_A\n0.1,1e-9\n0.1,2e-9\n", "duplicate"),
+    ("v_be_V,i_b_A\n0.1,1e-9\n", "at least 2 data rows"),
     ("i_b_A,v_ce_V,i_c_A\n1e-7,0.0,1e-5\n1e-7,1.0,2e-5\n1e-7,0.5,3e-5\n",
      "non-monotone"),
     ("i_b_A,v_ce_V,i_c_A,direction\n1e-7,0.0,1e-5,sideways\n", "direction"),
@@ -394,6 +396,19 @@ def test_synth_rejects_bad_noise(synth, noise):
         synth(reference().transistor, noise, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("synth, changes, noise", [
+    (ivfit.synth_output_family, {"beta_f": 1e306}, 1e10),
+    (ivfit.synth_input_curve, {"v_teff": 1e-6}, 0.0),
+], ids=["output", "input"])
+def test_synth_overflow_raises(synth, changes, noise):
+    # numpy warns first, and the suite makes that warning an error, so the
+    # check after the draw is reached with the warning silenced
+    params = replace(reference().transistor, **changes)
+    with np.errstate(all="ignore"), \
+            pytest.raises(FloatingPointError, match="overflows"):
+        synth(params, noise, np.random.default_rng(0))
+
+
 def test_beta_f_under_noise():
     # the line intercepts average the noise over each curve's window: at 1%
     # multiplicative noise beta_f stays within 1% of the device's on every
@@ -450,6 +465,10 @@ def test_diode_fit_filters_nonpositive(tmp_path):
         tmp_path, "v_be_V,i_b_A\n0.05,-1e-12\n0.1,1e-9\n0.2,1e-8\n"))
     with pytest.raises(FitError):
         fit_diode_params(ds2, beta_f=160.0)
+    ds1 = load_iv_dataset(csv_file(
+        tmp_path, "v_be_V,i_b_A\n0.1,-1e-12\n0.2,1e-9\n"))
+    with pytest.raises(FitError, match="fewer than 2"):
+        fit_diode_params(ds1, beta_f=160.0)
 
 
 def test_classify_clean_family():

@@ -203,6 +203,17 @@ def test_sweep_fm_no_mechanism_is_flat():
     assert np.all(out[:, 1] < 1e-12)
 
 
+def test_sweep_non_finite_output_raises():
+    # a source voltage that overflows reads NaN at the lock-in; numpy warns
+    # first, so the check on the rows is reached with the warning silenced
+    ens, geom, cfg = _sweep_fixtures()
+    ens = replace(ens, n_s=1e300)
+    geom = replace(geom, delta_z=1e30)
+    with np.errstate(all="ignore"), \
+            pytest.raises(FloatingPointError, match="non-finite lock-in"):
+        sweep_vbc([11.6], ens, geom, UNIT_CHAIN, cfg, _rng())
+
+
 def test_sweep_reproducibility():
     ens, geom, cfg = _sweep_fixtures(noise=35e-12)
     grid = [11.55, 11.6, 11.65]

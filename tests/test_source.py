@@ -46,6 +46,8 @@ def test_validation():
         rydberg_population(0.0, 0.5, _ensemble(), 1.0, 64)
     with pytest.raises(ValueError, match="duty"):
         rydberg_population(1e5, 1.0, _ensemble(), 1.0, 64)
+    with pytest.raises(ValueError, match="excitation rate"):
+        rydberg_population(1e5, 0.5, _ensemble(), -1.0, 64)
     with pytest.raises(ValueError, match="f_m"):
         replace(reference().synthesis, f_m=0.0)
     with pytest.raises(ValueError, match="duty"):
@@ -226,6 +228,8 @@ def test_rms_image_current():
     assert rms_image_current(100e3, geom, 1e12, 0.0) == 0.0
     with pytest.raises(ValueError):
         rms_image_current(0.0, geom, 1e12, 0.1)
+    with pytest.raises(ValueError, match="rho22"):
+        rms_image_current(100e3, geom, 1e12, -0.1)
 
 
 def test_rms_current_charge_identity():
