@@ -24,16 +24,19 @@ sigma is within 1.3e-3 of the sampled cascade's (X and Y averaged), and
 replaces, kept as its oracle: the full record filtered by the chain via
 FFT with white Gaussian noise added, then mixed with unit-RMS sine/cosine
 references at the modulation frequency and low-passed by a cascade of
-identical single-pole IIR sections, reading the final value.
+identical single-pole IIR sections, reading the final value.  That IIR
+filter is scipy's ``lfilter``, which this module imports on the first
+lookup of its attribute ``lfilter``: no command runs the oracle, so none
+loads scipy.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .chain import ChainResponse
 from .source import (CellGeometry, EnsembleParams, image_charge_waveform,
@@ -56,6 +59,15 @@ SWEEP_BLOCK = 4096
 MIN_TIME_CONSTANTS = 20.0
 # low-pass cascade orders lock-in amplifiers offer: 6 to 48 dB/octave
 MAX_FILTER_ORDER = 8
+
+
+def __getattr__(name):
+    # PEP 562; the cached global answers every later lookup of lfilter
+    if name == "lfilter":
+        from scipy.signal import lfilter
+        globals()["lfilter"] = lfilter
+        return lfilter
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -131,6 +143,8 @@ def demodulate(x, f_ref: float, time_constant: float, filter_order: int,
     xq = x * (math.sqrt(2.0) * np.cos(w * t))
     a = math.exp(-1.0 / (sample_rate * time_constant))
     b_coef, a_coef = [1.0 - a], [1.0, -a]
+    # looked up at call time, so a replaced module attribute is the one run
+    lfilter = sys.modules[__name__].lfilter
     for _ in range(filter_order):
         xi = lfilter(b_coef, a_coef, xi)
         xq = lfilter(b_coef, a_coef, xq)

@@ -3,7 +3,9 @@ cli writes.
 
 ``bench/run.py --self-test`` fails when a per-layer metric reads null, and
 a span reads null when none of the names ``bench/traced.py`` wraps exists
-(a function renamed or deleted, an import made lazy).  These run small
+(a function renamed or deleted, an import moved into a function).  An
+import made lazy through a module ``__getattr__`` keeps its span: the
+tracer looks the name up with ``getattr``, which loads it.  These run small
 traced commands the way the benchmark does and read their spans through
 the benchmark's own reader; nothing under ``bench/`` is changed.
 """

@@ -1007,21 +1007,44 @@ def test_cli_entry_point_installed():
         assert proc.stdout.strip() == project["version"]
 
 
-def test_module_import_loads_only_that_module():
-    # importing the package runs no submodule: device, chain, source and
-    # ivfit need numpy alone, and only lockin (so config and cli) loads scipy
+def _run_fresh(code, cwd=None):
+    """Run ``code`` in a fresh interpreter on the source tree; assert it
+    exits 0."""
     import os
     import subprocess
     import sys
 
     src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys\n"
-            "import cryoreadout.device, cryoreadout.chain, "
-            "cryoreadout.source, cryoreadout.ivfit\n"
-            "assert 'scipy' not in sys.modules, sorted(sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+                          text=True, cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_module_import_loads_only_that_module():
+    # importing the package runs no submodule, and no module loads scipy at
+    # import: lockin imports lfilter, the oracle's filter, on first use
+    _run_fresh("import sys\n"
+               "import cryoreadout.device, cryoreadout.chain, "
+               "cryoreadout.source, cryoreadout.ivfit, cryoreadout.lockin, "
+               "cryoreadout.config, cryoreadout.cli\n"
+               "assert 'scipy' not in sys.modules, sorted(sys.modules)\n")
+
+
+def test_commands_do_not_load_scipy(tmp_path):
+    # every command runs in one interpreter that never loads scipy
+    commands = [["opp"], ["s21", "--points", "20"],
+                ["sweep", "--axis", "fm"], ["sweep", "--axis", "vbc"],
+                ["gen-iv", "--kind", "output", "--path", "family.csv"],
+                ["gen-iv", "--kind", "input", "--path", "diode.csv"],
+                ["fit-iv", "--output-chars", "family.csv",
+                 "--input", "diode.csv"]]
+    _run_fresh("import sys\n"
+               "from cryoreadout.cli import main\n"
+               f"for argv in {commands!r}:\n"
+               "    assert main(['--out', 'out', *argv]) == 0, argv\n"
+               "assert 'scipy' not in sys.modules, sorted(sys.modules)\n",
+               cwd=tmp_path)
 
 
 # -- exit-code contract on random argv and configs --------------------------

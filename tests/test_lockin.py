@@ -92,6 +92,34 @@ def test_demod_phase_invariance():
     assert b.phase - a.phase == pytest.approx(0.7, abs=1e-6)
 
 
+def test_lfilter_is_scipys():
+    # lockin imports lfilter on first lookup of the module attribute
+    import scipy.signal
+    assert lockin.lfilter is scipy.signal.lfilter
+
+
+def test_unknown_module_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        lockin.no_such_name
+
+
+def test_demodulate_calls_module_lfilter(monkeypatch):
+    # demodulate runs whatever lockin.lfilter is at call time, which is how
+    # a wrapper set on the module (the benchmark's lfilter span) sees it
+    t = _record()
+    x = np.sin(2 * math.pi * F_REF * t + 0.3)
+    want = demodulate(x, F_REF, TAU, ORDER, FS)
+    real, calls = lockin.lfilter, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lockin, "lfilter", counting)
+    assert demodulate(x, F_REF, TAU, ORDER, FS) == want
+    assert len(calls) == 2 * ORDER
+
+
 def test_demod_matches_dft_oracle():
     # multi-harmonic periodic waveform
     spp = int(FS / F_REF)
