@@ -142,7 +142,9 @@ def cmd_fit_iv(args, cfg):
 def cmd_gen_iv(args, cfg):
     synth = ivfit.synth_input_curve if args.kind == "input" \
         else ivfit.synth_output_family
-    ds = synth(cfg.transistor, args.noise, np.random.default_rng(cfg.seed))
+    # numpy.random loads on first use: build the generator only to draw
+    rng = np.random.default_rng(cfg.seed) if args.noise > 0 else None
+    ds = synth(cfg.transistor, args.noise, rng)
     ivfit.save_iv_dataset(ds, args.path)
     print(args.path)
     return EXIT_OK

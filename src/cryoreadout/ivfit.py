@@ -469,22 +469,25 @@ def classify_transistor(ds: IVDataset) -> DeviceClassification:
     return DeviceClassification(verdict=verdict, evidence=tuple(evidence))
 
 
-def _check_noise(noise):
+def _check_noise(noise, rng):
     if not (math.isfinite(noise) and noise >= 0):
         raise ValueError(f"noise must be a finite fraction >= 0, got {noise!r}")
+    if noise > 0 and rng is None:
+        raise ValueError(f"noise {noise!r} > 0 needs a generator, got rng=None")
 
 
 def synth_output_family(params: TransistorParams, noise: float,
-                        rng: np.random.Generator) -> IVDataset:
+                        rng: np.random.Generator | None) -> IVDataset:
     """Synthesize a measured-style output family from the device law over
     ``SYNTH_V_CE``, one forward curve per base-current label of
     ``SYNTH_I_B_LABELS`` (junction factor beta_f * i_b).
 
     ``noise`` is a multiplicative Gaussian sigma, drawn from ``rng`` in one
     (labels x v_ce) draw, row by row; a non-finite or negative ``noise`` is
-    a ``ValueError``.
+    a ``ValueError``.  ``rng`` may be ``None`` at ``noise == 0``, which
+    draws nothing; at ``noise > 0`` a ``None`` ``rng`` is a ``ValueError``.
     """
-    _check_noise(noise)
+    _check_noise(noise, rng)
     _, ic = forward_currents(params, params.beta_f * SYNTH_I_B_LABELS[:, None],
                              SYNTH_V_CE)
     if noise > 0:
@@ -499,12 +502,13 @@ def synth_output_family(params: TransistorParams, noise: float,
 
 
 def synth_input_curve(params: TransistorParams, noise: float,
-                      rng: np.random.Generator) -> IVSweep:
+                      rng: np.random.Generator | None) -> IVSweep:
     """Synthesize input characteristics i_b(v_be) from the device law over
     ``SYNTH_V_BE``, with multiplicative Gaussian noise of sigma ``noise``
     drawn from ``rng``; a non-finite or negative ``noise`` is a
-    ``ValueError``."""
-    _check_noise(noise)
+    ``ValueError``.  ``rng`` may be ``None`` at ``noise == 0``; at
+    ``noise > 0`` a ``None`` ``rng`` is a ``ValueError``."""
+    _check_noise(noise, rng)
     ib, _ = forward_currents(
         params, params.i_sat * np.exp(SYNTH_V_BE / params.v_teff), 0.0)
     if noise > 0:

@@ -16,7 +16,6 @@ exact periodic fixed point, so periodicity holds to machine precision.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,13 +26,11 @@ __all__ = [
     "stark_excitation_fraction",
     "rydberg_population",
     "image_charge_waveform",
-    "rms_image_current",
     "cw_rate_for_occupancy",
 ]
 
 # CODATA 2022, as in scipy.constants
 ELEMENTARY_CHARGE = 1.602176634e-19   # C, exact
-epsilon_0 = 8.8541878188e-12          # F/m
 
 
 @dataclass(frozen=True)
@@ -154,22 +151,3 @@ def image_charge_waveform(rho22, geom: CellGeometry, n_s: float):
     delta_q = geom.delta_z * ELEMENTARY_CHARGE * n_s * rho22 * geom.s_over_d
     v_ac = delta_q / (geom.c_cell + geom.c_parasitic)
     return delta_q, v_ac
-
-
-def rms_image_current(f_m: float, geom: CellGeometry, n_s: float,
-                      rho22: float) -> float:
-    """RMS image current, evaluated with the published estimate verbatim:
-
-        <i> = 2 pi f_m e n_s C_0 delta_z rho22 / epsilon_0
-
-    Note this equals 2 pi f_m * delta_q only when C_0 = epsilon_0 * (S/D);
-    with the reference C_0 = 1 pF the two differ by C_0/(epsilon_0 S/D) ~ 20.
-    Callers that want the charge-based figure should use
-    ``image_charge_waveform`` and multiply by 2 pi f_m.
-    """
-    if f_m <= 0 or n_s <= 0:
-        raise ValueError("f_m and n_s must be positive")
-    if rho22 < 0:
-        raise ValueError("rho22 must be non-negative")
-    return (2.0 * math.pi * f_m * ELEMENTARY_CHARGE * n_s * geom.c_cell
-            * geom.delta_z * rho22) / epsilon_0

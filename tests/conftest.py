@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 from hypothesis import strategies as st
+from scipy.constants import e as ELEMENTARY_CHARGE, epsilon_0
 from scipy.signal import lfilter
 
 from cryoreadout import lockin
@@ -97,16 +98,34 @@ def grid_search_operating_point(network, params, step=1e-4):
 
 def noiseless_family(beta_f=160.0, v_early=124.0):
     """The synthetic output family of the reference device with ``beta_f``
-    and ``v_early``, with no noise: its generator is never drawn from."""
+    and ``v_early``, with no noise, so with no generator."""
     params = replace(reference().transistor, beta_f=beta_f, v_early=v_early)
-    return synth_output_family(params, 0.0, np.random.default_rng(0))
+    return synth_output_family(params, 0.0, None)
 
 
 def noiseless_diode(i_sat=6.35e-8):
     """Noise-free synthetic input characteristics of the reference device
     (v_teff = 25 mV, beta_f = 160) with saturation current ``i_sat``."""
     params = replace(reference().transistor, i_sat=i_sat)
-    return synth_input_curve(params, 0.0, np.random.default_rng(0))
+    return synth_input_curve(params, 0.0, None)
+
+
+def rms_image_current(f_m, geom, n_s, rho22):
+    """RMS image current, evaluated with the published estimate verbatim:
+
+        <i> = 2 pi f_m e n_s C_0 delta_z rho22 / epsilon_0
+
+    This equals 2 pi f_m * delta_q only when C_0 = epsilon_0 * (S/D); with
+    the reference C_0 = 1 pF the two differ by C_0/(epsilon_0 S/D) ~ 20.
+    The package's charge-based figure is ``image_charge_waveform`` times
+    2 pi f_m.
+    """
+    if f_m <= 0 or n_s <= 0:
+        raise ValueError("f_m and n_s must be positive")
+    if rho22 < 0:
+        raise ValueError("rho22 must be non-negative")
+    return (2.0 * math.pi * f_m * ELEMENTARY_CHARGE * n_s * geom.c_cell
+            * geom.delta_z * rho22) / epsilon_0
 
 
 def csv_file(directory, text, name="iv.csv"):

@@ -21,13 +21,12 @@ from cryoreadout.device import (TransistorParams, calibrated_i_sat,
                                 power_dissipation, solve_operating_point)
 from cryoreadout.lockin import (SAMPLES_PER_PERIOD, demodulate, sweep_fm,
                                 sweep_vbc)
-from cryoreadout.source import (image_charge_waveform, rms_image_current,
-                                rydberg_population)
+from cryoreadout.source import image_charge_waveform, rydberg_population
 
 import conftest
 from conftest import (UNIT_CHAIN, dft_fundamental_rms,
                       grid_search_operating_point, noiseless_family, reference,
-                      sweep_point)
+                      rms_image_current, sweep_point)
 
 
 def _report(num, ok, detail):

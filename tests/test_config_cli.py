@@ -1047,6 +1047,28 @@ def test_commands_do_not_load_scipy(tmp_path):
                cwd=tmp_path)
 
 
+@pytest.mark.parametrize("argv, draws", [
+    (["opp"], False), (["s21", "--points", "20"], False),
+    (["gen-iv", "--kind", "output", "--path", "family.csv"], False),
+    (["gen-iv", "--kind", "input", "--path", "diode.csv"], False),
+    (["fit-iv", "--output-chars", "family.csv", "--input", "diode.csv"],
+     False),
+    (["sweep", "--axis", "fm"], True),
+    (["gen-iv", "--kind", "output", "--path", "noisy.csv", "--noise", "0.01"],
+     True),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_commands_load_numpy_random_only_to_draw(tmp_path, argv, draws):
+    # numpy loads numpy.random on first use, and a command builds a
+    # generator only when it draws noise from it
+    ivfit.save_iv_dataset(noiseless_family(), tmp_path / "family.csv")
+    ivfit.save_iv_dataset(noiseless_diode(), tmp_path / "diode.csv")
+    _run_fresh("import sys\n"
+               "from cryoreadout.cli import main\n"
+               f"assert main(['--out', 'out', *{argv!r}]) == 0\n"
+               f"assert ('numpy.random' in sys.modules) is {draws}\n",
+               cwd=tmp_path)
+
+
 # -- exit-code contract on random argv and configs --------------------------
 
 # junk, non-finite, negative, zero and huge values for any option

@@ -396,6 +396,24 @@ def test_synth_rejects_bad_noise(synth, noise):
         synth(reference().transistor, noise, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("synth", [ivfit.synth_input_curve,
+                                   ivfit.synth_output_family])
+def test_synth_needs_a_generator_only_to_draw(synth):
+    # noise 0 draws nothing, so rng=None gives the same currents as a
+    # generator; a draw without one is an error that names rng
+    params = reference().transistor
+
+    def currents(ds):
+        return np.concatenate([s.current for s in getattr(ds, "forward",
+                                                          (ds,))])
+
+    np.testing.assert_array_equal(
+        currents(synth(params, 0.0, None)),
+        currents(synth(params, 0.0, np.random.default_rng(0))))
+    with pytest.raises(ValueError, match="rng"):
+        synth(params, 0.01, None)
+
+
 @pytest.mark.parametrize("synth, changes, noise", [
     (ivfit.synth_output_family, {"beta_f": 1e306}, 1e10),
     (ivfit.synth_input_curve, {"v_teff": 1e-6}, 0.0),
