@@ -13,11 +13,14 @@ input/config error, 3 numerical failure.  A grid of more than
 ``config.MAX_GRID_POINTS`` points is an input error.  A flag that sets a
 config value (``--seed``, ``--stage``, ``--axis``, ``--grid``) overrides
 that key, so a sweep's manifest records the whole setup.
+
+``run`` is the process entry and ``main(argv)`` the in-process one.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -223,5 +226,15 @@ def main(argv=None):
         return EXIT_NUMERICAL
 
 
+def run():
+    """Process entry: ``python -m cryoreadout.cli`` and the ``cryoreadout``
+    script.  Moves every object the imports built into the permanent
+    generation, so the collector stops re-walking numpy's and the package's
+    objects, then runs ``main`` on ``sys.argv``.  ``main`` leaves the
+    collector alone, so an in-process caller keeps its own state."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

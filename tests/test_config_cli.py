@@ -989,6 +989,8 @@ def test_cli_entry_point_installed():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with open(pyproject, "rb") as fh:
         project = tomllib.load(fh)["project"]
+    # the script enters where ``python -m cryoreadout.cli`` does
+    assert project["scripts"]["cryoreadout"] == "cryoreadout.cli:run"
     module, func = project["scripts"]["cryoreadout"].split(":")
     wrapper = f"import sys; from {module} import {func}; sys.exit({func}())"
     env = dict(os.environ)
@@ -1005,6 +1007,61 @@ def test_cli_entry_point_installed():
                               env=run_env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == project["version"]
+
+
+@pytest.fixture
+def freeze_calls(monkeypatch):
+    """Record ``gc.freeze`` calls in place of making them, so the test
+    process's heap is never frozen."""
+    import gc
+
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    return calls
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["opp"], 0), (["--config", "missing.ini", "opp"], 2)])
+def test_run_freezes_heap_before_main(tmp_path, monkeypatch, freeze_calls,
+                                      argv, code):
+    import sys
+
+    from cryoreadout import cli
+
+    def recorded_main(argv=None):
+        freeze_calls.append("main")
+        return main(argv)
+
+    monkeypatch.setattr(cli, "main", recorded_main)
+    # a relative --config path names a file in the empty tmp_path
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv",
+                        ["cryoreadout", "--out", str(tmp_path), *argv])
+    assert cli.run() == code
+    assert freeze_calls == ["freeze", "main"]
+
+
+def test_module_main_enters_through_run(monkeypatch, capsys, freeze_calls):
+    import runpy
+    import sys
+
+    # run the module body afresh, as ``python -m`` does; a copy left in
+    # sys.modules would make runpy warn
+    monkeypatch.delitem(sys.modules, "cryoreadout.cli")
+    monkeypatch.setattr(sys, "argv", ["cryoreadout", "--version"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("cryoreadout.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.strip() == __version__
+    assert freeze_calls == ["freeze"]
+
+
+def test_main_leaves_gc_state(tmp_path):
+    import gc
+
+    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+    assert main(["--out", str(tmp_path), "sweep"]) == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
 
 
 def _run_fresh(code, cwd=None):
