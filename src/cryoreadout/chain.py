@@ -36,6 +36,8 @@ DEFAULT_REFERENCE_FREQUENCY = 10e6   # Hz, mid-band for gain/noise bookkeeping
 
 @dataclass(frozen=True)
 class StageResponse:
+    """One amplifier stage: gain, corner frequencies, noise temperature."""
+
     gain_factor: float
     poles: tuple[float, ...] = ()
     zeros: tuple[float, ...] = ()
@@ -70,6 +72,8 @@ class StageResponse:
 
 @dataclass(frozen=True)
 class ChainResponse:
+    """A cascade of stages, first stage first."""
+
     stages: tuple[StageResponse, ...]
 
     def __post_init__(self):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import math
 import os
 import sys
 
@@ -34,6 +35,56 @@ EXIT_OK = 0
 EXIT_UNUSABLE = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
+
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the counter increment, the
+# golden ratio in 64 bits, and the finalizer's two multipliers
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def _splitmix(z):
+    """SplitMix64's finalizer on a uint64 array.  Array products wrap mod
+    2**64 silently, where a numpy scalar's would warn, so ``z`` is never
+    0-d."""
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    return z ^ (z >> np.uint64(31))
+
+
+class NormalStream:
+    """The seeded standard normals every command draws its noise from.
+
+    Draw k is a pure function of (seed, k), so draws split across calls
+    equal one call.  Counter j gives the 64 bits mix(mix(seed) + (j + 1)
+    gamma), mix SplitMix64's finalizer: SplitMix64's output j from the
+    state mix(seed).  Mixing the seed spreads nearby seeds apart (unmixed,
+    seed s + gamma would give seed s's stream shifted by one).  Draws 2i
+    and 2i + 1 are the Box-Muller pair r cos(2 pi u2), r sin(2 pi u2) of
+    counters 2i and 2i + 1, whose top 53 bits give u1 in (0, 1],
+    r = sqrt(-2 ln u1), and u2 in [0, 1); so |draw| <= sqrt(106 ln 2),
+    about 8.57.
+    """
+
+    def __init__(self, seed):
+        self._key = _splitmix(np.array([seed], dtype=np.uint64))
+        self._count = 0
+
+    def standard_normal(self, shape):
+        """The stream's next draws, as an array of ``shape``."""
+        shape = tuple(shape) if np.iterable(shape) else (shape,)
+        k, n = self._count, math.prod(shape)
+        self._count += n
+        # whole Box-Muller pairs around draws k .. k + n - 1
+        lo, hi = k - k % 2, k + n + (k + n) % 2
+        bits = _splitmix(self._key
+                         + np.arange(lo + 1, hi + 1, dtype=np.uint64) * _GAMMA)
+        top = (bits >> np.uint64(11)).astype(float) * 2.0 ** -53
+        r = np.sqrt(-2.0 * np.log(top[0::2] + 2.0 ** -53))
+        t = 2.0 * math.pi * top[1::2]
+        pairs = np.empty(hi - lo)
+        pairs[0::2], pairs[1::2] = r * np.cos(t), r * np.sin(t)
+        return pairs[k - lo:k - lo + n].reshape(shape)
 
 
 def _write_csv(path, header, columns):
@@ -81,8 +132,7 @@ def cmd_sweep(args, cfg):
     axis = cfg[("sweep", "axis")]
     sweep = sweep_vbc if axis == "vbc" else sweep_fm
     rows = sweep(cfg.sweep_grid, cfg.ensemble, cfg.geometry,
-                 cfg.amplifier_chain(), cfg.synthesis,
-                 np.random.default_rng(cfg.seed))
+                 cfg.amplifier_chain(), cfg.synthesis, NormalStream(cfg.seed))
 
     out_dir = args.out or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -145,8 +195,8 @@ def cmd_fit_iv(args, cfg):
 def cmd_gen_iv(args, cfg):
     synth = ivfit.synth_input_curve if args.kind == "input" \
         else ivfit.synth_output_family
-    # numpy.random loads on first use: build the generator only to draw
-    rng = np.random.default_rng(cfg.seed) if args.noise > 0 else None
+    # the stream is built only to draw: synth_* take None at zero noise
+    rng = NormalStream(cfg.seed) if args.noise > 0 else None
     ds = synth(cfg.transistor, args.noise, rng)
     ivfit.save_iv_dataset(ds, args.path)
     print(args.path)

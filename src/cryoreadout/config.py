@@ -35,8 +35,9 @@ def _num(scale):
     return ("num", scale)
 
 
-# section -> key -> ((kind, SI scale | allowed strings | least integer |
-# None), default in file units, (object, field) the value builds | None)
+# section -> key -> ((kind, SI scale | allowed strings | allowed integer
+# range | None), default in file units, (object, field) the value builds |
+# None)
 _SCHEMA = {
     "device": {
         "i_sat_A": (("auto_num", 1.0), "auto", ("transistor", "i_sat")),
@@ -94,8 +95,9 @@ _SCHEMA = {
         "f_m_kHz": (_num(1e3), "250", ("synthesis", "f_m")),
     },
     "run": {
-        # numpy seeds its generators from non-negative integers only
-        "seed": (("int", 0), "0", None),
+        # the noise stream keys on the seed as a uint64, which a larger
+        # seed does not fit
+        "seed": (("int", range(2 ** 64)), "0", None),
         "output_dir": (("str", None), ".", None),
     },
     "sweep": {
@@ -269,9 +271,10 @@ def _parse_value(section, key, raw):
             value = int(raw)
         except ValueError:
             raise ConfigError(f"[{section}] {key}: expected integer, got {raw!r}")
-        if scale is not None and value < scale:
-            raise ConfigError(f"[{section}] {key}: expected an integer >= "
-                              f"{scale}, got {raw!r}")
+        if scale is not None and value not in scale:
+            raise ConfigError(f"[{section}] {key}: expected an integer from "
+                              f"{scale.start} to {scale.stop - 1}, "
+                              f"got {raw!r}")
         return value
     if kind == "auto_num" and raw == "auto":
         return "auto"

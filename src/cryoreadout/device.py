@@ -112,6 +112,8 @@ class BiasNetwork:
 
 @dataclass(frozen=True)
 class OperatingPoint:
+    """The DC bias point: junction voltages and terminal currents."""
+
     v_be: float
     v_ce: float
     i_b: float

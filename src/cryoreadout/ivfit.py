@@ -121,6 +121,8 @@ class IVDataset:
 
 @dataclass(frozen=True)
 class EarlyFit:
+    """Early voltage and beta_F fitted to the output curves' lines."""
+
     v_early: float
     beta_f: float
     r_squared: float
@@ -128,6 +130,8 @@ class EarlyFit:
 
 @dataclass(frozen=True)
 class DiodeFit:
+    """Saturation current and thermal voltage from the input curve."""
+
     i_sat: float
     v_teff: float
     residual: float   # RMS residual of ln(i_b) about the fitted line
@@ -135,6 +139,8 @@ class DiodeFit:
 
 @dataclass(frozen=True)
 class DeviceClassification:
+    """The IV classifier's verdict and the evidence for it."""
+
     verdict: str     # usable | hysteretic | negative_differential_resistance | both_defects
     # (kind, sweep label, (v_lo, v_hi), metric): the metric is the largest
     # |I - I_ref| / max|I, I_ref| found, a fraction for both kinds
@@ -473,19 +479,21 @@ def _check_noise(noise, rng):
     if not (math.isfinite(noise) and noise >= 0):
         raise ValueError(f"noise must be a finite fraction >= 0, got {noise!r}")
     if noise > 0 and rng is None:
-        raise ValueError(f"noise {noise!r} > 0 needs a generator, got rng=None")
+        raise ValueError(f"noise {noise!r} > 0 needs a normal stream, "
+                         "got rng=None")
 
 
 def synth_output_family(params: TransistorParams, noise: float,
-                        rng: np.random.Generator | None) -> IVDataset:
+                        rng) -> IVDataset:
     """Synthesize a measured-style output family from the device law over
     ``SYNTH_V_CE``, one forward curve per base-current label of
     ``SYNTH_I_B_LABELS`` (junction factor beta_f * i_b).
 
-    ``noise`` is a multiplicative Gaussian sigma, drawn from ``rng`` in one
-    (labels x v_ce) draw, row by row; a non-finite or negative ``noise`` is
-    a ``ValueError``.  ``rng`` may be ``None`` at ``noise == 0``, which
-    draws nothing; at ``noise > 0`` a ``None`` ``rng`` is a ``ValueError``.
+    ``noise`` is a multiplicative Gaussian sigma, drawn in one (labels x
+    v_ce) draw, row by row, from ``rng``, a normal stream: any object with
+    ``standard_normal(shape)``.  A non-finite or negative ``noise`` is a
+    ``ValueError``.  ``rng`` may be ``None`` at ``noise == 0``, which draws
+    nothing; at ``noise > 0`` a ``None`` ``rng`` is a ``ValueError``.
     """
     _check_noise(noise, rng)
     _, ic = forward_currents(params, params.beta_f * SYNTH_I_B_LABELS[:, None],
@@ -502,12 +510,13 @@ def synth_output_family(params: TransistorParams, noise: float,
 
 
 def synth_input_curve(params: TransistorParams, noise: float,
-                      rng: np.random.Generator | None) -> IVSweep:
+                      rng) -> IVSweep:
     """Synthesize input characteristics i_b(v_be) from the device law over
     ``SYNTH_V_BE``, with multiplicative Gaussian noise of sigma ``noise``
-    drawn from ``rng``; a non-finite or negative ``noise`` is a
-    ``ValueError``.  ``rng`` may be ``None`` at ``noise == 0``; at
-    ``noise > 0`` a ``None`` ``rng`` is a ``ValueError``."""
+    drawn from ``rng``, a normal stream as for ``synth_output_family``; a
+    non-finite or negative ``noise`` is a ``ValueError``.  ``rng`` may be
+    ``None`` at ``noise == 0``; at ``noise > 0`` a ``None`` ``rng`` is a
+    ``ValueError``."""
     _check_noise(noise, rng)
     ib, _ = forward_currents(
         params, params.i_sat * np.exp(SYNTH_V_BE / params.v_teff), 0.0)

@@ -13,12 +13,12 @@ bins, and the reading is the period's last sample.  The 2 f_m ripple that
 the cascade passes stays in the reading.  White input noise adds a
 bivariate Gaussian to (X, Y) of standard deviation
 density * |H(f_m)| * sqrt(B), B the cascade's noise bandwidth; this holds
-while |H| is flat across that band.  It is drawn from the caller's
-generator, one (X, Y) row per point in grid order, so row k depends only
-on the seed and k.  The time constant has one range: it must span
-at least ``MIN_TAU_SAMPLES`` = 8 samples (tau * f_m >= 0.5), where that
-sigma is within 1.3e-3 of the sampled cascade's (X and Y averaged), and
-16 f_m tau must be finite.  The steady state is exact at any longer tau.
+while |H| is flat across that band.  It is drawn from the caller's normal
+stream (any object with ``standard_normal(shape)``), one (X, Y) row per
+point in grid order, so row k depends only on the seed and k.  The time
+constant has one range: it must span at least ``MIN_TAU_SAMPLES`` = 8
+samples (tau * f_m >= 0.5), where that sigma is within 1.3e-3 of the
+sampled cascade's (X and Y averaged), and 16 f_m tau must be finite.  The steady state is exact at any longer tau.
 
 ``synthesize`` and ``demodulate`` are the time-domain path the closed form
 replaces, kept as its oracle: the full record filtered by the chain via
@@ -98,14 +98,17 @@ class SynthesisConfig:
 
 @dataclass(frozen=True)
 class LockInResult:
+    """A lock-in reading: R and its phase."""
+
     amplitude_r: float    # RMS convention
     phase: float          # radians, in (-pi, pi]
 
 
 def synthesize(v_source, chain: ChainResponse, cfg: SynthesisConfig,
-               sample_rate: float, rng: np.random.Generator):
+               sample_rate: float, rng):
     """Filter a sampled source voltage through the chain and add white
-    input noise drawn from ``rng``, filtered by the chain too.
+    input noise drawn from ``rng``, filtered by the chain too.  ``rng`` is
+    a normal stream: any object with ``standard_normal(shape)``.
 
     The sweeps do not call this: they use the closed form, and this
     full-record path is its oracle in the tests.
@@ -116,7 +119,7 @@ def synthesize(v_source, chain: ChainResponse, cfg: SynthesisConfig,
     out = np.fft.irfft(np.fft.rfft(v_source) * h, n)
     if cfg.input_noise_density > 0:
         sigma = cfg.input_noise_density * math.sqrt(sample_rate / 2.0)
-        noise = rng.normal(0.0, sigma, n)
+        noise = sigma * rng.standard_normal(n)
         out = out + np.fft.irfft(np.fft.rfft(noise) * h, n)
     return out
 
@@ -198,9 +201,10 @@ def _sweep(grid, f_m, scale, ens, geom, chain, cfg, rng):
     exactly 1 at any a.  The 2 f_m ripple the cascade passes stays in the
     reading.  The noise adds (X, Y) drawn iid from N(0, s^2), s from
     ``_noise_std``: each block draws its rows' standard normals from
-    ``rng`` as one (points, 2) array, X in column 0.  The generator fills
-    them in order, so row k is the k-th pair of ``rng``'s stream however
-    the grid is split into blocks.
+    ``rng``, a normal stream (any object with ``standard_normal(shape)``),
+    as one (points, 2) array, X in column 0.  The stream fills them in
+    order, so row k is the k-th pair of ``rng``'s draws however the grid
+    is split into blocks.
 
     Points go through as arrays, ``SWEEP_BLOCK`` at a time, so the
     temporaries stay bounded at any grid length.  The time constant in
@@ -253,19 +257,19 @@ def _sweep(grid, f_m, scale, ens, geom, chain, cfg, rng):
 
 
 def sweep_vbc(grid, ens: EnsembleParams, geom: CellGeometry,
-              chain: ChainResponse, syn: SynthesisConfig,
-              rng: np.random.Generator):
+              chain: ChainResponse, syn: SynthesisConfig, rng):
     """Resonance sweep: rows (V_BC, R, phase) of the lock-in output versus
     bottom-plate voltage, at the modulation frequency ``syn.f_m``, with the
-    input noise drawn from ``rng``."""
+    input noise drawn from ``rng``, a normal stream: any object with
+    ``standard_normal(shape)``."""
     return _sweep(grid, syn.f_m, stark_excitation_fraction(grid, ens), ens,
                   geom, chain, syn, rng)
 
 
 def sweep_fm(grid, ens: EnsembleParams, geom: CellGeometry,
-             chain: ChainResponse, syn: SynthesisConfig,
-             rng: np.random.Generator):
+             chain: ChainResponse, syn: SynthesisConfig, rng):
     """Modulation-frequency sweep on resonance: rows (f_m, R, phase), at
     the ensemble's CW-calibrated drive rate, with the input noise drawn
-    from ``rng``; ``syn.f_m`` is not used."""
+    from ``rng``, a normal stream: any object with
+    ``standard_normal(shape)``; ``syn.f_m`` is not used."""
     return _sweep(grid, grid, 1.0, ens, geom, chain, syn, rng)

@@ -565,18 +565,21 @@ def test_cli_bad_grid_spec(tmp_path):
      "[synthesis]\nfilter_order = 100000\n"),
     (["--seed=-1", "sweep", "--axis", "vbc", "--grid", "11.5:11.7:3:lin"],
      ""),
+    (["sweep", "--axis", "vbc", "--grid", "11.5:11.7:3:lin"],
+     f"[run]\nseed = {2 ** 64}\n"),
     (["sweep", "--axis", "fm", "--grid", "1e5:1e6:3:log"],
      "[synthesis]\nduty = 1.5\n"),
     (["sweep", "--axis", "fm", "--grid", "0:1e6:5:lin"], ""),
 ], ids=["s21-1e9", "s21-limit", "vbc-1e9", "fm-manifest-1e9", "order-9",
-        "order-2000", "order-100000", "seed--1", "duty-1.5", "fm-zero"])
+        "order-2000", "order-100000", "seed--1", "seed-2^64", "duty-1.5",
+        "fm-zero"])
 def test_cli_size_limits(tmp_path, monkeypatch, args, setting):
     # grids above MAX_GRID_POINTS and filter orders above 8 are input
     # errors (exit 2) found before the chain is built; they used to exhaust
     # memory (7.45 GiB for 1e9 points, 74.5 GiB at order 100000) or run on
-    # (order 2000: about 10 s, then exit 3).  So are a negative seed, a
-    # duty outside (0, 1) and an f_m grid point <= 0, which used to fail
-    # only after the DC solve
+    # (order 2000: about 10 s, then exit 3).  So are a seed outside
+    # [0, 2**64), a duty outside (0, 1) and an f_m grid point <= 0, which
+    # used to fail only after the DC solve
     def no_chain(*_, **__):
         raise AssertionError("chain built")
 
@@ -625,6 +628,16 @@ def test_cli_negative_seed(capsys):
     # a negative seed is an input error for every command, and the message
     # names the key
     assert main(["--seed=-1", "opp"]) == 2
+    assert "[run] seed" in capsys.readouterr().err
+
+
+def test_cli_seed_beyond_64_bits(capsys):
+    # the noise stream keys on the seed as a uint64: the largest one runs,
+    # and 2**64, which would stop a sweep with an OverflowError (exit 3)
+    # after its DC solve, is an input error that names the key
+    assert main(["--seed", str(2 ** 64 - 1), "opp"]) == 0
+    capsys.readouterr()
+    assert main(["--seed", str(2 ** 64), "opp"]) == 2
     assert "[run] seed" in capsys.readouterr().err
 
 
@@ -1104,25 +1117,24 @@ def test_commands_do_not_load_scipy(tmp_path):
                cwd=tmp_path)
 
 
-@pytest.mark.parametrize("argv, draws", [
-    (["opp"], False), (["s21", "--points", "20"], False),
-    (["gen-iv", "--kind", "output", "--path", "family.csv"], False),
-    (["gen-iv", "--kind", "input", "--path", "diode.csv"], False),
-    (["fit-iv", "--output-chars", "family.csv", "--input", "diode.csv"],
-     False),
-    (["sweep", "--axis", "fm"], True),
-    (["gen-iv", "--kind", "output", "--path", "noisy.csv", "--noise", "0.01"],
-     True),
-], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
-def test_commands_load_numpy_random_only_to_draw(tmp_path, argv, draws):
-    # numpy loads numpy.random on first use, and a command builds a
-    # generator only when it draws noise from it
+@pytest.mark.parametrize("argv", [
+    ["opp"], ["s21", "--points", "20"],
+    ["gen-iv", "--kind", "output", "--path", "family.csv"],
+    ["gen-iv", "--kind", "input", "--path", "diode.csv"],
+    ["fit-iv", "--output-chars", "family.csv", "--input", "diode.csv"],
+    ["sweep", "--axis", "fm"], ["sweep", "--axis", "vbc"],
+    ["gen-iv", "--kind", "output", "--path", "noisy.csv", "--noise", "0.01"],
+    ["gen-iv", "--kind", "input", "--path", "noisy.csv", "--noise", "0.01"],
+], ids=" ".join)
+def test_commands_do_not_load_numpy_random(tmp_path, argv):
+    # every command, noisy ones included, draws from cli.NormalStream, so
+    # none loads numpy.random, which numpy 2 imports on first use
     ivfit.save_iv_dataset(noiseless_family(), tmp_path / "family.csv")
     ivfit.save_iv_dataset(noiseless_diode(), tmp_path / "diode.csv")
     _run_fresh("import sys\n"
                "from cryoreadout.cli import main\n"
                f"assert main(['--out', 'out', *{argv!r}]) == 0\n"
-               f"assert ('numpy.random' in sys.modules) is {draws}\n",
+               "assert 'numpy.random' not in sys.modules\n",
                cwd=tmp_path)
 
 

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from cryoreadout import lockin
+from cryoreadout.cli import NormalStream
 from cryoreadout.config import load_config
 from cryoreadout.lockin import demodulate, sweep_fm, sweep_vbc, synthesize
 from cryoreadout.source import image_charge_waveform, rydberg_population
@@ -389,15 +390,16 @@ def test_sweep_large_grid_peak():
 
 @pytest.mark.parametrize("grid", ["10:12.5:51:lin", "11.5:11.7:5:lin"])
 def test_sweep_vbc_peak_at_nearest_point_for_every_seed(grid):
-    # the benchmark's vbc check at each seed it may run: R peaks at the
-    # grid point nearest the 11.6 V resonance
+    # the benchmark's vbc check at each seed it may run, on the stream the
+    # command draws from: R peaks at the grid point nearest the 11.6 V
+    # resonance
     cfg = load_config(overrides={("sweep", "grid"): grid})
     resp = cfg.amplifier_chain()
     want = np.argmin(np.abs(cfg.sweep_grid - 11.6))
     misses = [seed for seed in range(200)
               if np.argmax(sweep_vbc(cfg.sweep_grid, cfg.ensemble,
                                      cfg.geometry, resp, cfg.synthesis,
-                                     _rng(seed))[:, 1]) != want]
+                                     NormalStream(seed))[:, 1]) != want]
     assert misses == []
 
 
