@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import gc
 import math
+import operator
 import os
 import sys
 
@@ -38,18 +39,18 @@ EXIT_NUMERICAL = 3
 
 # SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the counter increment, the
 # golden ratio in 64 bits, and the finalizer's two multipliers
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_M64 = 2 ** 64 - 1
 
 
 def _splitmix(z):
-    """SplitMix64's finalizer on a uint64 array.  Array products wrap mod
-    2**64 silently, where a numpy scalar's would warn, so ``z`` is never
-    0-d."""
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    """SplitMix64's finalizer on an int in [0, 2**64) or a uint64 array,
+    whose products wrap silently (a numpy uint64 scalar's would warn)."""
+    z = (z ^ (z >> 30)) * _MIX1 & _M64
+    z = (z ^ (z >> 27)) * _MIX2 & _M64
+    return z ^ (z >> 31)
 
 
 class NormalStream:
@@ -63,11 +64,17 @@ class NormalStream:
     and 2i + 1 are the Box-Muller pair r cos(2 pi u2), r sin(2 pi u2) of
     counters 2i and 2i + 1, whose top 53 bits give u1 in (0, 1],
     r = sqrt(-2 ln u1), and u2 in [0, 1); so |draw| <= sqrt(106 ln 2),
-    about 8.57.
+    about 8.57.  A seed outside the integers [0, 2**64) is a
+    ``ValueError``; building a stream runs no numpy.
     """
 
     def __init__(self, seed):
-        self._key = _splitmix(np.array([seed], dtype=np.uint64))
+        # a float is rejected with the out-of-range ints, never truncated
+        key = operator.index(seed) if hasattr(seed, "__index__") else -1
+        if not 0 <= key <= _M64:
+            raise ValueError(f"seed must be an integer in [0, 2**64), "
+                             f"got {seed!r}")
+        self._key = _splitmix(key)
         self._count = 0
 
     def standard_normal(self, shape):
@@ -79,7 +86,7 @@ class NormalStream:
         lo, hi = k - k % 2, k + n + (k + n) % 2
         bits = _splitmix(self._key
                          + np.arange(lo + 1, hi + 1, dtype=np.uint64) * _GAMMA)
-        top = (bits >> np.uint64(11)).astype(float) * 2.0 ** -53
+        top = (bits >> 11).astype(float) * 2.0 ** -53
         r = np.sqrt(-2.0 * np.log(top[0::2] + 2.0 ** -53))
         t = 2.0 * math.pi * top[1::2]
         pairs = np.empty(hi - lo)
@@ -195,9 +202,7 @@ def cmd_fit_iv(args, cfg):
 def cmd_gen_iv(args, cfg):
     synth = ivfit.synth_input_curve if args.kind == "input" \
         else ivfit.synth_output_family
-    # the stream is built only to draw: synth_* take None at zero noise
-    rng = NormalStream(cfg.seed) if args.noise > 0 else None
-    ds = synth(cfg.transistor, args.noise, rng)
+    ds = synth(cfg.transistor, args.noise, NormalStream(cfg.seed))
     ivfit.save_iv_dataset(ds, args.path)
     print(args.path)
     return EXIT_OK

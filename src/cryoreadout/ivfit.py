@@ -475,12 +475,9 @@ def classify_transistor(ds: IVDataset) -> DeviceClassification:
     return DeviceClassification(verdict=verdict, evidence=tuple(evidence))
 
 
-def _check_noise(noise, rng):
+def _check_noise(noise):
     if not (math.isfinite(noise) and noise >= 0):
         raise ValueError(f"noise must be a finite fraction >= 0, got {noise!r}")
-    if noise > 0 and rng is None:
-        raise ValueError(f"noise {noise!r} > 0 needs a normal stream, "
-                         "got rng=None")
 
 
 def synth_output_family(params: TransistorParams, noise: float,
@@ -491,11 +488,10 @@ def synth_output_family(params: TransistorParams, noise: float,
 
     ``noise`` is a multiplicative Gaussian sigma, drawn in one (labels x
     v_ce) draw, row by row, from ``rng``, a normal stream: any object with
-    ``standard_normal(shape)``.  A non-finite or negative ``noise`` is a
-    ``ValueError``.  ``rng`` may be ``None`` at ``noise == 0``, which draws
-    nothing; at ``noise > 0`` a ``None`` ``rng`` is a ``ValueError``.
+    ``standard_normal(shape)``; ``noise == 0`` draws nothing.  A non-finite
+    or negative ``noise`` is a ``ValueError``.
     """
-    _check_noise(noise, rng)
+    _check_noise(noise)
     _, ic = forward_currents(params, params.beta_f * SYNTH_I_B_LABELS[:, None],
                              SYNTH_V_CE)
     if noise > 0:
@@ -514,10 +510,8 @@ def synth_input_curve(params: TransistorParams, noise: float,
     """Synthesize input characteristics i_b(v_be) from the device law over
     ``SYNTH_V_BE``, with multiplicative Gaussian noise of sigma ``noise``
     drawn from ``rng``, a normal stream as for ``synth_output_family``; a
-    non-finite or negative ``noise`` is a ``ValueError``.  ``rng`` may be
-    ``None`` at ``noise == 0``; at ``noise > 0`` a ``None`` ``rng`` is a
-    ``ValueError``."""
-    _check_noise(noise, rng)
+    non-finite or negative ``noise`` is a ``ValueError``."""
+    _check_noise(noise)
     ib, _ = forward_currents(
         params, params.i_sat * np.exp(SYNTH_V_BE / params.v_teff), 0.0)
     if noise > 0:

@@ -12,6 +12,7 @@ from scipy.signal import lfilter
 
 from cryoreadout import lockin
 from cryoreadout.chain import ChainResponse, StageResponse
+from cryoreadout.cli import NormalStream
 from cryoreadout.config import load_config
 from cryoreadout.device import EXP_CAP
 from cryoreadout.ivfit import synth_input_curve, synth_output_family
@@ -98,16 +99,16 @@ def grid_search_operating_point(network, params, step=1e-4):
 
 def noiseless_family(beta_f=160.0, v_early=124.0):
     """The synthetic output family of the reference device with ``beta_f``
-    and ``v_early``, with no noise, so with no generator."""
+    and ``v_early``, with no noise."""
     params = replace(reference().transistor, beta_f=beta_f, v_early=v_early)
-    return synth_output_family(params, 0.0, None)
+    return synth_output_family(params, 0.0, NormalStream(0))
 
 
 def noiseless_diode(i_sat=6.35e-8):
     """Noise-free synthetic input characteristics of the reference device
     (v_teff = 25 mV, beta_f = 160) with saturation current ``i_sat``."""
     params = replace(reference().transistor, i_sat=i_sat)
-    return synth_input_curve(params, 0.0, None)
+    return synth_input_curve(params, 0.0, NormalStream(0))
 
 
 def rms_image_current(f_m, geom, n_s, rho22):

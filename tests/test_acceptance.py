@@ -15,7 +15,7 @@ from scipy.constants import epsilon_0
 
 from cryoreadout import chain as chain_mod, device, ivfit
 from cryoreadout.chain import s21_db
-from cryoreadout.cli import main as cli_main
+from cryoreadout.cli import NormalStream, main as cli_main
 from cryoreadout.config import load_config
 from cryoreadout.device import (TransistorParams, calibrated_i_sat,
                                 power_dissipation, solve_operating_point)
@@ -72,7 +72,7 @@ def test_c04_early_voltage_recovery():
     vals = []
     for seed in range(100):
         ds = ivfit.synth_output_family(reference().transistor, noise=0.01,
-                                       rng=np.random.default_rng(seed))
+                                       rng=NormalStream(seed))
         vals.append(ivfit.fit_early_voltage(ds).v_early)
     err_noisy = abs(np.mean(vals) - 124.0) / 124.0
     ok = err0 <= 0.005 and err_noisy <= 0.05
@@ -180,7 +180,7 @@ def test_c09_lockin_vs_dft_oracle():
         rydberg_population(f_ref, syn.duty, ens, 1.0, SAMPLES_PER_PERIOD),
         geom, ens.n_s)
     r = sweep_point(f_ref, 1.0, ens, geom, UNIT_CHAIN, syn,
-                    np.random.default_rng(0)).amplitude_r
+                    NormalStream(0)).amplitude_r
     ref = dft_fundamental_rms(v_ac, SAMPLES_PER_PERIOD)
     errs["population via sweep"] = abs(r - ref) / ref
     ok = all(e <= 1e-3 for e in errs.values())
@@ -196,7 +196,7 @@ def _fm_sweep(second_stage_f_low_khz=None, noise=35e-12):
     cfg = replace(ref.synthesis, input_noise_density=noise, duty=0.5)
     grid = np.geomspace(1e5, 1e7, 25)
     out = sweep_fm(grid, ref.ensemble, ref.geometry, resp, cfg,
-                   np.random.default_rng(ref.seed))
+                   NormalStream(ref.seed))
     return grid, out[:, 1]
 
 
@@ -235,7 +235,7 @@ def _vbc_sweep(v_resonance, noise):
                   duty=0.5)
     grid = np.linspace(10.0, 12.5, 51)
     out = sweep_vbc(grid, ens, ref.geometry, ref.amplifier_chain(), cfg,
-                    np.random.default_rng(ref.seed))
+                    NormalStream(ref.seed))
     return grid, out[:, 1]
 
 

@@ -7,6 +7,7 @@ import pytest
 from cryoreadout import device
 from cryoreadout.chain import (ChainResponse, StageResponse, fixed_gain_stage,
                                hbt_stage_response, s21_db, unity_gain_load)
+from cryoreadout.cli import NormalStream
 from cryoreadout.config import load_config
 
 from conftest import UNIT_CHAIN, reference
@@ -177,7 +178,7 @@ def test_transfer_function_matches_impulse_response_fft():
     impulse = np.zeros(n)
     impulse[0] = 1.0
     cfg = replace(reference().synthesis, input_noise_density=0.0)
-    out = synthesize(impulse, resp, cfg, fs, np.random.default_rng(0))
+    out = synthesize(impulse, resp, cfg, fs, NormalStream(0))
     freqs = np.fft.rfftfreq(n, 1.0 / fs)
     mag_db = 20.0 * np.log10(np.abs(np.fft.rfft(out)[1:]))
     ref_db = np.array([d for _, d in s21_db(resp, freqs[1:])])

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cryoreadout import ivfit
+from cryoreadout.cli import NormalStream
 from cryoreadout.ivfit import (FitError, IVDataset, IVParseError, IVSweep,
                                classify_transistor, fit_diode_params,
                                fit_early_voltage, intrinsic_gain,
@@ -393,25 +394,26 @@ def test_fit_wrong_kind(fit, ds, header):
 def test_synth_rejects_bad_noise(synth, noise):
     # a noise sigma the draw cannot use is an error, not a noise-free dataset
     with pytest.raises(ValueError, match="noise"):
-        synth(reference().transistor, noise, np.random.default_rng(0))
+        synth(reference().transistor, noise, NormalStream(0))
 
 
 @pytest.mark.parametrize("synth", [ivfit.synth_input_curve,
                                    ivfit.synth_output_family])
 def test_synth_needs_a_generator_only_to_draw(synth):
-    # noise 0 draws nothing, so rng=None gives the same currents as a
-    # generator; a draw without one is an error that names rng
+    # noise 0 draws nothing: any seed gives the same currents, and the
+    # stream's next draw is still a fresh stream's first
     params = reference().transistor
 
     def currents(ds):
         return np.concatenate([s.current for s in getattr(ds, "forward",
                                                           (ds,))])
 
-    np.testing.assert_array_equal(
-        currents(synth(params, 0.0, None)),
-        currents(synth(params, 0.0, np.random.default_rng(0))))
-    with pytest.raises(ValueError, match="rng"):
-        synth(params, 0.01, None)
+    stream = NormalStream(1)
+    np.testing.assert_array_equal(currents(synth(params, 0.0, stream)),
+                                  currents(synth(params, 0.0,
+                                                 NormalStream(0))))
+    np.testing.assert_array_equal(stream.standard_normal(2),
+                                  NormalStream(1).standard_normal(2))
 
 
 @pytest.mark.parametrize("synth, changes, noise", [
@@ -424,7 +426,7 @@ def test_synth_overflow_raises(synth, changes, noise):
     params = replace(reference().transistor, **changes)
     with np.errstate(all="ignore"), \
             pytest.raises(FloatingPointError, match="overflows"):
-        synth(params, noise, np.random.default_rng(0))
+        synth(params, noise, NormalStream(0))
 
 
 def test_beta_f_under_noise():
@@ -434,7 +436,7 @@ def test_beta_f_under_noise():
     params = reference().transistor
     worst = max(
         abs(fit_early_voltage(ivfit.synth_output_family(
-            params, 0.01, np.random.default_rng(seed))).beta_f - 160.0)
+            params, 0.01, NormalStream(seed))).beta_f - 160.0)
         / 160.0 for seed in range(100))
     assert worst <= 0.01
 
@@ -512,7 +514,7 @@ def test_classify_noisy_family_usable(backward):
     params = reference().transistor
     flagged = []
     for seed in range(100):
-        rng = np.random.default_rng(seed)
+        rng = NormalStream(seed)
         ds = ivfit.synth_output_family(params, 1e-3, rng)
         if backward:
             bwd = ivfit.synth_output_family(params, 1e-3, rng)
@@ -672,8 +674,8 @@ def test_noisy_family_matches_per_label_draws():
     # one (labels x v_ce) draw is the stream of one 401-point draw per
     # label, in label order
     ds = ivfit.synth_output_family(reference().transistor, 0.01,
-                                   np.random.default_rng(0))
-    rng = np.random.default_rng(0)
+                                   NormalStream(0))
+    rng = NormalStream(0)
     for ib, s in zip(ivfit.SYNTH_I_B_LABELS, ds.forward):
         ic = 160.0 * ib * (1.0 + ivfit.SYNTH_V_CE / 124.0)
         ic = ic * (1.0 + 0.01 * rng.standard_normal(ic.size))

@@ -136,7 +136,7 @@ def test_synthesize_identity():
     t = _record(1e-3)
     x = np.sin(2 * math.pi * F_REF * t)
     cfg = _synthesis(input_noise_density=0.0)
-    out = synthesize(x, UNIT_CHAIN, cfg, FS, np.random.default_rng(0))
+    out = synthesize(x, UNIT_CHAIN, cfg, FS, NormalStream(0))
     np.testing.assert_allclose(out, x, rtol=0, atol=1e-12)
 
 
@@ -148,7 +148,7 @@ def test_synthesize_gain_through_configured_chain():
     amp = 1e-6
     x = amp * np.sin(2 * math.pi * 1e6 * t)
     cfg = _synthesis(input_noise_density=0.0)
-    out = synthesize(x, resp, cfg, fs, np.random.default_rng(0))
+    out = synthesize(x, resp, cfg, fs, NormalStream(0))
     r = demodulate(out, 1e6, TAU, ORDER, fs).amplitude_r
     h = abs(resp.evaluate(1e6))
     assert h == pytest.approx(100.0, rel=0.01)
@@ -163,7 +163,7 @@ def test_noise_rms_parseval():
     rms = []
     for seed in range(50):
         out = synthesize(zeros, UNIT_CHAIN, cfg, 2e6,
-                         np.random.default_rng(seed))
+                         NormalStream(seed))
         rms.append(np.sqrt(np.mean(out ** 2)))
     expected = 35e-12 * math.sqrt(1e6)
     assert np.mean(rms) == pytest.approx(expected, rel=0.1)
@@ -173,9 +173,9 @@ def test_synthesize_seeded_reproducibility():
     # two generators from one seed give equal records
     cfg = _synthesis()
     a = synthesize(np.zeros(4096), UNIT_CHAIN, cfg, 2e6,
-                   np.random.default_rng(42))
+                   NormalStream(42))
     b = synthesize(np.zeros(4096), UNIT_CHAIN, cfg, 2e6,
-                   np.random.default_rng(42))
+                   NormalStream(42))
     np.testing.assert_array_equal(a, b)
 
 
@@ -185,10 +185,6 @@ def test_synthesis_filter_order_range(order):
     # orders 1-8 (6-48 dB/octave); a larger one cost 74.5 GiB at 100000
     with pytest.raises(ValueError, match="filter_order"):
         _synthesis(filter_order=order)
-
-
-def _rng(seed=0):
-    return np.random.default_rng(seed)
 
 
 def _sweep_fixtures(noise=0.0):
@@ -202,7 +198,7 @@ def _sweep_fixtures(noise=0.0):
 def test_sweep_vbc_zero_rate_flat_zero():
     ens, geom, cfg = _sweep_fixtures()
     out = sweep_vbc([11.5, 11.6, 11.7], replace(ens, rho22_target=0.0),
-                    geom, UNIT_CHAIN, cfg, _rng())
+                    geom, UNIT_CHAIN, cfg, NormalStream(0))
     assert np.all(out[:, 1] < 1e-15)
 
 
@@ -212,9 +208,9 @@ def test_sweep_grid_order_is_kept():
     ens, geom, cfg = _sweep_fixtures()
     grid = [2.5e5, 5e5, 1e6, 2e6, 4e6]
     perm = [3, 0, 4, 2, 1]
-    rows = sweep_fm(grid, ens, geom, UNIT_CHAIN, cfg, _rng())
+    rows = sweep_fm(grid, ens, geom, UNIT_CHAIN, cfg, NormalStream(0))
     permuted = sweep_fm([grid[k] for k in perm], ens, geom, UNIT_CHAIN, cfg,
-                        _rng())
+                        NormalStream(0))
     np.testing.assert_array_equal(permuted, rows[perm])
 
 
@@ -226,7 +222,7 @@ def test_sweep_fm_no_mechanism_is_flat():
     ens = replace(reference().ensemble, tau_relax=tau,
                   rho22_target=r * tau / (1.0 + 2.0 * r * tau))
     _, geom, cfg = _sweep_fixtures()
-    out = sweep_fm([2e5, 5e5, 2e6], ens, geom, UNIT_CHAIN, cfg, _rng())
+    out = sweep_fm([2e5, 5e5, 2e6], ens, geom, UNIT_CHAIN, cfg, NormalStream(0))
     # the source sits ~1.4 uV DC; any f_m dependence would appear as a
     # nonzero fundamental
     assert np.all(out[:, 1] < 1e-12)
@@ -240,14 +236,14 @@ def test_sweep_non_finite_output_raises():
     geom = replace(geom, delta_z=1e30)
     with np.errstate(all="ignore"), \
             pytest.raises(FloatingPointError, match="non-finite lock-in"):
-        sweep_vbc([11.6], ens, geom, UNIT_CHAIN, cfg, _rng())
+        sweep_vbc([11.6], ens, geom, UNIT_CHAIN, cfg, NormalStream(0))
 
 
 def test_sweep_reproducibility():
     ens, geom, cfg = _sweep_fixtures(noise=35e-12)
     grid = [11.55, 11.6, 11.65]
-    a = sweep_vbc(grid, ens, geom, UNIT_CHAIN, cfg, _rng(7))
-    b = sweep_vbc(grid, ens, geom, UNIT_CHAIN, cfg, _rng(7))
+    a = sweep_vbc(grid, ens, geom, UNIT_CHAIN, cfg, NormalStream(7))
+    b = sweep_vbc(grid, ens, geom, UNIT_CHAIN, cfg, NormalStream(7))
     np.testing.assert_array_equal(a, b)
 
 
@@ -334,10 +330,10 @@ def test_sweep_point_noise_is_one_draw():
     cfg = _synthesis(duty=0.5)
     grid = np.full(n, f_m)
     fixtures = (reference().ensemble, reference().geometry, resp)
-    noisy = sweep_fm(grid, *fixtures, cfg, _rng(seed))
+    noisy = sweep_fm(grid, *fixtures, cfg, NormalStream(seed))
     clean = sweep_fm(grid, *fixtures, replace(cfg, input_noise_density=0.0),
-                     _rng(seed))
-    z = _rng(seed).standard_normal((n, 2))
+                     NormalStream(seed))
+    z = NormalStream(seed).standard_normal((n, 2))
     s = lockin._noise_std(cfg, abs(resp.evaluate(f_m)))
     np.testing.assert_allclose(_noise_rows(noisy, clean), s * z, rtol=1e-9,
                                atol=0)
@@ -351,16 +347,16 @@ def test_sweep_blocks_keep_per_point_draws():
     ens, geom, cfg = _sweep_fixtures(noise=35e-12)
     seed, n = 5, lockin.SWEEP_BLOCK + 2
     grid = np.linspace(10.0, 12.5, n)
-    noisy = sweep_vbc(grid, ens, geom, resp, cfg, _rng(seed))
+    noisy = sweep_vbc(grid, ens, geom, resp, cfg, NormalStream(seed))
     quiet = replace(cfg, input_noise_density=0.0)
-    clean = sweep_vbc(grid, ens, geom, resp, quiet, _rng(seed))
+    clean = sweep_vbc(grid, ens, geom, resp, quiet, NormalStream(seed))
     s = lockin._noise_std(cfg, abs(resp.evaluate(cfg.f_m)))
     edge = slice(n - 3, n)
-    z = _rng(seed).standard_normal((n, 2))[edge]
+    z = NormalStream(seed).standard_normal((n, 2))[edge]
     np.testing.assert_allclose(_noise_rows(noisy[edge], clean[edge]), s * z,
                                rtol=1e-9, atol=0)
     one_at_a_time = np.array([sweep_vbc([v], ens, geom, resp, quiet,
-                                        _rng())[0] for v in grid])
+                                        NormalStream(0))[0] for v in grid])
     np.testing.assert_array_equal(clean, one_at_a_time)
 
 
@@ -371,8 +367,8 @@ def test_sweep_prefix_rows_are_exact(m):
     resp = _reference_chain()
     ens, geom, cfg = _sweep_fixtures(noise=35e-12)
     grid = np.geomspace(1e5, 1e7, lockin.SWEEP_BLOCK + 2)
-    full = sweep_fm(grid, ens, geom, resp, cfg, _rng(3))
-    prefix = sweep_fm(grid[:m], ens, geom, resp, cfg, _rng(3))
+    full = sweep_fm(grid, ens, geom, resp, cfg, NormalStream(3))
+    prefix = sweep_fm(grid[:m], ens, geom, resp, cfg, NormalStream(3))
     np.testing.assert_array_equal(prefix, full[:m])
 
 
@@ -381,7 +377,7 @@ def test_sweep_large_grid_peak():
     # within a tenth of the 0.1 V linewidth of the 11.6 V resonance
     cfg = load_config(overrides={("sweep", "grid"): "10:12.5:20000"})
     rows = sweep_vbc(cfg.sweep_grid, cfg.ensemble, cfg.geometry,
-                     cfg.amplifier_chain(), cfg.synthesis, _rng(cfg.seed))
+                     cfg.amplifier_chain(), cfg.synthesis, NormalStream(cfg.seed))
     assert rows.shape == (20000, 3)
     assert np.all(np.isfinite(rows))
     np.testing.assert_array_equal(rows[:, 0], cfg.sweep_grid)
@@ -411,8 +407,8 @@ def test_noise_statistics_match_time_domain():
     point = (f_m, 1.0, ens, geom, resp)
     cfg = _synthesis(time_constant=2e-4, duty=0.5)
     x0, y0 = _xy(sweep_point(*point, replace(cfg, input_noise_density=0.0),
-                             _rng()))
-    xy = np.array([_xy(time_domain_point(*point, cfg, _rng(seed)))
+                             NormalStream(0)))
+    xy = np.array([_xy(time_domain_point(*point, cfg, NormalStream(seed)))
                    for seed in range(n)])
     s2 = lockin._noise_std(cfg, abs(resp.evaluate(f_m))) ** 2
     se = math.sqrt(s2 / n)
@@ -444,7 +440,7 @@ def test_closed_form_matches_time_domain(f_m, tau_periods, order, duty, scale,
                      filter_order=order, duty=duty)
     resp = _reference_chain() if with_chain else UNIT_CHAIN
     point = (f_m, scale, reference().ensemble, reference().geometry, resp,
-             cfg, _rng())
+             cfg, NormalStream(0))
     fast = sweep_point(*point)
     slow = time_domain_point(*point, time_constants=SETTLED_TIME_CONSTANTS)
     assert fast.amplitude_r == pytest.approx(slow.amplitude_r, rel=1e-9)
@@ -464,7 +460,7 @@ def test_closed_form_extreme_record():
     assert spp * n_per == 3_200_000_000
     tracemalloc.start()
     try:
-        res = sweep_point(f_m, 1.0, ens, geom, resp, cfg, _rng())
+        res = sweep_point(f_m, 1.0, ens, geom, resp, cfg, NormalStream(0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -485,7 +481,7 @@ def test_closed_form_long_time_constant(tau):
     resp = _reference_chain()
     f_m, spp = 250e3, lockin.SAMPLES_PER_PERIOD
     cfg = _synthesis(time_constant=tau, input_noise_density=0.0, duty=0.5)
-    res = sweep_point(f_m, 1.0, ens, geom, resp, cfg, _rng())
+    res = sweep_point(f_m, 1.0, ens, geom, resp, cfg, NormalStream(0))
     rho = rydberg_population(f_m, 0.5, ens, 1.0, spp)
     _, v_ac = image_charge_waveform(rho, geom, ens.n_s)
     want = abs(resp.evaluate(f_m)) * dft_fundamental_rms(v_ac, spp)

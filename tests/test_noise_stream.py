@@ -141,3 +141,12 @@ def test_stream_never_warns(seed):
             s = NormalStream(seed)
             for shape in (1, (3, 2), 0, (lockin.SWEEP_BLOCK, 2), 7):
                 assert np.all(np.isfinite(s.standard_normal(shape)))
+
+
+@pytest.mark.parametrize("seed", [1.5, -1, M64])
+def test_seed_outside_uint64_is_an_input_error(seed):
+    # a float would truncate to another seed's stream, and a negative or
+    # too-large int would alias one mod 2**64: each is a ValueError (exit
+    # 2) naming the seed, not an OverflowError (exit 3)
+    with pytest.raises(ValueError, match=f"got {seed!r}$"):
+        NormalStream(seed)
