@@ -16,10 +16,10 @@ evaluation frequency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from . import Record
 from .device import BiasNetwork, SmallSignalParams
 
 __all__ = [
@@ -34,8 +34,7 @@ __all__ = [
 DEFAULT_REFERENCE_FREQUENCY = 10e6   # Hz, mid-band for gain/noise bookkeeping
 
 
-@dataclass(frozen=True)
-class StageResponse:
+class StageResponse(Record):
     """One amplifier stage: gain, corner frequencies, noise temperature."""
 
     gain_factor: float
@@ -70,8 +69,7 @@ class StageResponse:
         return h if h.shape else complex(h)
 
 
-@dataclass(frozen=True)
-class ChainResponse:
+class ChainResponse(Record):
     """A cascade of stages, first stage first."""
 
     stages: tuple[StageResponse, ...]

@@ -14,13 +14,11 @@ command-line flag that sets a value overrides its key.
 
 from __future__ import annotations
 
-import configparser
 import math
-from dataclasses import replace
 
 import numpy as np
 
-from . import device, chain as chain_mod, source
+from . import device, chain as chain_mod, replace, source
 from .lockin import SynthesisConfig
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "grid_points",
@@ -296,29 +294,43 @@ def load_config(path=None, overrides=None) -> RunConfig:
     ``overrides`` is a {(section, key): raw-string} mapping applied on top
     (used for CLI flags).  Every value is checked here, for every command.
     """
+    texts = {(section, key): default
+             for section, keys in _SCHEMA.items()
+             for key, (_spec, default, _target) in keys.items()}
+    if path is not None:
+        texts.update(_read_ini(path))
+    for (section, key), text in (overrides or {}).items():
+        if section not in _SCHEMA or key not in _SCHEMA[section]:
+            raise ConfigError(f"unknown override [{section}] {key}")
+        texts[(section, key)] = text
+    return RunConfig(texts)
+
+
+def _read_ini(path):
+    """The {(section, key): text} entries of the INI file at ``path``; an
+    unknown section or key raises ConfigError."""
+    import configparser   # only a config file needs it
+
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str   # unit suffixes are case-sensitive
-    if path is not None:
-        try:
-            with open(path, encoding="utf-8-sig") as fh:
-                parser.read_file(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except configparser.Error as exc:
-            raise ConfigError(f"malformed config {path}: {exc}") from exc
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            parser.read_file(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config {path}: {exc}") from exc
 
+    # _SCHEMA has no [DEFAULT]; configparser would lend its keys to every
+    # section of the file
+    for key in parser.defaults():
+        raise ConfigError(f"unknown key {key!r} in section [DEFAULT]")
+    texts = {}
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
         for key in parser.options(section):
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-
-    texts = {(section, key): parser.get(section, key, fallback=default)
-             for section, keys in _SCHEMA.items()
-             for key, (_spec, default, _target) in keys.items()}
-    for (section, key), text in (overrides or {}).items():
-        if section not in _SCHEMA or key not in _SCHEMA[section]:
-            raise ConfigError(f"unknown override [{section}] {key}")
-        texts[(section, key)] = text
-    return RunConfig(texts)
+            texts[section, key] = parser.get(section, key)
+    return texts

@@ -23,7 +23,8 @@ residual of the two-node Kirchhoff residuals that then check the result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from . import Record
 
 __all__ = [
     "TransistorParams",
@@ -64,8 +65,7 @@ class ConvergenceError(ArithmeticError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class TransistorParams:
+class TransistorParams(Record):
     """Fitted large-signal device parameters."""
 
     i_sat: float      # saturation current, A
@@ -82,8 +82,7 @@ class TransistorParams:
             raise ValueError("beta_f must be >= 1")
 
 
-@dataclass(frozen=True)
-class BiasNetwork:
+class BiasNetwork(Record):
     """Common-emitter bias network component values."""
 
     v_supply: float       # V
@@ -110,8 +109,7 @@ class BiasNetwork:
         return self.r_lower * self.r_upper / (self.r_lower + self.r_upper)
 
 
-@dataclass(frozen=True)
-class OperatingPoint:
+class OperatingPoint(Record):
     """The DC bias point: junction voltages and terminal currents."""
 
     v_be: float
@@ -120,8 +118,7 @@ class OperatingPoint:
     i_c: float
 
 
-@dataclass(frozen=True)
-class SmallSignalParams:
+class SmallSignalParams(Record):
     """Hybrid-pi parameters derived from an operating point."""
 
     g_m: float    # transconductance, S

@@ -9,13 +9,11 @@ runs in ascending voltage.  CSV formats are documented in
 
 from __future__ import annotations
 
-import csv
 import math
-from array import array
-from dataclasses import dataclass
 
 import numpy as np
 
+from . import Record
 from .device import TransistorParams, forward_currents
 
 __all__ = [
@@ -83,8 +81,7 @@ class FitError(ArithmeticError):
     pass
 
 
-@dataclass(frozen=True)
-class IVSweep:
+class IVSweep(Record):
     """One sweep in ascending voltage: the input characteristics, or one
     branch of an output family."""
 
@@ -103,8 +100,7 @@ class IVSweep:
         object.__setattr__(self, "current", i)
 
 
-@dataclass(frozen=True)
-class IVDataset:
+class IVDataset(Record):
     """An output family: one forward sweep per base-current label, in
     increasing label order, and the backward branches measured."""
 
@@ -119,8 +115,7 @@ class IVDataset:
             raise ValueError("output family labels must be strictly increasing")
 
 
-@dataclass(frozen=True)
-class EarlyFit:
+class EarlyFit(Record):
     """Early voltage and beta_F fitted to the output curves' lines."""
 
     v_early: float
@@ -128,8 +123,7 @@ class EarlyFit:
     r_squared: float
 
 
-@dataclass(frozen=True)
-class DiodeFit:
+class DiodeFit(Record):
     """Saturation current and thermal voltage from the input curve."""
 
     i_sat: float
@@ -137,8 +131,7 @@ class DiodeFit:
     residual: float   # RMS residual of ln(i_b) about the fitted line
 
 
-@dataclass(frozen=True)
-class DeviceClassification:
+class DeviceClassification(Record):
     """The IV classifier's verdict and the evidence for it."""
 
     verdict: str     # usable | hysteretic | negative_differential_resistance | both_defects
@@ -192,6 +185,8 @@ def load_iv_dataset(path) -> IVSweep | IVDataset:
     a branch split; a descending group is stored reversed, in ascending
     voltage.
     """
+    import csv   # only this reader uses it
+
     with open(path, newline="", encoding="utf-8-sig") as stream:
         reader = csv.reader(stream)
         try:
@@ -214,6 +209,8 @@ def _read_columns(reader, n_values, has_direction=False):
     """The data rows as packed columns: ``n_values`` float columns, each
     row's line number, and whether the row runs forward (``fwd`` when the
     file has no ``direction`` column)."""
+    from array import array   # only this reader uses it
+
     want = n_values + has_direction
     values = [array("d") for _ in range(n_values)]
     lines, forward = array("q"), array("B")

@@ -34,10 +34,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
+from . import Record
 from .chain import ChainResponse
 from .source import (CellGeometry, EnsembleParams, image_charge_waveform,
                      rydberg_population, stark_excitation_fraction)
@@ -70,8 +70,7 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
-class SynthesisConfig:
+class SynthesisConfig(Record):
     """The ``[synthesis]`` section: drive modulation, input noise and
     lock-in settings of a run."""
 
@@ -96,8 +95,7 @@ class SynthesisConfig:
             raise ValueError("duty must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
-class LockInResult:
+class LockInResult(Record):
     """A lock-in reading: R and its phase."""
 
     amplitude_r: float    # RMS convention

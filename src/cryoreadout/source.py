@@ -16,9 +16,9 @@ exact periodic fixed point, so periodicity holds to machine precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from . import Record
 
 __all__ = [
     "CellGeometry",
@@ -33,8 +33,7 @@ __all__ = [
 ELEMENTARY_CHARGE = 1.602176634e-19   # C, exact
 
 
-@dataclass(frozen=True)
-class CellGeometry:
+class CellGeometry(Record):
     """Parallel-plate cell of the surface electrons, and its stray C_p."""
 
     c_cell: float         # C_0, F
@@ -49,8 +48,7 @@ class CellGeometry:
                              "must be positive")
 
 
-@dataclass(frozen=True)
-class EnsembleParams:
+class EnsembleParams(Record):
     """Electron ensemble and resonance parameters."""
 
     n_s: float            # areal density, m^-2

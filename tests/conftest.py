@@ -3,14 +3,13 @@ reporting."""
 
 import functools
 import math
-from dataclasses import replace
 
 import numpy as np
 from hypothesis import strategies as st
 from scipy.constants import e as ELEMENTARY_CHARGE, epsilon_0
 from scipy.signal import lfilter
 
-from cryoreadout import lockin
+from cryoreadout import lockin, replace
 from cryoreadout.chain import ChainResponse, StageResponse
 from cryoreadout.cli import NormalStream
 from cryoreadout.config import load_config
@@ -40,7 +39,7 @@ def reference():
     """RunConfig of the reference setup: ``config._SCHEMA``'s defaults, as
     the CLI reads them with no config file.  Tests take reference objects
     from it (``reference().network``) and build variants with
-    ``dataclasses.replace``."""
+    ``cryoreadout.replace``."""
     return load_config()
 
 

@@ -7,13 +7,12 @@ single summary line (bypassing capture so it always appears), then asserts.
 import math
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.constants import epsilon_0
 
-from cryoreadout import chain as chain_mod, device, ivfit
+from cryoreadout import chain as chain_mod, device, ivfit, replace
 from cryoreadout.chain import s21_db
 from cryoreadout.cli import NormalStream, main as cli_main
 from cryoreadout.config import load_config

@@ -1,10 +1,9 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cryoreadout import device
+from cryoreadout import device, replace
 from cryoreadout.chain import (ChainResponse, StageResponse, fixed_gain_stage,
                                hbt_stage_response, s21_db, unity_gain_load)
 from cryoreadout.cli import NormalStream

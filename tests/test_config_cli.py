@@ -2,7 +2,6 @@ import csv
 import math
 import re
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +9,8 @@ import pytest
 from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
-from cryoreadout import __version__, chain as chain_mod, device, ivfit, lockin
+from cryoreadout import (__version__, chain as chain_mod, device, ivfit,
+                         lockin, replace)
 from cryoreadout.cli import main
 from cryoreadout.config import (_SCHEMA, MAX_GRID_POINTS, ConfigError,
                                 load_config)
@@ -238,7 +238,7 @@ def test_config_manifest_roundtrip_property(tmp_path, raw, sweep, any_value):
 @pytest.mark.parametrize("non_default", [False, True],
                          ids=["default", "non-default"])
 def test_schema_targets_are_object_fields(non_default):
-    # a key whose _SCHEMA target is a dataclass field holds that field's
+    # a key whose _SCHEMA target is a record field holds that field's
     # value, for the reference setup and for one that moves every such key
     overrides = {}
     if non_default:
@@ -712,6 +712,23 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     assert "exceeds cap" in err and len(err) < 120
 
 
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nbogus = 1\n",
+    "[DEFAULT]\nf_m_kHz = 100\n[synthesis]\n",
+    "[DEFAULT]\nf_m_kHz = 100\n[synthesis]\n[run]\n",
+], ids=["unknown-key", "schema-key", "schema-key-two-sections"])
+def test_cli_rejects_default_section_keys(tmp_path, capsys, text):
+    # _SCHEMA has no [DEFAULT], whose keys configparser would lend to every
+    # section of the file: each is an input error, and nothing is run
+    p = tmp_path / "run.ini"
+    p.write_text(text)
+    out = tmp_path / "out"
+    assert main(["--config", str(p), "--out", str(out), "opp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "[DEFAULT]" in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("tau_relax_us", "nan"),
     ("tau_relax_us", "inf"),
@@ -1117,24 +1134,43 @@ def test_commands_do_not_load_scipy(tmp_path):
                cwd=tmp_path)
 
 
-@pytest.mark.parametrize("argv", [
-    ["opp"], ["s21", "--points", "20"],
-    ["gen-iv", "--kind", "output", "--path", "family.csv"],
-    ["gen-iv", "--kind", "input", "--path", "diode.csv"],
-    ["fit-iv", "--output-chars", "family.csv", "--input", "diode.csv"],
-    ["sweep", "--axis", "fm"], ["sweep", "--axis", "vbc"],
-    ["gen-iv", "--kind", "output", "--path", "noisy.csv", "--noise", "0.01"],
-    ["gen-iv", "--kind", "input", "--path", "noisy.csv", "--noise", "0.01"],
-], ids=" ".join)
-def test_commands_do_not_load_numpy_random(tmp_path, argv):
-    # every command, noisy ones included, draws from cli.NormalStream, so
-    # none loads numpy.random, which numpy 2 imports on first use
+# modules a command loads only where it needs them: scipy (the lock-in
+# oracle's filter) and numpy.random (numpy's generators; every draw is from
+# cli.NormalStream) by none, dataclasses by none (records are
+# cryoreadout.Record), configparser only to read --config, and csv and array
+# only in fit-iv's reader
+_WATCHED_MODULES = ("scipy", "numpy.random", "dataclasses", "configparser",
+                    "csv", "array")
+
+
+def _loads(argv, *modules):
+    return pytest.param(argv, set(modules), id=" ".join(argv))
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    _loads(["opp"]), _loads(["s21", "--points", "20"]),
+    _loads(["gen-iv", "--kind", "output", "--path", "family.csv"]),
+    _loads(["gen-iv", "--kind", "input", "--path", "diode.csv"]),
+    _loads(["fit-iv", "--output-chars", "family.csv", "--input", "diode.csv"],
+           "csv", "array"),
+    _loads(["sweep", "--axis", "fm"]), _loads(["sweep", "--axis", "vbc"]),
+    _loads(["gen-iv", "--kind", "output", "--path", "noisy.csv",
+            "--noise", "0.01"]),
+    _loads(["gen-iv", "--kind", "input", "--path", "noisy.csv",
+            "--noise", "0.01"]),
+    _loads(["--config", "run.ini", "opp"], "configparser"),
+])
+def test_commands_do_not_load_numpy_random(tmp_path, argv, loaded):
+    # each command, in a fresh interpreter, loads exactly the watched
+    # modules its row names
     ivfit.save_iv_dataset(noiseless_family(), tmp_path / "family.csv")
     ivfit.save_iv_dataset(noiseless_diode(), tmp_path / "diode.csv")
+    (tmp_path / "run.ini").write_text("[run]\nseed = 1\n")
     _run_fresh("import sys\n"
                "from cryoreadout.cli import main\n"
                f"assert main(['--out', 'out', *{argv!r}]) == 0\n"
-               "assert 'numpy.random' not in sys.modules\n",
+               f"loaded = set({_WATCHED_MODULES!r}).intersection(sys.modules)\n"
+               f"assert loaded == {loaded!r}, loaded\n",
                cwd=tmp_path)
 
 

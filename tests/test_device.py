@@ -1,11 +1,10 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cryoreadout import device
+from cryoreadout import device, replace
 from cryoreadout.device import (ConvergenceError, OperatingPoint,
                                 TransistorParams, calibrated_i_sat,
                                 evaluate_dc, power_dissipation, small_signal,

@@ -4,14 +4,13 @@ import math
 import re
 import tracemalloc
 import warnings
-from dataclasses import replace
 from itertools import zip_longest
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cryoreadout import ivfit
+from cryoreadout import ivfit, replace
 from cryoreadout.cli import NormalStream
 from cryoreadout.ivfit import (FitError, IVDataset, IVParseError, IVSweep,
                                classify_transistor, fit_diode_params,

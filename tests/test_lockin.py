@@ -1,14 +1,13 @@
 import functools
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
-from cryoreadout import lockin
+from cryoreadout import lockin, replace
 from cryoreadout.cli import NormalStream
 from cryoreadout.config import load_config
 from cryoreadout.lockin import demodulate, sweep_fm, sweep_vbc, synthesize

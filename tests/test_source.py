@@ -1,6 +1,5 @@
 import decimal
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ import scipy.constants
 from scipy.constants import e as Q_E, epsilon_0
 from scipy.integrate import solve_ivp
 
-from cryoreadout import source
+from cryoreadout import replace, source
 from cryoreadout.source import (cw_rate_for_occupancy, image_charge_waveform,
                                 rydberg_population, stark_excitation_fraction)
 
